@@ -16,7 +16,7 @@ from .dimgroup import (DimensionGroup, HeckeLikeMatrix, UnitDecomposition,
                        hecke_companion, make_matrix, parse_matrix, shift,
                        shift_inverse, trace_value, unit_decomposition)
 from .ffield import (DEFAULT_BUDGET, FFElement, FieldSpec, enumerate_field,
-                     field_arithmetic, is_prime, make_field, primes_in_range)
+                     is_prime, make_field, primes_in_range)
 from .pseudolattice import (DensityWitness, PseudoLattice, contains,
                             coordinates, curve_trace_cohomology,
                             density_witness, endo_matrix, endo_ring_basis,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "DEFAULT_BUDGET", "FieldSpec", "FFElement", "make_field",
-    "enumerate_field", "field_arithmetic", "is_prime", "primes_in_range",
+    "enumerate_field", "is_prime", "primes_in_range",
     "MultiPoly", "VarietySpec", "PointCountSeries", "parse_variety",
     "load_variety", "count_points", "count_series", "ec_count",
     "weierstrass_variety",

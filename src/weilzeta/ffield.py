@@ -357,25 +357,6 @@ def make_field(p, m):
     raise InternalError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
-def field_arithmetic(a, b, op):
-    """Named-operation wrapper: op is add, sub, mul, inv or pow.
-
-    For inv the second argument is ignored; for pow it is a non-negative
-    integer exponent.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "pow":
-        return a ** int(b)
-    raise ValueError(f"unknown field operation {op!r}")
-
-
 def enumerate_field(spec, budget=DEFAULT_BUDGET):
     """Yield all q elements in lexicographic coefficient order, 0 first."""
     if spec.q > budget:

@@ -6,11 +6,11 @@ over F_{p^m} enumerates normalized representatives (projective: first
 nonzero coordinate equal to 1, earlier coordinates zero) and evaluates
 every polynomial exactly.
 
-The inner loop runs on an indexed view of the extension field: elements
-appear as integers 0..q-1 in enumeration order, and all products are drawn
-from tables built once per field with the exact arithmetic of ffield. For
-q above the table threshold, multiplication switches to discrete exp/log
-on a multiplicative generator, still derived from exact arithmetic.
+The inner loop sees the extension field as Zech-logarithm codes: 0 is
+zero and k+1 is g^k for a fixed multiplicative generator g. A monomial is
+a sum of logarithms, and a sum of two powers of g is one Zech lookup. The
+log and Zech tables are built once per field from O(q) products in the
+exact arithmetic of ffield.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from itertools import product
 
 from .errors import (EnumerationBudgetExceeded, InvalidPrime, NotHomogeneous,
                      ParseError, SingularCurve, UnsupportedCharacteristic)
-from .ffield import DEFAULT_BUDGET, FFElement, is_prime, make_field
-
-_TABLE_LIMIT = 1024
+from .ffield import DEFAULT_BUDGET, is_prime, make_field
 
 
 @dataclass(frozen=True)
@@ -208,8 +206,12 @@ class _ExprParser:
             if value < 0:
                 self.fail(col, "exponent must be non-negative")
             result = {(0,) * self.nvars: 1}
-            for _ in range(value):
-                result = _poly_mul(result, base, self.p)
+            while value:
+                if value & 1:
+                    result = _poly_mul(result, base, self.p)
+                value >>= 1
+                if value:
+                    base = _poly_mul(base, base, self.p)
             return result
         return base
 
@@ -318,61 +320,37 @@ def load_variety(path):
         return parse_variety(fh.read(), path=str(path))
 
 
-# --- indexed field arithmetic for the counting loop ---
+# --- Zech-logarithm field arithmetic for the counting loop ---
 
 class _IndexedField:
-    """Field arithmetic on element indices 0..q-1 in enumeration order."""
+    """Zech-logarithm arithmetic on F_{p^m}.
+
+    Elements are codes: 0 is zero and k+1 is g^k, where g is the
+    smallest-index generator of the multiplicative group. log[i] is the
+    discrete logarithm of the element with enumeration index i != 0, and
+    zech[k] is the code of 1 + g^k, so g^a + g^b = g^a * (1 + g^(b-a)).
+    """
 
     def __init__(self, p, m):
         spec = make_field(p, m)
         self.spec = spec
-        self.p = p
-        self.q = spec.q
-        q = self.q
-        if m == 1:
-            self.add = lambda a, b: (a + b) % p
-            self.mul = lambda a, b: (a * b) % p
-        elif q <= _TABLE_LIMIT:
-            elements = [spec.from_index(i) for i in range(q)]
-            add_table = [[(elements[i] + elements[j]).index() for j in range(q)]
-                         for i in range(q)]
-            mul_table = [[(elements[i] * elements[j]).index() for j in range(q)]
-                         for i in range(q)]
-            self.add = lambda a, b: add_table[a][b]
-            self.mul = lambda a, b: mul_table[a][b]
-        else:
-            gen_elt = self._find_generator(spec)
-            exp = [0] * (q - 1)
-            log = [0] * q
-            cur = spec.one()
-            for k in range(q - 1):
-                idx = cur.index()
-                exp[k] = idx
-                log[idx] = k
-                cur = cur * gen_elt
-            digits = [tuple(self._digits(i)) for i in range(q)]
-            undigit = {}
-            for i, d in enumerate(digits):
-                undigit[d] = i
-            qm1 = q - 1
-
-            def add(a, b, _digits=digits, _un=undigit, _p=p):
-                da, db = _digits[a], _digits[b]
-                return _un[tuple((x + y) % _p for x, y in zip(da, db))]
-
-            def mul(a, b, _exp=exp, _log=log, _qm1=qm1):
-                if a == 0 or b == 0:
-                    return 0
-                return _exp[(_log[a] + _log[b]) % _qm1]
-
-            self.add = add
-            self.mul = mul
-
-    def _digits(self, idx):
-        p = self.p
-        for _ in range(self.spec.m):
-            yield idx % p
-            idx //= p
+        self.q = q = spec.q
+        gen = self._find_generator(spec)
+        exp = [0] * (q - 1)
+        log = [0] * q
+        cur = spec.one()
+        for k in range(q - 1):
+            idx = cur.index()
+            exp[k] = idx
+            log[idx] = k
+            cur = cur * gen
+        zech = []
+        for idx in exp:
+            # adding 1 changes only the constant digit, the lowest base-p digit
+            one_plus = idx - idx % p + (idx + 1) % p
+            zech.append(log[one_plus] + 1 if one_plus else 0)
+        self.log = log
+        self.zech = zech
 
     @staticmethod
     def _find_generator(spec):
@@ -399,46 +377,35 @@ class _IndexedField:
                 return cand
         raise AssertionError("multiplicative group has a generator")
 
-    def pow_table(self, max_exp):
-        """POW[v][e] = v^e as indices, for 0 <= e <= max_exp."""
-        mul = self.mul
-        table = []
-        for v in range(self.q):
-            row = [1 % self.q]
-            acc = 1 % self.q
-            for _ in range(max_exp):
-                acc = mul(acc, v)
-                row.append(acc)
-            table.append(row)
-        return table
-
 
 @lru_cache(maxsize=32)
 def _indexed_field(p, m):
     return _IndexedField(p, m)
 
 
-def _compile_poly(poly, field, pow_table):
-    """Closure evaluating the polynomial at an index tuple."""
-    add = field.add
-    mul = field.mul
-    terms = []
-    for exps, c in poly.terms:
-        varpows = tuple((v, e) for v, e in enumerate(exps) if e)
-        terms.append((c % field.p, varpows))
+def _compile_poly(poly, field):
+    """Closure evaluating the polynomial at a tuple of codes; returns a code."""
+    qm1 = field.q - 1
+    zech = field.zech
+    # (log c, ((v, e mod q-1), ...)); a variable whose exponent reduces to 0
+    # stays, because a zero coordinate still kills the term
+    terms = tuple((field.log[c], tuple((v, e % qm1) for v, e in enumerate(exps) if e))
+                  for exps, c in poly.terms)
 
     def ev(point):
         acc = 0
-        for c, varpows in terms:
-            t = c
+        for t, varpows in terms:
             for v, e in varpows:
-                f = pow_table[point[v]][e]
-                if f == 0:
-                    t = 0
+                x = point[v]
+                if not x:
                     break
-                t = mul(t, f)
-            if t:
-                acc = add(acc, t)
+                t += e * (x - 1)
+            else:
+                if acc:
+                    z = zech[(t - acc + 1) % qm1]
+                    acc = (acc + z - 2) % qm1 + 1 if z else 0
+                else:
+                    acc = t % qm1 + 1
         return acc
 
     return ev
@@ -478,10 +445,10 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
             return 1 if all(p.is_zero() for p in v.polys) else 0
         return 0
     field = _indexed_field(v.p, m)
-    max_exp = max((p.max_exponent() for p in v.polys), default=0)
-    pow_table = field.pow_table(max_exp)
-    evals = [_compile_poly(p, field, pow_table) for p in v.polys if not p.is_zero()]
+    evals = [_compile_poly(p, field) for p in v.polys if not p.is_zero()]
     # a zero polynomial vanishes everywhere and imposes nothing
+    # coordinates are codes; code 0 is zero and code 1 is one, so
+    # (0, ..., 0, 1, tail) are the normalized representatives
     points = _projective_reps(v.nvars, q) if v.ambient == "projective" \
         else product(range(q), repeat=v.nvars)
     if not evals:

@@ -12,7 +12,6 @@ from weilzeta.errors import (
 )
 from weilzeta.ffield import (
     enumerate_field,
-    field_arithmetic,
     is_prime,
     make_field,
     primes_in_range,
@@ -77,19 +76,19 @@ def test_enumerate_field_budget():
 def test_field_arithmetic_f4():
     f4 = make_field(2, 2)
     zero, one, x, x1 = list(enumerate_field(f4))
-    assert field_arithmetic(x, x1, "add").coeffs == (1, 0)
+    assert (x + x1).coeffs == (1, 0)
     # x(x+1) = x^2 + x = 1 modulo x^2 + x + 1
-    assert field_arithmetic(x, x1, "mul").coeffs == (1, 0)
-    assert field_arithmetic(x, x, "sub").coeffs == (0, 0)
-    inv = field_arithmetic(x, None, "inv")
-    assert field_arithmetic(inv, x, "mul").coeffs == (1, 0)
+    assert (x * x1).coeffs == (1, 0)
+    assert (x - x).coeffs == (0, 0)
+    inv = x.inv()
+    assert (inv * x).coeffs == (1, 0)
 
 
 def test_inverse_of_zero_rejected():
     f4 = make_field(2, 2)
     els = list(enumerate_field(f4))
     with pytest.raises(DivisionByZero):
-        field_arithmetic(els[0], None, "inv")
+        els[0].inv()
 
 
 def test_field_axioms_random_sample():
@@ -99,14 +98,11 @@ def test_field_axioms_random_sample():
         els = list(enumerate_field(spec))
         for _ in range(40):
             a, b, c = (rng.choice(els) for _ in range(3))
-            ab = field_arithmetic(a, b, "mul")
-            left = field_arithmetic(ab, c, "mul")
-            right = field_arithmetic(a, field_arithmetic(b, c, "mul"), "mul")
+            left = (a * b) * c
+            right = a * (b * c)
             assert left.coeffs == right.coeffs
-            dist_l = field_arithmetic(a, field_arithmetic(b, c, "add"), "mul")
-            dist_r = field_arithmetic(
-                field_arithmetic(a, b, "mul"), field_arithmetic(a, c, "mul"), "add"
-            )
+            dist_l = a * (b + c)
+            dist_r = a * b + a * c
             assert dist_l.coeffs == dist_r.coeffs
 
 
@@ -118,8 +114,8 @@ def test_frobenius_fixes_every_element():
             exp, base, result = q, e, None
             while exp:
                 if exp & 1:
-                    result = base if result is None else field_arithmetic(result, base, "mul")
-                base = field_arithmetic(base, base, "mul")
+                    result = base if result is None else result * base
+                base = base * base
                 exp >>= 1
             assert result.coeffs == e.coeffs
 
@@ -130,5 +126,5 @@ def test_multiplicative_inverses_exist():
     one = els[1]
     assert one.coeffs == (1, 0)
     for e in els[1:]:
-        inv = field_arithmetic(e, None, "inv")
-        assert field_arithmetic(inv, e, "mul").coeffs == (1, 0)
+        inv = e.inv()
+        assert (inv * e).coeffs == (1, 0)

@@ -1,5 +1,8 @@
 """Tests for variety files, point counting, and elliptic curve counts."""
 
+import random
+from itertools import product
+
 import pytest
 
 from weilzeta.errors import (
@@ -9,8 +12,10 @@ from weilzeta.errors import (
     SingularCurve,
     UnsupportedCharacteristic,
 )
+from weilzeta.ffield import enumerate_field, make_field, primes_in_range
 from weilzeta.variety import (
     MultiPoly,
+    _IndexedField,
     count_points,
     count_series,
     ec_count,
@@ -79,6 +84,13 @@ def test_parse_variety_reduces_coefficients_mod_p():
     assert terms[(0,)] == 3
 
 
+def test_parse_variety_powers_by_squaring():
+    v = parse_variety("field p=5\nambient affine dim=1 vardim=0\npoly (X0 + 1)^5\n")
+    assert v.polys[0].terms == (((0,), 1), ((5,), 1))
+    v = parse_variety("field p=5\nambient affine dim=1 vardim=0\npoly X0^200000\n")
+    assert v.polys[0].terms == (((200000,), 1),)
+
+
 def test_parse_variety_skips_comments_and_blank_lines():
     text = "# a comment\nfield p=2\n\nambient projective dim=1 vardim=1\n# end\n"
     v = parse_variety(text)
@@ -144,6 +156,16 @@ def test_affine_counts_match_naive_scan():
     assert count_points(v, 1) == _naive_affine_count_mod_p(5, lambda x, y: x * x + y * y - 1)
     assert count_points(v, 1) == 4
     assert count_points(v, 2) == 24
+    # exponents at and past q - 1 = 8 over F_9, and a huge one over F_243
+    for expr, m, expected in (
+        ("X0^8 - 1", 2, 8),  # e = q - 1: every nonzero x
+        ("X0^8", 2, 1),  # x^(q-1) still vanishes at zero
+        ("X0^24 - 1", 2, 8),  # e = 3(q - 1)
+        ("X0^25 - X0", 2, 9),  # e = 3(q - 1) + 1: x^e = x everywhere
+        ("X0^20000 - X0^2", 5, 23),  # x^154 = 1 has gcd(154, 242) = 22 roots
+    ):
+        v = parse_variety(f"field p=3\nambient affine dim=1 vardim=0\npoly {expr}\n")
+        assert count_points(v, m) == expected
 
 
 def test_budget_cap_on_enumeration():
@@ -189,3 +211,83 @@ def test_point_zero_dimensional_space():
     v = parse_variety("field p=5\nambient projective dim=0 vardim=0\n")
     assert count_points(v, 1) == 1
     assert count_points(v, 3) == 1
+
+
+def _prime_powers(limit):
+    for p in primes_in_range(2, limit):
+        q, m = p, 1
+        while q <= limit:
+            yield p, m
+            q, m = q * p, m + 1
+
+
+def test_zech_tables_match_exact_arithmetic():
+    for p, m in _prime_powers(1024):
+        field = _IndexedField(p, m)
+        spec = field.spec
+        gen = _IndexedField._find_generator(spec)
+        powers = [spec.one()]
+        for _ in range(spec.q - 2):
+            powers.append(powers[-1] * gen)
+        index = [x.index() for x in powers]
+        # distinct powers g^0..g^(q-2) make g a generator
+        assert len(set(index)) == spec.q - 1
+        assert [field.log[i] for i in index] == list(range(spec.q - 1))
+        for x, code in zip(powers, field.zech):
+            assert (x + spec.one()).index() == (index[code - 1] if code else 0)
+
+
+def _random_system(rng, p, nvars, homogeneous):
+    polys = []
+    for _ in range(rng.randint(1, 2)):
+        degree = rng.randint(1, 4)
+        coeffs = {}
+        for _ in range(rng.randint(1, 4)):
+            if homogeneous:
+                exps = [0] * nvars
+                for _ in range(degree):
+                    exps[rng.randrange(nvars)] += 1
+            else:
+                exps = [rng.choice((0, 1, 2, 3, p, 7, 9, 26)) for _ in range(nvars)]
+            coeffs[tuple(exps)] = rng.randrange(1, p)
+        polys.append(MultiPoly.from_dict(nvars, coeffs, p))
+    return polys
+
+
+def _brute_force_count(polys, spec, projective):
+    """Zeros evaluated with FFElement; projective points as the tuples whose
+    last nonzero coordinate is one."""
+    one = spec.one()
+    count = 0
+    for pt in product(list(enumerate_field(spec)), repeat=polys[0].nvars):
+        if projective and [x for x in pt if x][-1:] != [one]:
+            continue
+        for poly in polys:
+            acc = spec.zero()
+            for exps, c in poly.terms:
+                term = spec.from_int(c)
+                for x, e in zip(pt, exps):
+                    term = term * x ** e
+                acc = acc + term
+            if acc:
+                break
+        else:
+            count += 1
+    return count
+
+
+def test_count_points_matches_exact_brute_force():
+    rng = random.Random(2)
+    for p, m in product((2, 3, 5, 7), (2, 3)):
+        spec = make_field(p, m)
+        for projective in (False, True):
+            # keep the brute-force scan near 700 tuples (affine q^n, projective ~q^(n-1))
+            nvars = 2 if projective else 1
+            while spec.q ** (nvars + (0 if projective else 1)) <= 700:
+                nvars += 1
+            polys = _random_system(rng, p, nvars, projective)
+            ambient = "projective" if projective else "affine"
+            dim = nvars - 1 if projective else nvars
+            text = (f"field p={p}\nambient {ambient} dim={dim} vardim=0\n"
+                    + "".join(f"poly {poly}\n" for poly in polys))
+            assert count_points(parse_variety(text), m) == _brute_force_count(polys, spec, projective)
