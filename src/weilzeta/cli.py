@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import dimgroup as dg
 from . import pseudolattice as pl
@@ -396,24 +396,17 @@ def build_parser():
 
 
 def _config_from_args(args):
-    betti = None
-    if getattr(args, "betti", None):
+    # the defaults live in RunConfig and in the parser; pass on only the
+    # fields the chosen subcommand defines
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    betti = given.pop("betti", None)
+    if betti:
         try:
-            betti = tuple(int(v) for v in args.betti.split(","))
+            given["betti"] = tuple(int(v) for v in betti.split(","))
         except ValueError:
             raise InvalidInput("--betti expects comma-separated integers") from None
-    return RunConfig(
-        command=args.command,
-        path=getattr(args, "path", None),
-        pmin=getattr(args, "pmin", 5),
-        pmax=getattr(args, "pmax", 97),
-        mmax=getattr(args, "mmax", 2),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        rh_tol=getattr(args, "rh_tol", 1e-9),
-        weight_tol=getattr(args, "weight_tol", 0.25),
-        det_check=getattr(args, "det_check", None),
-        betti=betti,
-        out=getattr(args, "out", None))
+    return RunConfig(**given)
 
 
 _COMMANDS = {

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError)
@@ -86,14 +84,11 @@ def make_matrix(rows, ell=None):
 
 def _largest_real_root(charpoly):
     """(irreducible factor, isolating interval) of the largest real root."""
-    t = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(charpoly)), t, domain="ZZ")
     candidates = []
-    for fac, _ in poly.factor_list()[1]:
-        coeffs = qpoly.trim(tuple(int(v) for v in reversed(fac.all_coeffs())))
-        roots = qpoly.isolate_real_roots(coeffs)
+    for fac, _ in qpoly.factor_int(charpoly)[1]:
+        roots = qpoly.isolate_real_roots(fac)
         if roots:
-            candidates.append((coeffs, roots[-1]))
+            candidates.append((fac, roots[-1]))
     if not candidates:
         raise InternalError("characteristic polynomial has no real root")
     best_poly, best = candidates[0]

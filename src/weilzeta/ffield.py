@@ -58,12 +58,6 @@ def _ptrim(cs):
     return cs
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)) % p
-                        for k in range(n)))
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     return _ptrim(tuple(((a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0)) % p
@@ -83,16 +77,7 @@ def _pmul(a, b, p):
 
 def _pmod(a, f, p):
     """a mod f with f monic."""
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df:
-        c = a[-1] % p
-        if c:
-            k = len(a) - 1 - df
-            for j in range(df + 1):
-                a[k + j] = (a[k + j] - c * f[j]) % p
-        a.pop()
-    return _ptrim(tuple(a))
+    return _pdivmod(a, f, p)[1]
 
 
 def _pgcd(a, b, p):

@@ -11,18 +11,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def solve_right(A, b, zero):
-    """Solve A x = b over a field; returns None when inconsistent.
+def _reduce(rows, ncols, zero):
+    """Reduced row echelon form over a field, pivoting in the first ncols columns.
 
-    A is a list of rows. Underdetermined systems get free variables set to
-    zero, so the result is deterministic.
+    Returns (M, pivots): M the reduced rows, pivots the pivot column of
+    each of the first len(pivots) rows. Further rows are zero in the
+    first ncols columns.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    M = [list(row) for row in rows]
+    m = len(M)
     pivots = []
-    r = 0
-    for c in range(n):
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         pr = next((i for i in range(r, m) if M[i][c] != zero), None)
         if pr is None:
             continue
@@ -34,12 +36,19 @@ def solve_right(A, b, zero):
                 f = M[i][c]
                 M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n] != zero:
-            return None
+    return M, pivots
+
+
+def solve_right(A, b, zero):
+    """Solve A x = b over a field; returns None when inconsistent.
+
+    A is a list of rows. Underdetermined systems get free variables set to
+    zero, so the result is deterministic.
+    """
+    n = len(A[0]) if A else 0
+    M, pivots = _reduce([list(row) + [rhs] for row, rhs in zip(A, b)], n, zero)
+    if any(row[n] != zero for row in M[len(pivots):]):
+        return None
     x = [zero] * n
     for i, c in enumerate(pivots):
         x[c] = M[i][n]
@@ -48,29 +57,12 @@ def solve_right(A, b, zero):
 
 def nullspace(A, zero, one):
     """Basis of the right kernel of A over a field, as a list of vectors."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [list(row) for row in A]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if M[i][c] != zero), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = M[r][c]
-        M[r] = [v / inv for v in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != zero:
-                f = M[i][c]
-                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    n = len(A[0]) if A else 0
+    M, pivots = _reduce(A, n, zero)
     basis = []
-    for f in free:
+    for f in range(n):
+        if f in pivots:
+            continue
         v = [zero] * n
         v[f] = one
         for i, c in enumerate(pivots):
@@ -84,24 +76,7 @@ def rank_rational(A):
     if not A:
         return 0
     M = [[Fraction(v) for v in row] for row in A]
-    zero = Fraction(0)
-    m, n = len(M), len(M[0])
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if M[i][c] != zero), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = M[r][c]
-        M[r] = [v / inv for v in M[r]]
-        for i in range(r + 1, m):
-            if M[i][c] != zero:
-                f = M[i][c]
-                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_reduce(M, len(M[0]), Fraction(0))[1])
 
 
 # --- integer matrices ---

@@ -3,7 +3,8 @@
 Coefficients are stored low degree first in plain tuples, so the zero
 polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
 Everything here is exact: entries are ints or Fractions, never floats.
-Includes Sturm chains and real root isolation for square-free inputs.
+Includes Sturm chains, real root isolation for square-free inputs and
+factorization of integer polynomials.
 """
 
 from __future__ import annotations
@@ -142,6 +143,23 @@ def primitive_int(p):
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return tuple(ints)
+
+
+def factor_int(p):
+    """Factor a low-first integer tuple over the integers.
+
+    Returns (content, [(factor, multiplicity)]) with p equal to content
+    times the product of the factor powers; each factor is a primitive
+    integer tuple with positive leading coefficient (the primitive_int
+    convention), low first. This is the only code that knows sympy, and it
+    imports it here so that commands which never factor never load it.
+    """
+    import sympy
+
+    poly = sympy.Poly(list(reversed(trim(p))), sympy.Symbol("t"), domain="ZZ")
+    content, factors = poly.factor_list()
+    return int(content), [(tuple(int(c) for c in reversed(fac.all_coeffs())), int(mult))
+                          for fac, mult in factors]
 
 
 def reverse(p):

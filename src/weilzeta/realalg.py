@@ -17,8 +17,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import floor as _floor
 
-import sympy
-
 from . import qpoly
 from .errors import (DivisionByZero, FieldMismatch, InternalError,
                      InvalidInterval, NotIrreducible)
@@ -41,19 +39,6 @@ def _interval_eval(p, lo, hi):
     return acc_lo, acc_hi
 
 
-def is_irreducible_over_q(coeffs):
-    """Irreducibility over the rationals via factorization."""
-    coeffs = qpoly.trim(coeffs)
-    if len(coeffs) <= 1:
-        return False
-    if len(coeffs) == 2:
-        return True
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed([int(c) for c in coeffs])), x)
-    _, factors = poly.factor_list()
-    return len(factors) == 1 and factors[0][1] == 1
-
-
 class RealNumberField:
     """Q(theta) with theta pinned by minpoly plus an isolating interval."""
 
@@ -70,7 +55,9 @@ class RealNumberField:
                 raise InvalidInterval(f"interval does not contain the root {root}")
             lo = hi = root
         else:
-            if check and not is_irreducible_over_q(minpoly):
+            # a monic primitive polynomial is irreducible when it is its own
+            # only factor
+            if check and qpoly.factor_int(minpoly)[1] != [(minpoly, 1)]:
                 raise NotIrreducible(f"{qpoly.poly_str(minpoly, 'x')} is reducible over Q")
             if lo >= hi:
                 raise InvalidInterval("interval must satisfy lo < hi")

@@ -18,9 +18,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import log
 
-import mpmath
-import sympy
-
 from . import qpoly
 from .errors import (DimensionMismatch, EmptySeries, FunctionalEquationViolated,
                      InsufficientPrecision, InternalError, InvalidInput,
@@ -290,33 +287,14 @@ def functional_equation_check(z, q, n, chi):
         residual_plus=sq, residual_minus=None)
 
 
-def _factor_int_poly(coeffs):
-    """Irreducible integer factors of a low-first integer tuple.
-
-    Returns (unit, [(factor, multiplicity)]) with every factor normalized
-    to constant term +1 and low-first coefficients.
-    """
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(list(reversed(coeffs)), t, domain="ZZ")
-    content, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = qpoly.trim(tuple(int(v) for v in reversed(fac.all_coeffs())))
-        if cs[0] == -1:
-            cs = qpoly.neg(cs)
-        elif cs[0] != 1:
-            raise NotNormalized(
-                f"irreducible factor {qpoly.poly_str(cs)} has constant term {cs[0]}")
-        out.append((cs, int(mult)))
-    return int(content), out
-
-
 def _certified_roots(coeffs):
     """All complex roots of an integer polynomial, residual-certified.
 
     The relative residual |P(rho)| / sum |a_j||rho|^j must fall below
     1e-10; precision escalates once before giving up.
     """
+    import mpmath
+
     deg = qpoly.degree(coeffs)
     if deg < 1:
         return []
@@ -358,8 +336,12 @@ def weight_split(z, q, n, tol=0.25):
     buckets = {i: (1,) for i in range(2 * n + 1)}
     misplaced = []
     for side, poly in (("num", z.num), ("den", z.den)):
-        _, factors = _factor_int_poly(poly)
-        for fac, mult in factors:
+        for fac, mult in qpoly.factor_int(poly)[1]:
+            if fac[0] == -1:
+                fac = qpoly.neg(fac)
+            elif fac[0] != 1:
+                raise NotNormalized(
+                    f"irreducible factor {qpoly.poly_str(fac)} has constant term {fac[0]}")
             weights = [-2 * log(abs(rho)) / log(q) for rho in _certified_roots(fac)]
             if not weights:
                 continue
@@ -414,8 +396,14 @@ def rh_check(P, q, i, tol=1e-9):
     if not coeffs or coeffs[0] != 1:
         raise NotNormalized("weight factor must have constant term 1")
     d = qpoly.degree(coeffs)
+    # repeated roots defeat the root finder; the square-free part has the
+    # same roots, and square-free input passes through unchanged
+    radical = coeffs
+    g = qpoly.gcd_poly(coeffs, qpoly.deriv(coeffs))
+    if qpoly.degree(g) > 0:
+        radical = qpoly.primitive_int(qpoly.divmod_poly(coeffs, g)[0])
     deviation = 0.0
-    for rho in _certified_roots(coeffs):
+    for rho in _certified_roots(radical):
         deviation = max(deviation, abs(abs(rho) * q ** (i / 2) - 1))
     reciprocal_ok = None
     if (i * d) % 2 == 0:

@@ -1,5 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +11,8 @@ import pytest
 from weilzeta.cli import RunConfig, build_parser, main
 from weilzeta.errors import InvalidInput
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 
 def _run(capsys, argv):
@@ -180,3 +185,29 @@ def test_timing_lines_are_marked(capsys):
     code, out, _ = _run(capsys, ["count", str(SAMPLES / "p2_f3.variety"), "--mmax", "2"])
     assert code == 0
     assert any(line.startswith("# timing") for line in out.splitlines())
+
+
+_IMPORT_PROBE = """
+import json, sys
+from weilzeta.cli import main
+
+heavy = ("sympy", "mpmath")
+seen = {"import": [m for m in heavy if m in sys.modules]}
+codes = [main(["count", sys.argv[1], "--out", sys.argv[2]]),
+         main(["cm", "5", "13", "--out", sys.argv[2]])]
+seen["commands"] = [m for m in heavy if m in sys.modules]
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_count_and_cm_load_no_sympy_or_mpmath(tmp_path):
+    # a fresh interpreter, since this one has loaded both already
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(SAMPLES / "p1_f3.variety"),
+         str(tmp_path / "report.txt")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0]
+    assert result["seen"] == {"import": [], "commands": []}

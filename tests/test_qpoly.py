@@ -90,6 +90,24 @@ def test_primitive_int_normalizes():
     assert qp.primitive_int((Fraction(0), Fraction(1, 2))) == (0, 1)
 
 
+def test_factor_int_content_multiplicity_and_sign():
+    # -6 * (1 - t)^3 * (1 + t + t^2) = 6 * (t - 1)^3 * (1 + t + t^2)
+    cube = qp.mul(qp.mul((1, -1), (1, -1)), (1, -1))
+    p = qp.scale(qp.mul(cube, (1, 1, 1)), -6)
+    content, factors = qp.factor_int(p)
+    assert content == 6
+    assert sorted(factors) == [((-1, 1), 3), ((1, 1, 1), 1)]
+    rebuilt = (content,)
+    for fac, mult in factors:
+        assert fac[-1] > 0
+        assert qp.primitive_int(fac) == fac
+        for _ in range(mult):
+            rebuilt = qp.mul(rebuilt, fac)
+    assert rebuilt == p
+    assert qp.factor_int((-2, 0, 0, 1)) == (1, [((-2, 0, 0, 1), 1)])
+    assert qp.factor_int((5,)) == (5, [])
+
+
 def test_reverse():
     assert qp.reverse((1, 2, 5)) == (5, 2, 1)
     assert qp.reverse((1,)) == (1,)

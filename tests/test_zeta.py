@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from weilzeta import qpoly
 from weilzeta.errors import (
     DimensionMismatch,
     EmptySeries,
@@ -201,6 +202,21 @@ def test_rh_check_passes_on_true_weight():
     r2 = rh_check((1, -5), 5, 2)
     assert r2.max_modulus_deviation < 1e-12
     assert r2.reciprocal_ok is True
+
+
+@pytest.mark.parametrize("factor, q, power", [
+    ((1, -1, 5), 5, 2),
+    ((1, 2, 7), 7, 2),
+    ((1, 2, 5), 5, 3),
+])
+def test_rh_check_repeated_factor(factor, q, power):
+    P = (1,)
+    for _ in range(power):
+        P = qpoly.mul(P, factor)
+    r = rh_check(P, q, 1)
+    assert r.max_modulus_deviation < 1e-12
+    assert r.reciprocal_ok is True
+    assert r.passed
 
 
 def test_rh_check_detects_wrong_modulus():
