@@ -95,6 +95,10 @@ class DegenerateSpectrum(WeilZetaError):
     pass
 
 
+class NotEndomorphism(WeilZetaError):
+    pass
+
+
 class ParseError(WeilZetaError):
     """Malformed input text; message carries line and column."""
 
@@ -135,10 +139,6 @@ class WeightOutOfRange(MathCheckError):
 
 
 class HasseViolation(MathCheckError):
-    pass
-
-
-class NotEndomorphism(WeilZetaError):
     pass
 
 

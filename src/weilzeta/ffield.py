@@ -82,17 +82,12 @@ def _pmod(a, f, p):
 
 def _pgcd(a, b, p):
     while b:
-        a, b = b, _pmod_nonmonic(a, b, p)
+        inv = pow(b[-1], -1, p)
+        a, b = b, _pmod(a, tuple(c * inv % p for c in b), p)
     if a:
         inv = pow(a[-1], -1, p)
         a = tuple(c * inv % p for c in a)
     return a
-
-
-def _pmod_nonmonic(a, b, p):
-    inv = pow(b[-1], -1, p)
-    monic = tuple(c * inv % p for c in b)
-    return _pmod(a, monic, p)
 
 
 def _ppowmod(base, e, f, p):
@@ -131,25 +126,13 @@ def _is_irreducible(f, p):
 class FieldSpec:
     """Immutable description of F_{p^m} plus element constructors."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_red", "_zero", "_one")
+    __slots__ = ("p", "m", "q", "modulus", "_zero", "_one")
 
     def __init__(self, p, m, modulus):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "q", p ** m)
         object.__setattr__(self, "modulus", tuple(c % p for c in modulus))
-        # reduction table for x^k, k = m .. 2m-2, in the power basis
-        red = []
-        if m > 1:
-            top = tuple((-c) % p for c in self.modulus[:m])
-            red.append(top)
-            for _ in range(m - 2):
-                prev = red[-1]
-                shifted = (0,) + prev
-                carry = shifted[m] if len(shifted) > m else 0
-                nxt = tuple((shifted[k] + carry * top[k]) % p for k in range(m))
-                red.append(nxt)
-        object.__setattr__(self, "_red", tuple(red))
         object.__setattr__(self, "_zero", FFElement(self, (0,) * m))
         object.__setattr__(self, "_one", FFElement(self, (1,) + (0,) * (m - 1)))
 
@@ -242,41 +225,13 @@ class FFElement:
         p, m = f.p, f.m
         if m == 1:
             return FFElement(f, (self.coeffs[0] * other.coeffs[0] % p,))
-        conv = [0] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    conv[i + j] += a * b
-        out = [c % p for c in conv[:m]]
-        for k in range(m, 2 * m - 1):
-            c = conv[k] % p
-            if c:
-                row = f._red[k - m]
-                for t in range(m):
-                    out[t] = (out[t] + c * row[t]) % p
-        return FFElement(f, tuple(out))
+        out = _pmod(_pmul(self.coeffs, other.coeffs, p), f.modulus, p)
+        return FFElement(f, out + (0,) * (m - len(out)))
 
     def inv(self):
         if not self:
             raise DivisionByZero("inverse of zero")
-        f = self.field
-        if f.m == 1:
-            return FFElement(f, (pow(self.coeffs[0], -1, f.p),))
-        # extended euclid in F_p[x] against the modulus
-        p = f.p
-        a, b = _ptrim(self.coeffs), f.modulus
-        ua, ub = (1,), ()
-        while b:
-            inv_lead = pow(b[-1], -1, p)
-            monic_b = tuple(c * inv_lead % p for c in b)
-            q, r = _pdivmod(a, monic_b, p)
-            q = tuple(c * inv_lead % p for c in q)
-            a, b = b, r
-            ua, ub = ub, _psub(ua, _pmul(q, ub, p), p)
-        lead_inv = pow(a[-1], -1, p)
-        ua = tuple(c * lead_inv % p for c in ua)
-        ua = ua + (0,) * (f.m - len(ua))
-        return FFElement(f, ua[:f.m])
+        return self ** (self.field.q - 2)
 
     def __truediv__(self, other):
         other = self._check(other)

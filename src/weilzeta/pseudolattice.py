@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (DependentGenerators, DimensionMismatch, FieldMismatch,
                      InternalError, InvalidInput, NotEndomorphism,
@@ -124,9 +125,7 @@ def endo_ring_basis(L):
                 row[j] = Fraction(prod_coords[i][j][t])
             for k in range(b):
                 row[b + i * b + k] = -Fraction(gen_coords[k][t])
-            den = 1
-            for v in row:
-                den = den * v.denominator // _gcd(den, v.denominator)
+            den = lcm(*(v.denominator for v in row))
             rows.append([int(v * den) for v in row])
     kernel = kernel_int(rows)
     projected = [vec[:b] for vec in kernel]
@@ -140,12 +139,6 @@ def endo_ring_basis(L):
     if not elements:
         raise InternalError("endomorphism ring lost the identity")
     return tuple(elements)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def endo_ring_rank(L):

@@ -126,17 +126,13 @@ def charpoly_int(A):
     """
     n = len(A)
     cs = [Fraction(1)]  # leading coefficient of x^n
-    M = [[Fraction(0)] * n for _ in range(n)]
-    I = identity_int(n)
+    AM = [[Fraction(0)] * n for _ in range(n)]  # A M_0 with M_0 = 0
     for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{n-k+1} I
+        # M_k = A M_{k-1} + c_{n-k+1} I; A M_k gives the trace and the next step
+        M = [[AM[i][j] + (cs[0] if i == j else 0) for j in range(n)] for i in range(n)]
         AM = [[sum(Fraction(A[i][t]) * M[t][j] for t in range(n))
                for j in range(n)] for i in range(n)]
-        M = [[AM[i][j] + cs[0] * I[i][j] for j in range(n)] for i in range(n)]
-        AMk = [[sum(Fraction(A[i][t]) * M[t][j] for t in range(n))
-                for j in range(n)] for i in range(n)]
-        trace = sum(AMk[i][i] for i in range(n))
-        cs.insert(0, -trace / k)
+        cs.insert(0, -sum(AM[i][i] for i in range(n)) / k)
     out = []
     for c in cs:
         assert c.denominator == 1

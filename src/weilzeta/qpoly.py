@@ -10,7 +10,7 @@ factorization of integer polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 
 
 def trim(coeffs):
@@ -132,13 +132,9 @@ def primitive_int(p):
     p = trim(p)
     if not p:
         return ()
-    den = 1
-    for c in p:
-        den = den * Fraction(c).denominator // _int_gcd(den, Fraction(c).denominator)
+    den = lcm(*(Fraction(c).denominator for c in p))
     ints = [int(Fraction(c) * den) for c in p]
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, abs(c))
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]

@@ -66,17 +66,6 @@ class RealNumberField:
             if qpoly.count_roots(minpoly, lo, hi) != 1:
                 raise InvalidInterval("interval must isolate exactly one real root")
         self._interval = [lo, hi]
-        # reduction rows for theta^k, k = D .. 2D-2
-        D = self.degree
-        rows = []
-        if D > 1:
-            top = tuple(Fraction(-c) for c in minpoly[:D])
-            rows.append(top)
-            for _ in range(D - 2):
-                shifted = (Fraction(0),) + rows[-1]
-                carry = shifted[D]
-                rows.append(tuple(shifted[k] + carry * top[k] for k in range(D)))
-        self._red = tuple(rows)
 
     def __eq__(self, other):
         if self is other:
@@ -153,17 +142,10 @@ class RealNumberField:
             raise FieldMismatch(f"expected {self.degree} coordinates, got {len(coords)}")
         return RealAlgebraic(self, coords)
 
-    def _reduce(self, conv):
-        """Reduce a convolution of length <= 2D-1 modulo the minimal polynomial."""
-        D = self.degree
-        out = list(conv[:D]) + [Fraction(0)] * (D - len(conv[:D]))
-        for k in range(D, len(conv)):
-            c = conv[k]
-            if c:
-                row = self._red[k - D]
-                for t in range(D):
-                    out[t] += c * row[t]
-        return tuple(out)
+    def _residue(self, poly):
+        """The element poly(theta): poly reduced modulo the minimal polynomial."""
+        rem = qpoly.divmod_poly(poly, self.minpoly)[1]
+        return RealAlgebraic(self, rem + (Fraction(0),) * (self.degree - len(rem)))
 
 
 class RealAlgebraic:
@@ -218,17 +200,7 @@ class RealAlgebraic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.field
-        D = f.degree
-        if D == 1:
-            return RealAlgebraic(f, (self.coords[0] * o.coords[0],))
-        conv = [Fraction(0)] * (2 * D - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(o.coords):
-                    if b:
-                        conv[i + j] += a * b
-        return RealAlgebraic(f, f._reduce(conv))
+        return self.field._residue(qpoly.mul(self.coords, o.coords))
 
     __rmul__ = __mul__
 
@@ -236,13 +208,9 @@ class RealAlgebraic:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         f = self.field
-        if f.degree == 1:
-            return RealAlgebraic(f, (1 / self.coords[0],))
         g, u, _ = qpoly.ext_gcd_poly(qpoly.trim(self.coords), f.minpoly)
         assert qpoly.degree(g) == 0
-        inv_coords = qpoly.divmod_poly(u, f.minpoly)[1]
-        cs = tuple(inv_coords) + (Fraction(0),) * (f.degree - len(inv_coords))
-        return RealAlgebraic(f, cs[:f.degree])
+        return f._residue(u)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -211,10 +211,11 @@ def pade_reconstruct(s, num_deg, den_deg):
 def curve_numerator(counts, g, mode="full"):
     """Degree-2g numerator of a genus-g curve zeta function.
 
-    Power sums s_m = q^m + 1 - N_m feed Newton's identities. Full mode
-    consumes 2g counts and verifies the coefficient symmetry
-    a_{2g-k} = q^{g-k} a_k afterwards; symmetric mode consumes g counts and
-    uses the symmetry to fill the upper half.
+    With power sums s_m = q^m + 1 - N_m the numerator is exp(-sum s_m t^m / m),
+    the zeta series of the counts N_m - q^m - 1. Full mode consumes 2g
+    counts and verifies the coefficient symmetry a_{2g-k} = q^{g-k} a_k
+    afterwards; symmetric mode consumes g counts and uses the symmetry to
+    fill the upper half.
     """
     if mode not in ("full", "symmetric"):
         raise InvalidInput(f"unknown mode {mode!r}")
@@ -228,14 +229,7 @@ def curve_numerator(counts, g, mode="full"):
     if len(n_list) < need:
         raise InsufficientPrecision(
             f"{mode} mode needs {need} counts, got {len(n_list)}")
-    s = [Fraction(0)] + [Fraction(q ** m + 1 - n_list[m - 1]) for m in range(1, need + 1)]
-    e = [Fraction(1)]
-    for k in range(1, need + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc += (-1) ** (j - 1) * s[j] * e[k - j]
-        e.append(acc / k)
-    a = [(-1) ** k * e[k] for k in range(need + 1)]
+    a = list(zeta_series([n_list[m - 1] - q ** m - 1 for m in range(1, need + 1)]).coeffs)
     if mode == "symmetric":
         a += [Fraction(0)] * g
         for k in range(g + 1, 2 * g + 1):

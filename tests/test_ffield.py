@@ -128,3 +128,16 @@ def test_multiplicative_inverses_exist():
     for e in els[1:]:
         inv = e.inv()
         assert (inv * e).coeffs == (1, 0)
+
+
+def test_inverse_and_group_order_in_every_small_extension_field():
+    for p in primes_in_range(2, 16):
+        m = 2
+        while p**m <= 256:
+            spec = make_field(p, m)
+            one = spec.one()
+            for a in list(enumerate_field(spec))[1:]:
+                assert a * a.inv() == one
+                assert a ** (spec.q - 1) == one
+                assert a ** -1 == a.inv()
+            m += 1

@@ -79,6 +79,19 @@ def test_charpoly_trace_and_det_coefficients():
         assert cp[0] == -la.det_int(A)
 
 
+def test_charpoly_satisfies_cayley_hamilton():
+    rng = random.Random(4)
+    for n in range(1, 6):
+        for _ in range(10):
+            A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            acc = [[0] * n for _ in range(n)]
+            for c in reversed(la.charpoly_int(A)):
+                acc = la.mat_mul_int(acc, A)
+                for i in range(n):
+                    acc[i][i] += c
+            assert acc == [[0] * n for _ in range(n)]
+
+
 def test_identity_and_matrix_products():
     I = la.identity_int(2)
     A = [[3, 1], [1, 1]]

@@ -128,3 +128,30 @@ def test_golden_ratio_arithmetic():
     assert phi * phi == phi + K.one()
     assert minimal_polynomial(phi) == (-1, -1, 1)
     assert phi.decimal_str(10) == "1.618033989"
+
+
+@pytest.mark.parametrize("K, theta", [
+    (RealNumberField.rationals(), F(0)),
+    (RealNumberField((-5, 1), (F(4), F(6))), F(5)),
+])
+def test_degree_one_fields_use_the_general_arithmetic(K, theta):
+    x = K.from_rational(F(-3, 7))
+    assert K.gen().as_fraction() == theta
+    assert (x * K.from_rational(F(14))).as_fraction() == F(-6)
+    assert x.inverse().as_fraction() == F(-7, 3)
+    assert (x ** 3).as_fraction() == F(-27, 343)
+    assert (x ** -2).as_fraction() == F(49, 9)
+    assert x * x.inverse() == K.one()
+    with pytest.raises(DivisionByZero):
+        K.zero().inverse()
+
+
+def test_cube_root_of_two_reduces_modulo_its_minimal_polynomial():
+    K = RealNumberField((-2, 0, 0, 1), (F(1), F(2)))
+    theta = K.gen()
+    assert theta ** 3 == 2
+    assert theta ** 4 == K.element((0, 2, 0))
+    x = K.one() + theta
+    assert x * x.inverse() == K.one()
+    assert x.inverse() == K.element((F(1, 3), F(-1, 3), F(1, 3)))
+    assert theta ** -1 == K.element((0, 0, F(1, 2)))
