@@ -9,8 +9,9 @@ the w entries; the shift (v, k) |-> (Tv, k) scales the trace by lambda
 and models a Frobenius action.
 
 lambda is found from the exact characteristic polynomial: factor over the
-rationals, isolate real roots with Sturm chains, take the largest. No
-floating point enters any trusted value.
+rationals, bracket the largest real root of each factor by Sturm
+bisection, keep the largest of these. w spans the kernel of T^t - lambda
+in Q(lambda). No floating point enters any trusted value.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from fractions import Fraction
 from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError)
-from .qlinalg import charpoly_int, det_int, mat_vec_int, solve_right
-from .realalg import (RealAlgebraic, RealNumberField, minimal_polynomial,
-                      same_number)
+from .qlinalg import charpoly_int, det_int, mat_vec_int, nullspace
+from .realalg import RealAlgebraic, RealNumberField, minimal_polynomial
 
 @dataclass(frozen=True)
 class HeckeLikeMatrix:
@@ -86,9 +86,9 @@ def _largest_real_root(charpoly):
     """(irreducible factor, isolating interval) of the largest real root."""
     candidates = []
     for fac, _ in qpoly.factor_int(charpoly)[1]:
-        roots = qpoly.isolate_real_roots(fac)
-        if roots:
-            candidates.append((fac, roots[-1]))
+        bracket = qpoly.largest_real_root(fac)
+        if bracket is not None:
+            candidates.append((fac, bracket))
     if not candidates:
         raise InternalError("characteristic polynomial has no real root")
     best_poly, best = candidates[0]
@@ -127,42 +127,28 @@ def build(T):
 
     Exact pipeline: characteristic polynomial, factorization over Q,
     Sturm isolation of the largest real root lambda (DegenerateSpectrum
-    unless lambda > 1), then the left eigenvector w with w_1 = 1 solved in
-    Q(lambda) and re-verified entrywise, including positivity.
+    unless lambda > 1), then the left eigenvector w with w_1 = 1 from the
+    kernel of T^t - lambda over Q(lambda), re-verified entrywise, including
+    positivity.
     """
     if not isinstance(T, HeckeLikeMatrix):
         T = make_matrix(T)
     chi = charpoly_int(T.rows)
     minpoly, interval = _largest_real_root(chi)
-    field = RealNumberField(minpoly, interval, check=False)
+    field = RealNumberField(minpoly, interval)
     lam = field.gen()
     if not lam > 1:
         raise DegenerateSpectrum(
             "Perron-Frobenius eigenvalue must exceed 1 for a dense limit")
     b = T.b
     zero = field.zero()
-    if b == 1:
-        w = (field.one(),)
-    else:
-        # equations sum_i w_i T[i][j] = lam w_j with w_0 = 1 known
-        rows = []
-        rhs = []
-        for j in range(b):
-            row = []
-            for i in range(1, b):
-                coef = field.from_rational(T.rows[i][j])
-                if i == j:
-                    coef = coef - lam
-                row.append(coef)
-            rows.append(row)
-            r = field.from_rational(-T.rows[0][j])
-            if j == 0:
-                r = r + lam
-            rhs.append(r)
-        sol = solve_right(rows, rhs, zero)
-        if sol is None:
-            raise InternalError("left eigenvector system is inconsistent")
-        w = (field.one(),) + tuple(sol)
+    rows = [[field.from_rational(T.rows[i][j]) - (lam if i == j else zero)
+             for i in range(b)] for j in range(b)]
+    # lambda is a simple eigenvalue of a primitive matrix (Perron-Frobenius),
+    # so the kernel is one line
+    v = nullspace(rows, zero, field.one())[0]
+    scale = v[0].inverse()
+    w = tuple(scale * entry for entry in v)
     for j in range(b):
         acc = zero
         for i in range(b):
@@ -289,17 +275,14 @@ def hecke_companion(a, ell):
 def frobenius_shift_matches_eigenvalue(G, a, ell):
     """Whether lambda of G is exactly the largest root of x^2 - ax + ell.
 
-    Exact test: the minimal polynomial of lambda must be that quadratic
-    and the isolating intervals must select the same root.
+    One exact comparison: the minimal polynomial of lambda must be that
+    quadratic. lambda is the largest real root of the characteristic
+    polynomial, which its minimal polynomial divides, so a match pins it
+    to the larger root of the quadratic. A quadratic with complex roots
+    has no real root to match, and one with a repeated root is reducible,
+    so both fail the comparison.
     """
-    quad = (ell, -a, 1)
-    if a * a - 4 * ell < 0:
-        return False
-    if minimal_polynomial(G.lam) != qpoly.primitive_int(quad):
-        return False
-    root_poly, interval = _largest_real_root(quad)
-    field = RealNumberField(root_poly, interval, check=False)
-    return same_number(G.lam, field.gen())
+    return minimal_polynomial(G.lam) == qpoly.primitive_int((ell, -a, 1))
 
 
 def parse_matrix(text, path="<string>"):

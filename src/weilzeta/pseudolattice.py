@@ -52,27 +52,30 @@ class PseudoLattice:
         return f"PseudoLattice(rank {self.rank} in {self.field!r})"
 
 
-def _rational_coords(L, x):
-    """Coordinates of x in the generator basis, or None if outside the span."""
+def _int_coords(L, x):
+    """Integer coordinates of x in the generator basis, or None if x is not
+    in L."""
     if x.field != L.field:
         raise FieldMismatch("element lives in a different field")
     deg = L.field.degree
     rows = [[L.generators[j].coords[r] for j in range(L.rank)] for r in range(deg)]
-    return solve_right(rows, list(x.coords), Fraction(0))
+    sol = solve_right(rows, list(x.coords), Fraction(0))
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
 
 
 def coordinates(L, x):
     """Integer coordinates of x in the generator basis; x must lie in L."""
-    sol = _rational_coords(L, x)
-    if sol is None or any(c.denominator != 1 for c in sol):
+    coords = _int_coords(L, x)
+    if coords is None:
         raise InvalidInput("element does not belong to the lattice")
-    return tuple(int(c) for c in sol)
+    return coords
 
 
 def contains(L, x):
     """Whether x is an integer combination of the generators."""
-    sol = _rational_coords(L, x)
-    return sol is not None and all(c.denominator == 1 for c in sol)
+    return _int_coords(L, x) is not None
 
 
 def is_endomorphism(L, alpha):
@@ -87,17 +90,15 @@ def endo_matrix(L, alpha):
 
     alpha * g_j = sum_k M[k][j] * g_k.
     """
-    b = L.rank
-    M = [[0] * b for _ in range(b)]
+    columns = []
     for j, g in enumerate(L.generators):
-        sol = _rational_coords(L, alpha * g)
-        if sol is None or any(c.denominator != 1 for c in sol):
+        coords = _int_coords(L, alpha * g)
+        if coords is None:
             raise NotEndomorphism(
                 f"multiplication by the given element does not preserve the lattice "
                 f"(image of generator {j + 1} falls outside)")
-        for k in range(b):
-            M[k][j] = int(sol[k])
-    return tuple(tuple(row) for row in M)
+        columns.append(coords)
+    return tuple(zip(*columns))
 
 
 def endo_ring_basis(L):

@@ -3,8 +3,8 @@
 Coefficients are stored low degree first in plain tuples, so the zero
 polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
 Everything here is exact: entries are ints or Fractions, never floats.
-Includes Sturm chains, real root isolation for square-free inputs and
-factorization of integer polynomials.
+Includes Sturm chains, a bracket of the largest real root of a square-free
+input, and factorization of integer polynomials.
 """
 
 from __future__ import annotations
@@ -238,41 +238,43 @@ def count_roots(p, lo, hi, chain=None):
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def isolate_real_roots(p):
-    """Isolating intervals for all real roots of a square-free integer or
-    rational polynomial, sorted ascending.
+def largest_real_root(p):
+    """Bracket (lo, hi) of the largest real root of a square-free polynomial,
+    or None when it has no real root; a multiple root raises ValueError.
 
-    Degree-one input yields the exact root as a degenerate [r, r] interval.
-    For degree >= 2 the input must have no rational roots (true for
-    irreducible polynomials, the only callers); every returned (lo, hi) is
-    an open bracket with a sign change and exactly one root inside.
+    (-B, B] is halved, keeping the upper half while it still holds a root,
+    until (lo, hi] holds exactly one root and p(lo) != 0. Then lo < hi and
+    p changes sign on the bracket, as refine_bracket expects, unless the
+    root is hi itself: a rational root hit exactly, like the root of a
+    degree-one input, comes back as the degenerate bracket (r, r).
     """
     p = trim(p)
     d = len(p) - 1
     if d <= 0:
-        return []
+        return None
     if d == 1:
         r = -Fraction(p[0], 1) / Fraction(p[1], 1)
-        return [(r, r)]
+        return r, r
     chain = sturm_chain(p)
-    bound = cauchy_root_bound(p)
-    total = count_roots(p, -bound, bound, chain)
-    out = []
-
-    def split(lo, hi, k):
-        if k == 0:
-            return
-        if k == 1:
-            out.append((lo, hi))
-            return
+    # the chain ends in gcd(p, p'), a constant exactly when p is square-free;
+    # at a multiple root the counts go wrong and the bisection would not stop
+    if len(chain[-1]) > 1:
+        raise ValueError("polynomial must be square-free")
+    hi = cauchy_root_bound(p)
+    lo = -hi
+    k = count_roots(p, lo, hi, chain)
+    if k == 0:
+        return None
+    while k > 1 or eval_at(p, lo) == 0:
         mid = (lo + hi) / 2
-        # no rational roots for degree >= 2 callers, so p(mid) != 0
-        left = count_roots(p, lo, mid, chain)
-        split(lo, mid, left)
-        split(mid, hi, k - left)
-
-    split(-bound, bound, total)
-    return sorted(out)
+        right = count_roots(p, mid, hi, chain)
+        if right:
+            lo, k = mid, right
+        else:
+            hi = mid
+    if eval_at(p, hi) == 0:
+        return hi, hi
+    return lo, hi
 
 
 def refine_bracket(p, lo, hi):

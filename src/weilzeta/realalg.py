@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import total_ordering
 from math import floor as _floor
 
 from . import qpoly
@@ -42,7 +43,7 @@ def _interval_eval(p, lo, hi):
 class RealNumberField:
     """Q(theta) with theta pinned by minpoly plus an isolating interval."""
 
-    def __init__(self, minpoly, interval, check=True):
+    def __init__(self, minpoly, interval):
         minpoly = tuple(int(c) for c in qpoly.trim(minpoly))
         if not minpoly or minpoly[-1] != 1:
             raise NotIrreducible("minimal polynomial must be monic with integer coefficients")
@@ -57,7 +58,7 @@ class RealNumberField:
         else:
             # a monic primitive polynomial is irreducible when it is its own
             # only factor
-            if check and qpoly.factor_int(minpoly)[1] != [(minpoly, 1)]:
+            if qpoly.factor_int(minpoly)[1] != [(minpoly, 1)]:
                 raise NotIrreducible(f"{qpoly.poly_str(minpoly, 'x')} is reducible over Q")
             if lo >= hi:
                 raise InvalidInterval("interval must satisfy lo < hi")
@@ -148,8 +149,13 @@ class RealNumberField:
         return RealAlgebraic(self, rem + (Fraction(0),) * (self.degree - len(rem)))
 
 
+@total_ordering
 class RealAlgebraic:
-    """Immutable exact real number inside a RealNumberField."""
+    """Immutable exact real number inside a RealNumberField.
+
+    <=, > and >= are derived from __lt__ and __eq__, so each comparison
+    makes exactly one exact sign computation.
+    """
 
     __slots__ = ("field", "coords")
 
@@ -284,35 +290,11 @@ class RealAlgebraic:
             return NotImplemented
         return self.coords == o.coords
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

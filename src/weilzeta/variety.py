@@ -439,10 +439,20 @@ def _projective_reps(nvars, q):
             yield prefix + tail
 
 
-def _rep_count(v, q):
-    if v.ambient == "projective":
-        return sum(q ** k for k in range(v.nvars))
-    return q ** v.nvars
+def _rep_count(v, q, budget):
+    """Number of representatives to enumerate, or None once it passes budget.
+
+    q^n affine tuples or 1 + q + ... + q^(n-1) projective representatives,
+    built one coordinate at a time so that a huge ambient space stops after
+    a few steps instead of building an integer of millions of digits.
+    """
+    step = 1 if v.ambient == "projective" else 0
+    total = 1 - step
+    for _ in range(v.nvars):
+        total = total * q + step
+        if total > budget:
+            return None
+    return total
 
 
 def count_points(v, m, budget=DEFAULT_BUDGET):
@@ -455,10 +465,11 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     q = v.p ** m
-    total = _rep_count(v, q)
-    if total > budget:
+    total = _rep_count(v, q, budget)
+    if total is None:
         raise EnumerationBudgetExceeded(
-            f"enumerating {total} tuples exceeds budget {budget}")
+            f"enumerating {v.nvars} coordinates over F_{v.p}^{m} exceeds "
+            f"budget {budget} tuples")
     if v.nvars == 0:
         # ambient is a single point (affine) or empty (projective)
         if v.ambient == "affine":

@@ -257,15 +257,15 @@ def test_criterion_7_round_trip_on_corpus():
     assert _report(7, ok)
 
 
-def _suite_reports(tmp_path, tag):
+def _suite_reports(tmp_path, tag, samples=SAMPLES):
     jobs = [
-        ("count", ["count", str(SAMPLES / "p1_f3.variety"), "--mmax", "3"]),
-        ("weil_ell", ["weil", str(SAMPLES / "ell_f3.variety"), "--mmax", "4", "--betti", "1,2,1"]),
-        ("weil_p2", ["weil", str(SAMPLES / "p2_f3.variety"), "--mmax", "3"]),
+        ("count", ["count", str(samples / "p1_f3.variety"), "--mmax", "3"]),
+        ("weil_ell", ["weil", str(samples / "ell_f3.variety"), "--mmax", "4", "--betti", "1,2,1"]),
+        ("weil_p2", ["weil", str(samples / "p2_f3.variety"), "--mmax", "3"]),
         ("cm", ["cm", "5", "97"]),
-        ("lattice", ["lattice", str(SAMPLES / "sqrt2.lattice")]),
-        ("lattice2", ["lattice", str(SAMPLES / "cbrt2.lattice")]),
-        ("dimgroup", ["dimgroup", str(SAMPLES / "hecke_3111.matrix"), "--det-check", "2"]),
+        ("lattice", ["lattice", str(samples / "sqrt2.lattice")]),
+        ("lattice2", ["lattice", str(samples / "cbrt2.lattice")]),
+        ("dimgroup", ["dimgroup", str(samples / "hecke_3111.matrix"), "--det-check", "2"]),
     ]
     blobs = []
     for name, argv in jobs:
@@ -283,3 +283,16 @@ def test_criterion_8_reports_are_deterministic(tmp_path):
     second = _suite_reports(tmp_path, "b")
     ok = first == second
     assert _report(8, ok)
+
+
+def test_reports_match_the_benchmark_goldens(tmp_path, monkeypatch):
+    """The seven reports equal perfbench/goldens/ outside timing lines.
+
+    The goldens were captured from the repository root with relative
+    sample paths, which the reports echo, so the suite runs from there.
+    """
+    root = SAMPLES.parent
+    monkeypatch.chdir(root)
+    for name, blob in _suite_reports(tmp_path, "golden", samples=Path("samples")):
+        golden = (root / "perfbench" / "goldens" / f"{name}.txt").read_bytes()
+        assert blob == golden, name

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,17 @@ def test_count_budget_exceeded_exits_3(capsys):
     )
     assert code == 3
     assert "EnumerationBudgetExceeded" in err
+
+
+def test_count_budget_fails_fast_on_huge_ambient_spaces(capsys, tmp_path):
+    for ambient in ("affine", "projective"):
+        path = tmp_path / f"{ambient}.variety"
+        path.write_text(f"field p=5\nambient {ambient} dim=1000000 vardim=0\n")
+        start = time.perf_counter()
+        code, _, err = _run(capsys, ["count", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "EnumerationBudgetExceeded" in err
 
 
 def test_weil_projective_plane(capsys):
@@ -135,6 +147,19 @@ def test_dimgroup_report(capsys):
     assert "shift scaling tau(shift x) = lambda*tau(x): exact" in out
     assert "minimal polynomial: 1 - 4*x + 2*x^2" in out
     assert "verified algebraic unit: false" in out
+    assert "verdict: PASS" in out
+
+
+def test_dimgroup_report_with_a_rational_eigenvalue(capsys, tmp_path):
+    path = tmp_path / "t3.matrix"
+    path.write_text("0 0 1\n0 0 1\n1 1 2\n")
+    code, out, _ = _run(capsys, ["dimgroup", str(path)])
+    assert code == 0
+    assert "lambda minpoly: -2 - 2*x + x^2" in out
+    assert "lambda isolated in: [3/2, 3]" in out
+    assert "lambda: 2.73205080756887729352744634151" in out
+    assert "  w_2 = (1, 0) ~ 1\n" in out
+    assert "  w_3 = (0, 1) ~ 2.73205080756887729352744634151" in out
     assert "verdict: PASS" in out
 
 

@@ -83,6 +83,16 @@ def test_build_golden_ratio_case():
     assert G.w[1] == G.lam
 
 
+def test_build_separates_a_rational_eigenvalue():
+    # chi = x (x^2 - 2x - 2): the factors x and x^2 - 2x - 2 both have real
+    # roots, one of them rational; lambda = 1 + sqrt(3)
+    G = build(make_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 2]]))
+    assert G.field.minpoly == (-2, -2, 1)
+    assert minimal_polynomial(G.lam) == (-2, -2, 1)
+    assert G.field.interval() == (F(3, 2), F(3))
+    assert G.w == (G.field.one(), G.field.one(), G.lam)
+
+
 def test_build_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrum):
         build(make_matrix([[1]]))
@@ -180,6 +190,8 @@ def test_frobenius_shift_matches_eigenvalue():
     G = build(hecke_companion(4, 2))
     assert frobenius_shift_matches_eigenvalue(G, 4, 2)
     assert not frobenius_shift_matches_eigenvalue(G, 5, 2)
+    # x^2 - 2x + 2 has complex roots
+    assert not frobenius_shift_matches_eigenvalue(G, 2, 2)
     other = build(make_matrix([[3, 2], [2, 2]], ell=2))
     assert not frobenius_shift_matches_eigenvalue(other, 4, 2)
     # reducible Frobenius polynomial never matches a minimal polynomial

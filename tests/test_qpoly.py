@@ -137,18 +137,41 @@ def test_count_roots_brackets():
     assert qp.count_roots(p, Fraction(2), Fraction(3)) == 0
 
 
-def test_isolate_real_roots_disjoint_and_complete():
-    brackets = qp.isolate_real_roots((1, -3, 0, 1))
-    assert len(brackets) == 3
-    for lo, hi in brackets:
-        assert lo < hi
-        assert qp.count_roots((1, -3, 0, 1), lo, hi) == 1
-    for (_, hi), (lo2, _) in zip(brackets, brackets[1:]):
-        assert hi <= lo2
+def test_largest_real_root_bracket():
+    # x^3 - 3x + 1 has one real root in each of (-4, 0), (0, 1) and (1, 2);
+    # bisecting (-4, 4] ends on the last of these
+    p = (1, -3, 0, 1)
+    lo, hi = qp.largest_real_root(p)
+    assert (lo, hi) == (1, 2)
+    assert qp.count_roots(p, lo, hi) == 1
+    assert qp.count_roots(p, hi, qp.cauchy_root_bound(p)) == 0
+    assert qp.largest_real_root((-2, -2, 1)) == (0, 3)
 
 
 def test_isolate_no_real_roots():
-    assert qp.isolate_real_roots((1, 0, 1)) == []
+    assert qp.largest_real_root((1, 0, 1)) is None
+    assert qp.largest_real_root((5,)) is None
+
+
+def test_largest_real_root_refuses_multiple_roots():
+    with pytest.raises(ValueError):
+        qp.largest_real_root((0, 0, 1, -1))
+
+
+def test_largest_real_root_linear_is_exact():
+    assert qp.largest_real_root((3, 2)) == (Fraction(-3, 2), Fraction(-3, 2))
+
+
+def test_largest_real_root_with_rational_roots():
+    # (x - 1)(x - 2)(x - 3): the bisection ends on the root 3 exactly
+    assert qp.largest_real_root((-6, 11, -6, 1)) == (3, 3)
+    # x (x^2 - 2x - 2): rational root 0 below the largest root 1 + sqrt(3)
+    p = (0, -2, -2, 1)
+    lo, hi = qp.largest_real_root(p)
+    assert lo < hi
+    assert qp.count_roots(p, lo, hi) == 1
+    assert (qp.eval_at(p, lo) < 0) != (qp.eval_at(p, hi) < 0)
+    assert qp.count_roots(p, hi, qp.cauchy_root_bound(p)) == 0
 
 
 def test_refine_bracket_halves_and_keeps_root():
