@@ -180,6 +180,9 @@ def cmd_weil(config):
         key = (score, den_deg)
         if best is None or key > best[0]:
             best = (key, result, failure)
+        if score == 4:
+            # den_deg only falls from here on, so no later candidate wins
+            break
     report.timing("pipeline", time.perf_counter() - t0)
     (score, _), result, failure = best
     report.kv("pade degrees",

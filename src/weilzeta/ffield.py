@@ -101,26 +101,37 @@ def _ppowmod(base, e, f, p):
     return result
 
 
-def _is_irreducible(f, p):
-    """Deterministic test for monic f over F_p.
+def _distinct_degree(f, p):
+    """Distinct-degree parts of monic f over F_p, smallest degree first.
 
-    Checks x^(p^m) = x mod f and gcd(x^(p^i) - x, f) = 1 for i <= m/2.
+    Yields (g, d) where g is the product of the irreducible factors of
+    degree d, taken as gcd(x^(p^d) - x, rest) for d up to half the degree
+    of what is left; what is left after that is one irreducible factor.
+    For square-free f the parts multiply back to f. For any f the first
+    part is (f, deg f) exactly when f is irreducible: a reducible f has a
+    factor of degree at most half its own, found before the loop ends.
     """
-    m = len(f) - 1
-    if m == 1:
-        return True
-    if f[0] == 0:
-        return False  # divisible by x
     x = (0, 1)
     xp = x
-    for i in range(1, m // 2 + 1):
-        xp = _ppowmod(xp, p, f, p)
-        g = _pgcd(f, _psub(xp, x, p), p)
+    rest = f
+    d = 0
+    while 2 * (d + 1) <= len(rest) - 1:
+        d += 1
+        xp = _ppowmod(xp, p, rest, p)
+        g = _pgcd(rest, _psub(xp, x, p), p)
         if g != (1,):
-            return False
-    for i in range(m // 2 + 1, m + 1):
-        xp = _ppowmod(xp, p, f, p)
-    return xp == x
+            yield g, d
+            rest = _pdivmod(rest, g, p)[0]
+            xp = _pmod(xp, rest, p)
+    if len(rest) > 1:
+        yield rest, len(rest) - 1
+
+
+def _is_irreducible(f, p):
+    """Deterministic test for monic f over F_p."""
+    if len(f) > 2 and f[0] == 0:
+        return False  # divisible by x, like make_field's first p^(m-1) candidates
+    return next(_distinct_degree(f, p)) == (f, len(f) - 1)
 
 
 class FieldSpec:

@@ -4,13 +4,19 @@ Coefficients are stored low degree first in plain tuples, so the zero
 polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
 Everything here is exact: entries are ints or Fractions, never floats.
 Includes Sturm chains, a bracket of the largest real root of a square-free
-input, and factorization of integer polynomials.
+input, and factorization of integer polynomials in pure Python: modular
+factors come from the F_p[x] helpers of ``ffield``, and are lifted and
+recombined here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm
+
+from .ffield import (_distinct_degree, _pdivmod, _pgcd, _pmod, _pmul, _ppowmod,
+                     _psub, is_prime)
 
 
 def trim(coeffs):
@@ -78,7 +84,7 @@ def divmod_poly(num, den):
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
     r = [Fraction(c) for c in num]
-    dlead = Fraction(den[-1])
+    dlead = den[-1]
     dd = len(den) - 1
     while len(r) - 1 >= dd and any(c != 0 for c in r):
         while r and r[-1] == 0:
@@ -86,19 +92,42 @@ def divmod_poly(num, den):
         if len(r) - 1 < dd:
             break
         k = len(r) - 1 - dd
-        c = r[-1] / dlead
+        c = r[-1] if dlead == 1 else r[-1] / dlead
         q[k] = c
-        for j, b in enumerate(den):
-            r[k + j] -= c * b
         r.pop()
+        for j, b in enumerate(den[:-1]):
+            if b:
+                r[k + j] -= c * b
     return trim(q), trim(r)
 
 
+def _pseudo_rem(a, b):
+    """lc(b)^k * (a mod b) for integer a and b and some k >= 0, computed in
+    integers: each elimination step first scales the remainder by lc(b)."""
+    r = list(a)
+    lead, low, db = b[-1], b[:-1], len(b) - 1
+    while len(r) - 1 >= db:
+        c = r.pop()
+        k = len(r) - db
+        if lead != 1:
+            r = [x * lead for x in r]
+        for j, bj in enumerate(low):
+            if bj:
+                r[k + j] -= c * bj
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
 def gcd_poly(p, q):
-    """Monic gcd over the rationals."""
-    a, b = trim(p), trim(q)
+    """Monic gcd over the rationals.
+
+    Euclid runs on primitive integer remainders, which stay far smaller
+    than the rational remainders of plain division on inputs of high degree.
+    """
+    a, b = primitive_int(p), primitive_int(q)
     while b:
-        a, b = b, divmod_poly(a, b)[1]
+        a, b = b, primitive_int(_pseudo_rem(a, b))
     if not a:
         return ()
     lead = Fraction(a[-1])
@@ -145,17 +174,224 @@ def factor_int(p):
     """Factor a low-first integer tuple over the integers.
 
     Returns (content, [(factor, multiplicity)]) with p equal to content
-    times the product of the factor powers; each factor is a primitive
-    integer tuple with positive leading coefficient (the primitive_int
-    convention), low first. This is the only code that knows sympy, and it
-    imports it here so that commands which never factor never load it.
-    """
-    import sympy
+    times the product of the factor powers. The content carries the sign
+    of p's leading coefficient; each factor is a primitive integer tuple
+    with positive leading coefficient (the primitive_int convention), low
+    first. Factors are sorted by (length, multiplicity, coefficients high
+    first), a fixed order that callers' messages rely on when they name
+    the first factor that fails a check.
 
-    poly = sympy.Poly(list(reversed(trim(p))), sympy.Symbol("t"), domain="ZZ")
-    content, factors = poly.factor_list()
-    return int(content), [(tuple(int(c) for c in reversed(fac.all_coeffs())), int(mult))
-                          for fac, mult in factors]
+    The classical exact method (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 14-16): factor each square-free part modulo a small odd
+    prime, Hensel-lift the modular factors past twice the Landau-Mignotte
+    bound and recombine them in subsets (Zassenhaus).
+    """
+    p = trim(p)
+    if not p:
+        return 0, []
+    content = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    f = tuple(c // content for c in p)
+    factors = []
+    j = 0
+    while f[j] == 0:
+        j += 1
+    if j:
+        factors.append(((0, 1), j))
+        f = f[j:]
+    # Yun's square-free decomposition: pass i splits off d, the product of
+    # the irreducible factors of multiplicity exactly i
+    df = deriv(f)
+    c = gcd_poly(f, df)
+    w, y = divmod_poly(f, c)[0], divmod_poly(df, c)[0]
+    mult = 1
+    while len(w) > 1:
+        z = sub(y, deriv(w))
+        d = gcd_poly(w, z)
+        if len(d) > 1:
+            factors += [(g, mult) for g in _square_free_factors(primitive_int(d))]
+        w, y = divmod_poly(w, d)[0], divmod_poly(z, d)[0]
+        mult += 1
+    return content, sorted(factors, key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
+
+
+def _square_free_factors(f):
+    """Irreducible factors of a primitive square-free f with f(0) != 0."""
+    if len(f) <= 2:
+        return [f]
+    p, modular = _modular_factors(f)
+    if len(modular) == 1:
+        return [f]
+    # Landau-Mignotte: a factor g of f has |g|_inf <= 2^deg(g) * |f|_2, so
+    # lc(f)/lc(g) * g, the candidate recombination builds, is bounded by this
+    n = len(f) - 1
+    bound = f[-1] * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    return _recombine(f, *_hensel_lift(f, modular, p, 2 * bound))
+
+
+def _mod(f, m):
+    return trim(tuple(c % m for c in f))
+
+
+def _modular_factors(f):
+    """(p, monic irreducible factors of f mod p) for an odd prime p.
+
+    Of the first five odd primes that keep f's degree and leave it
+    square-free, p is the one that gives the fewest factors, which keeps
+    the subsets that recombination tries few.
+    """
+    best = None
+    tries = 5
+    p = 2
+    while tries:
+        p += 1
+        if not is_prime(p) or f[-1] % p == 0:
+            continue
+        inv = pow(f[-1], -1, p)
+        fp = _mod(tuple(c * inv for c in f), p)
+        if _pgcd(fp, _mod(deriv(fp), p), p) != (1,):
+            continue
+        parts = list(_distinct_degree(fp, p))
+        count = sum((len(g) - 1) // d for g, d in parts)
+        if best is None or count < best[0]:
+            best = count, p, parts
+        if count == 1:
+            break
+        tries -= 1
+    _, p, parts = best
+    return p, [h for g, d in parts for h in _equal_degree(g, d, p)]
+
+
+def _equal_degree(g, d, p):
+    """Irreducible factors of monic square-free g over F_p whose factors
+    all have degree d (Berlekamp).
+
+    The v of degree < deg g with v^p = v mod g form an F_p-space with one
+    dimension per irreducible factor, and v = s mod each factor for some
+    s in F_p; so gcd(h, v - s) over s in F_p splits a product h of factors
+    on which v takes different values, and the whole space splits g.
+    Deterministic, and every step is sure to make progress.
+    """
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    # row i is x^(i p) - x^i mod g: v lies in the space when sum v_i row_i = 0
+    xp = _ppowmod((0, 1), p, g, p)
+    rows, power = [], (1,)
+    for i in range(n):
+        row = list(power) + [0] * (n - len(power))
+        row[i] -= 1
+        rows.append(row)
+        power = _pmod(_pmul(power, xp, p), g, p)
+    factors = [g]
+    for v in _left_kernel(rows, p):
+        split = []
+        for h in factors:
+            for s in range(p):
+                if len(h) - 1 == d:
+                    break
+                c = _pgcd(h, _psub(v, (s,), p), p)
+                if 1 < len(c) < len(h):
+                    split.append(c)
+                    h = _pdivmod(h, c, p)[0]
+            split.append(h)
+        factors = split
+        if len(factors) == n // d:
+            break
+    return factors
+
+
+def _left_kernel(rows, p):
+    """Basis of {v : sum_i v_i rows[i] = 0 mod p}, by Gauss-Jordan on the
+    transpose; v comes back as a trimmed tuple, low index first."""
+    n = len(rows)
+    m = [[rows[i][j] % p for i in range(n)] for j in range(len(rows[0]))]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                m[i] = [(a - row[col] * b) % p for a, b in zip(row, m[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            v = [0] * n
+            v[free] = 1
+            for row, col in zip(m, pivots):
+                v[col] = -row[free] % p
+            basis.append(trim(tuple(v)))
+    return basis
+
+
+def _hensel_lift(f, factors, p, bound):
+    """Lift the monic factors of f mod p to monic factors of f / lc(f)
+    mod p^l, one power of p at a time, until p^l > bound.
+
+    Returns (lifted factors, p^l). Each step corrects factor g_i by
+    p^k * (e * s_i mod g_i), where e is the error of the product at p^k and
+    s_i = (prod of the other factors)^-1 mod g_i, an inverse in the field
+    F_p[x]/(g_i) taken as a power.
+    """
+    inverses = []
+    for i, g in enumerate(factors):
+        others = (1,)
+        for j, h in enumerate(factors):
+            if j != i:
+                others = _pmod(_pmul(others, h, p), g, p)
+        inverses.append(_ppowmod(others, p ** (len(g) - 1) - 2, g, p))
+    lifted = [list(g) for g in factors]
+    pk = p
+    while pk <= bound:
+        pk1 = pk * p
+        inv = pow(f[-1], -1, pk1)
+        prod = (1,)
+        for g in lifted:
+            prod = _pmul(prod, g, pk1)
+        err = trim(tuple((c * inv % pk1 - b) // pk % p for c, b in zip(f, prod)))
+        for g, s, g0 in zip(lifted, inverses, factors):
+            for k, c in enumerate(_pmod(_pmul(err, s, p), g0, p)):
+                g[k] += pk * c
+        pk = pk1
+    return [tuple(g) for g in lifted], pk
+
+
+def _recombine(f, lifted, pk):
+    """True factors from lifted modular factors (Zassenhaus).
+
+    Subsets are tried smallest first. lc(f) times the subset's product,
+    in symmetric residues mod pk, is a true factor exactly when it divides
+    lc(f) * f; a found factor's modular factors leave the pool. When no
+    subset of at most half the pool divides, the rest is one factor.
+    """
+    factors = []
+    s = 1
+    while 2 * s <= len(lifted):
+        lead = f[-1]
+        for subset in combinations(range(len(lifted)), s):
+            g = (lead,)
+            for i in subset:
+                g = _pmul(g, lifted[i], pk)
+            g = tuple(c - pk if 2 * c > pk else c for c in g)
+            # a true factor's constant term divides lead * f(0)
+            if g[0] == 0 or lead * f[0] % g[0]:
+                continue
+            quo, rem = divmod_poly(scale(f, lead), g)
+            if rem:
+                continue
+            factors.append(primitive_int(g))
+            f = primitive_int(quo)
+            lifted = [h for i, h in enumerate(lifted) if i not in subset]
+            break
+        else:
+            s += 1
+    factors.append(f)
+    return factors
 
 
 def reverse(p):

@@ -217,22 +217,32 @@ import json, sys
 from weilzeta.cli import main
 
 heavy = ("sympy", "mpmath")
-seen = {"import": [m for m in heavy if m in sys.modules]}
-codes = [main(["count", sys.argv[1], "--out", sys.argv[2]]),
-         main(["cm", "5", "13", "--out", sys.argv[2]])]
-seen["commands"] = [m for m in heavy if m in sys.modules]
+out = sys.argv[-1]
+seen, codes = {}, []
+for name, argv in [("import", None),
+                   ("count", ["count", sys.argv[1]]),
+                   ("cm", ["cm", "5", "13"]),
+                   ("lattice", ["lattice", sys.argv[2]]),
+                   ("dimgroup", ["dimgroup", sys.argv[3]]),
+                   ("weil", ["weil", sys.argv[4], "--mmax", "4"])]:
+    if argv is not None:
+        codes.append(main(argv + ["--out", out]))
+    seen[name] = [m for m in heavy if m in sys.modules]
 print(json.dumps({"codes": codes, "seen": seen}))
 """
 
 
-def test_count_and_cm_load_no_sympy_or_mpmath(tmp_path):
-    # a fresh interpreter, since this one has loaded both already
+def test_no_command_loads_sympy_and_only_weil_loads_mpmath(tmp_path):
+    # a fresh interpreter, since this one has loaded both already; weil
+    # runs last because a module once loaded stays in sys.modules
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(SAMPLES / "p1_f3.variety"),
-         str(tmp_path / "report.txt")],
+         str(SAMPLES / "sqrt2.lattice"), str(SAMPLES / "hecke_3111.matrix"),
+         str(SAMPLES / "ell_f3.variety"), str(tmp_path / "report.txt")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0]
-    assert result["seen"] == {"import": [], "commands": []}
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["seen"] == {"import": [], "count": [], "cm": [], "lattice": [],
+                              "dimgroup": [], "weil": ["mpmath"]}

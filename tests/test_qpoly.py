@@ -1,6 +1,7 @@
 """Tests for exact rational polynomial helpers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,92 @@ def test_factor_int_content_multiplicity_and_sign():
     assert rebuilt == p
     assert qp.factor_int((-2, 0, 0, 1)) == (1, [((-2, 0, 0, 1), 1)])
     assert qp.factor_int((5,)) == (5, [])
+
+
+def _sympy_factor_list(p):
+    import sympy
+
+    poly = sympy.Poly(list(reversed(qp.trim(p))), sympy.Symbol("t"), domain="ZZ")
+    content, factors = poly.factor_list()
+    return int(content), [(tuple(int(c) for c in reversed(fac.all_coeffs())), int(mult))
+                          for fac, mult in factors]
+
+
+def _product(factors):
+    out = (1,)
+    for fac in factors:
+        out = qp.mul(out, fac)
+    return out
+
+
+def _x_power_minus_one(n):
+    return (-1,) + (0,) * (n - 1) + (1,)
+
+
+def _cyclotomic(n):
+    """Phi_n as x^n - 1 divided by Phi_d for the proper divisors d of n."""
+    phi = _x_power_minus_one(n)
+    for d in range(1, n):
+        if n % d == 0:
+            phi = qp.divmod_poly(phi, _cyclotomic(d))[0]
+    return tuple(int(c) for c in phi)
+
+
+# Swinnerton-Dyer polynomials for sqrt 2, sqrt 3 (and sqrt 5): irreducible,
+# yet split into factors of degree <= 2 modulo every prime
+_SWINNERTON_DYER = ((1, 0, -10, 0, 1), (576, 0, -960, 0, 352, 0, -40, 0, 1))
+
+# Every distinct input that the seed-1 cli_corpus and extfield_weil jobs
+# of perfbench pass to factor_int
+_BENCHMARK_INPUTS = (
+    (1,), (1, 1), (-2, 0, 1), (1, -4, 3), (1, 0, 3), (1, 1, 3), (1, 2, 3),
+    (1, 3, 3), (2, -4, 1), (-2, 0, 0, 1), (1, -13, 39, -27), (1, -4, 0, 12),
+    (1, 13, 130, 1210), (1, -6, 14, -21, 21), (1, 4, 16, 52, 160),
+    (1, -7, 21, -42, 63, -63), (1, -6, 12, -6, -24, 66), (1, -5, 5, 10, -25, -5),
+    (1, -4, 0, 12, 0, -36), (1, 4, 16, 52, 160, 484), (1, 5, 20, 65, 200, 605),
+    (1, 6, 24, 78, 240, 726), (1, 7, 28, 91, 280, 847),
+)
+
+
+def _random_products(rng, count):
+    inputs = []
+    for _ in range(count):
+        p = (rng.choice((-1, 1)) * rng.randint(1, 12),)
+        for _ in range(rng.randint(1, 4)):
+            fac = qp.trim(tuple(rng.randint(-6, 6) for _ in range(rng.randint(2, 5))))
+            for _ in range(rng.randint(1, 3)):
+                p = qp.mul(p, fac or (1,))
+        if rng.random() < 0.2:
+            p = (0,) * rng.randint(1, 2) + p
+        inputs.append(p)
+    return inputs
+
+
+def test_factor_int_matches_sympy():
+    inputs = _random_products(random.Random(20261018), 150)
+    inputs += [_cyclotomic(n) for n in range(1, 31)]
+    inputs += [_x_power_minus_one(n) for n in range(1, 31)]
+    inputs += list(_SWINNERTON_DYER) + list(_BENCHMARK_INPUTS)
+    assert len(inputs) == 235
+    for p in inputs:
+        assert qp.factor_int(p) == _sympy_factor_list(p), p
+
+
+def test_factor_int_recombination_is_bounded():
+    # x^24 - 1 is the product of the eight Phi_d, d | 24; modulo a prime
+    # p > 3 it splits into 12 or more factors, since p^2 = 1 mod 24
+    divisors = [d for d in range(1, 25) if 24 % d == 0]
+    lin_quad = [(k, 1) for k in range(-5, 6) if k] + [(k, 0, 1) for k in range(1, 6)]
+    cases = ((_x_power_minus_one(24), sorted(_cyclotomic(d) for d in divisors)),
+             (_product(lin_quad), sorted(lin_quad)))
+    assert qp.degree(cases[1][0]) == 20
+    for p, expected in cases:
+        start = time.perf_counter()
+        content, factors = qp.factor_int(p)
+        assert time.perf_counter() - start < 2.0
+        assert content == 1
+        assert sorted(fac for fac, _ in factors) == expected
+        assert all(mult == 1 for _, mult in factors)
 
 
 def test_reverse():
