@@ -101,37 +101,80 @@ def _ppowmod(base, e, f, p):
     return result
 
 
-def _distinct_degree(f, p):
-    """Distinct-degree parts of monic f over F_p, smallest degree first.
+def _berlekamp_kernel(f, p):
+    """Basis of the Berlekamp space of monic f over F_p, or None when f is
+    not square-free mod p.
 
-    Yields (g, d) where g is the product of the irreducible factors of
-    degree d, taken as gcd(x^(p^d) - x, rest) for d up to half the degree
-    of what is left; what is left after that is one irreducible factor.
-    For square-free f the parts multiply back to f. For any f the first
-    part is (f, deg f) exactly when f is irreducible: a reducible f has a
-    factor of degree at most half its own, found before the loop ends.
+    The v of degree < deg f with v^p = v mod f form an F_p-space with one
+    dimension per irreducible factor of a square-free f, and each v is a
+    constant mod every factor (Berlekamp 1967; Knuth, TAOCP vol. 2, 4.6.2).
     """
-    x = (0, 1)
-    xp = x
-    rest = f
-    d = 0
-    while 2 * (d + 1) <= len(rest) - 1:
-        d += 1
-        xp = _ppowmod(xp, p, rest, p)
-        g = _pgcd(rest, _psub(xp, x, p), p)
-        if g != (1,):
-            yield g, d
-            rest = _pdivmod(rest, g, p)[0]
-            xp = _pmod(xp, rest, p)
-    if len(rest) > 1:
-        yield rest, len(rest) - 1
+    if _pgcd(f, _ptrim(tuple(k * f[k] % p for k in range(1, len(f)))), p) != (1,):
+        return None
+    n = len(f) - 1
+    # column i is x^(i p) - x^i mod f: v lies in the space when sum v_i col_i = 0;
+    # Gauss-Jordan on the matrix m of these columns gives the basis
+    xp = _ppowmod((0, 1), p, f, p)
+    cols, power = [], (1,)
+    for i in range(n):
+        cols.append([(c - (j == i)) % p for j, c in enumerate(power + (0,) * (n - len(power)))])
+        power = _pmod(_pmul(power, xp, p), f, p)
+    m = [list(row) for row in zip(*cols)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                m[i] = [(a - row[col] * b) % p for a, b in zip(row, m[r])]
+        pivots.append(col)
+    basis = []
+    for free in range(n):
+        if free not in pivots:
+            v = [0] * n
+            v[free] = 1
+            for row, col in zip(m, pivots):
+                v[col] = -row[free] % p
+            basis.append(_ptrim(tuple(v)))
+    return basis
+
+
+def _berlekamp_split(f, basis, p):
+    """Monic irreducible factors of square-free monic f over F_p, given its
+    _berlekamp_kernel basis.
+
+    gcd(h, v - s) over s in F_p splits h by the values v takes on its
+    factors. The basis tells every two factors apart and has one vector
+    per factor, so splitting stops once there are as many parts.
+    """
+    factors = [f]
+    for v in basis:
+        if len(factors) == len(basis):
+            break
+        split = []
+        for h in factors:
+            for s in range(p):
+                c = _pgcd(h, _psub(v, (s,), p), p)
+                if 1 < len(c) < len(h):
+                    split.append(c)
+                    h = _pdivmod(h, c, p)[0]
+            split.append(h)
+        factors = split
+    return factors
 
 
 def _is_irreducible(f, p):
-    """Deterministic test for monic f over F_p."""
+    """Deterministic test for monic f over F_p: f is irreducible exactly
+    when it is square-free and its Berlekamp space is the constants alone."""
     if len(f) > 2 and f[0] == 0:
         return False  # divisible by x, like make_field's first p^(m-1) candidates
-    return next(_distinct_degree(f, p)) == (f, len(f) - 1)
+    basis = _berlekamp_kernel(f, p)
+    return basis is not None and len(basis) == 1
 
 
 class FieldSpec:

@@ -5,7 +5,7 @@ polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
 Everything here is exact: entries are ints or Fractions, never floats.
 Includes Sturm chains, a bracket of the largest real root of a square-free
 input, and factorization of integer polynomials in pure Python: modular
-factors come from the F_p[x] helpers of ``ffield``, and are lifted and
+factors come from Berlekamp's algorithm in ``ffield``, and are lifted and
 recombined here.
 """
 
@@ -15,8 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .ffield import (_distinct_degree, _pdivmod, _pgcd, _pmod, _pmul, _ppowmod,
-                     _psub, is_prime)
+from .ffield import _berlekamp_kernel, _berlekamp_split, _pmod, _pmul, _ppowmod, is_prime
 
 
 def trim(coeffs):
@@ -183,8 +182,9 @@ def factor_int(p):
 
     The classical exact method (von zur Gathen & Gerhard, Modern Computer
     Algebra, ch. 14-16): factor each square-free part modulo a small odd
-    prime, Hensel-lift the modular factors past twice the Landau-Mignotte
-    bound and recombine them in subsets (Zassenhaus).
+    prime by Berlekamp's algorithm, Hensel-lift the modular factors past
+    twice the Landau-Mignotte bound and recombine them in subsets
+    (Zassenhaus).
     """
     p = trim(p)
     if not p:
@@ -236,8 +236,9 @@ def _modular_factors(f):
     """(p, monic irreducible factors of f mod p) for an odd prime p.
 
     Of the first five odd primes that keep f's degree and leave it
-    square-free, p is the one that gives the fewest factors, which keeps
-    the subsets that recombination tries few.
+    square-free, p is the one whose Berlekamp space is smallest: the fewest
+    factors keep the subsets that recombination tries few. Only p's space
+    is split.
     """
     best = None
     tries = 5
@@ -248,85 +249,16 @@ def _modular_factors(f):
             continue
         inv = pow(f[-1], -1, p)
         fp = _mod(tuple(c * inv for c in f), p)
-        if _pgcd(fp, _mod(deriv(fp), p), p) != (1,):
+        basis = _berlekamp_kernel(fp, p)
+        if basis is None:
             continue
-        parts = list(_distinct_degree(fp, p))
-        count = sum((len(g) - 1) // d for g, d in parts)
-        if best is None or count < best[0]:
-            best = count, p, parts
-        if count == 1:
+        if best is None or len(basis) < len(best[2]):
+            best = p, fp, basis
+        if len(basis) == 1:
             break
         tries -= 1
-    _, p, parts = best
-    return p, [h for g, d in parts for h in _equal_degree(g, d, p)]
-
-
-def _equal_degree(g, d, p):
-    """Irreducible factors of monic square-free g over F_p whose factors
-    all have degree d (Berlekamp).
-
-    The v of degree < deg g with v^p = v mod g form an F_p-space with one
-    dimension per irreducible factor, and v = s mod each factor for some
-    s in F_p; so gcd(h, v - s) over s in F_p splits a product h of factors
-    on which v takes different values, and the whole space splits g.
-    Deterministic, and every step is sure to make progress.
-    """
-    n = len(g) - 1
-    if n == d:
-        return [g]
-    # row i is x^(i p) - x^i mod g: v lies in the space when sum v_i row_i = 0
-    xp = _ppowmod((0, 1), p, g, p)
-    rows, power = [], (1,)
-    for i in range(n):
-        row = list(power) + [0] * (n - len(power))
-        row[i] -= 1
-        rows.append(row)
-        power = _pmod(_pmul(power, xp, p), g, p)
-    factors = [g]
-    for v in _left_kernel(rows, p):
-        split = []
-        for h in factors:
-            for s in range(p):
-                if len(h) - 1 == d:
-                    break
-                c = _pgcd(h, _psub(v, (s,), p), p)
-                if 1 < len(c) < len(h):
-                    split.append(c)
-                    h = _pdivmod(h, c, p)[0]
-            split.append(h)
-        factors = split
-        if len(factors) == n // d:
-            break
-    return factors
-
-
-def _left_kernel(rows, p):
-    """Basis of {v : sum_i v_i rows[i] = 0 mod p}, by Gauss-Jordan on the
-    transpose; v comes back as a trimmed tuple, low index first."""
-    n = len(rows)
-    m = [[rows[i][j] % p for i in range(n)] for j in range(len(rows[0]))]
-    pivots = []
-    for col in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i, row in enumerate(m):
-            if i != r and row[col]:
-                m[i] = [(a - row[col] * b) % p for a, b in zip(row, m[r])]
-        pivots.append(col)
-    basis = []
-    for free in range(n):
-        if free not in pivots:
-            v = [0] * n
-            v[free] = 1
-            for row, col in zip(m, pivots):
-                v[col] = -row[free] % p
-            basis.append(trim(tuple(v)))
-    return basis
+    p, fp, basis = best
+    return p, _berlekamp_split(fp, basis, p)
 
 
 def _hensel_lift(f, factors, p, bound):

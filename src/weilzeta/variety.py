@@ -112,6 +112,12 @@ class PointCountSeries:
 # (X0 + X1 + 1)^200 would otherwise run for tens of seconds and more.
 _MAX_TERM_PAIRS = 1 << 18
 
+# Deepest parenthesis nesting the parser accepts. Each level costs the
+# recursive descent four Python frames (expr, term, power, atom), and
+# CPython stops at 1000 frames by default; 100 levels leave room for the
+# frames of the caller, while no polynomial needs that many.
+_MAX_NESTING = 100
+
 
 def _literal(digits, line_no, col):
     """Value of a digit run, or a ParseError.
@@ -168,6 +174,7 @@ class _ExprParser:
         self.nvars = nvars
         self.p = p
         self.line_no = line_no
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -246,7 +253,11 @@ class _ExprParser:
             exps[value] = 1
             return {tuple(exps): 1}
         if kind == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(col, f"parentheses nested deeper than {_MAX_NESTING} levels")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             k2, _, col2 = self.take()
             if k2 != ")":
                 self.fail(col2, "expected ')'")
@@ -460,7 +471,8 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
 
     Projective points are counted once via normalized representatives. The
     number of enumerated tuples (never more than the ambient space size)
-    must stay within budget.
+    must stay within budget, and so must the field size q, which sizes the
+    Zech tables.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
@@ -475,15 +487,21 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
         if v.ambient == "affine":
             return 1 if all(p.is_zero() for p in v.polys) else 0
         return 0
-    field = _indexed_field(v.p, m)
-    evals = [_compile_poly(p, field) for p in v.polys if not p.is_zero()]
     # a zero polynomial vanishes everywhere and imposes nothing
+    polys = [p for p in v.polys if not p.is_zero()]
+    if not polys:
+        return total
+    if q > budget:
+        # the log and Zech tables hold q entries each; q itself may have
+        # thousands of digits, so the message names p and m
+        raise EnumerationBudgetExceeded(
+            f"tables of F_{v.p}^{m} exceed budget {budget} elements")
+    field = _indexed_field(v.p, m)
+    evals = [_compile_poly(p, field) for p in polys]
     # coordinates are codes; code 0 is zero and code 1 is one, so
     # (0, ..., 0, 1, tail) are the normalized representatives
     points = _projective_reps(v.nvars, q) if v.ambient == "projective" \
         else product(range(q), repeat=v.nvars)
-    if not evals:
-        return total
     count = 0
     for pt in points:
         for ev in evals:

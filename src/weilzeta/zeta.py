@@ -9,7 +9,9 @@ factors by root modulus into weights, the root-modulus bound, and the
 comparison of factor degrees against expected Betti numbers.
 
 Floats appear only where unavoidable: assigning weights from root moduli
-and measuring modulus deviations. Everything else is exact.
+and measuring modulus deviations. Everything else is exact. Roots come
+from mpmath; a relative residual below 1e-10 is a sanity check on each
+root, not an error bound, since clustered roots defeat it.
 """
 
 from __future__ import annotations
@@ -281,11 +283,12 @@ def functional_equation_check(z, q, n, chi):
         residual_plus=sq, residual_minus=None)
 
 
-def _certified_roots(coeffs):
-    """All complex roots of an integer polynomial, residual-certified.
+def _numeric_roots(coeffs):
+    """All complex roots of an integer polynomial, found numerically.
 
     The relative residual |P(rho)| / sum |a_j||rho|^j must fall below
-    1e-10; precision escalates once before giving up.
+    1e-10; precision escalates once before giving up. The residual is a
+    sanity check, not an error bound: clustered roots defeat it.
     """
     import mpmath
 
@@ -336,7 +339,7 @@ def weight_split(z, q, n, tol=0.25):
             elif fac[0] != 1:
                 raise NotNormalized(
                     f"irreducible factor {qpoly.poly_str(fac)} has constant term {fac[0]}")
-            weights = [-2 * log(abs(rho)) / log(q) for rho in _certified_roots(fac)]
+            weights = [-2 * log(abs(rho)) / log(q) for rho in _numeric_roots(fac)]
             if not weights:
                 continue
             if max(weights) - min(weights) > tol:
@@ -397,7 +400,7 @@ def rh_check(P, q, i, tol=1e-9):
     if qpoly.degree(g) > 0:
         radical = qpoly.primitive_int(qpoly.divmod_poly(coeffs, g)[0])
     deviation = 0.0
-    for rho in _certified_roots(radical):
+    for rho in _numeric_roots(radical):
         deviation = max(deviation, abs(abs(rho) * q ** (i / 2) - 1))
     reciprocal_ok = None
     if (i * d) % 2 == 0:

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from weilzeta.cli import RunConfig, build_parser, main
-from weilzeta.errors import InvalidInput
+from weilzeta import qpoly
+from weilzeta.cli import RunConfig, _pipeline_candidate, build_parser, main
+from weilzeta.errors import FunctionalEquationViolated, InvalidInput
+from weilzeta.variety import PointCountSeries
+from weilzeta.zeta import RationalFunctionQ, point_count_from_zeta, zeta_series
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -60,11 +63,17 @@ def test_count_budget_exceeded_exits_3(capsys):
 
 
 def test_count_budget_fails_fast_on_huge_ambient_spaces(capsys, tmp_path):
-    for ambient in ("affine", "projective"):
-        path = tmp_path / f"{ambient}.variety"
-        path.write_text(f"field p=5\nambient {ambient} dim=1000000 vardim=0\n")
+    cases = [(f"field p=5\nambient {ambient} dim=1000000 vardim=0\n", [])
+             for ambient in ("affine", "projective")]
+    # a single projective point, whose count still needs tables of F_{p^m}
+    point = "ambient projective dim=0 vardim=0\npoly X0\n"
+    cases += [(f"field p=2\n{point}", ["--mmax", "40", "--budget", "1000"]),
+              (f"field p=1000000007\n{point}", [])]
+    for k, (text, flags) in enumerate(cases):
+        path = tmp_path / f"huge{k}.variety"
+        path.write_text(text)
         start = time.perf_counter()
-        code, _, err = _run(capsys, ["count", str(path)])
+        code, _, err = _run(capsys, ["count", str(path), *flags])
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "EnumerationBudgetExceeded" in err
@@ -110,6 +119,47 @@ def test_weil_wrong_vardim_fails(capsys, tmp_path):
     assert code == 1
     assert "verdict: FAIL" in out
     assert "WeightOutOfRange" in out
+
+
+def _candidate(num, den, q, num_deg, den_deg):
+    """_pipeline_candidate on the series of the curve zeta function num/den."""
+    z = RationalFunctionQ(num, den)
+    counts = tuple(point_count_from_zeta(z, m) for m in range(1, num_deg + den_deg + 1))
+    series = zeta_series(PointCountSeries(q, counts))
+    return _pipeline_candidate(series, 1, q, num_deg, den_deg, RunConfig(command="weil"))
+
+
+def _trivial_den(q):
+    return qpoly.mul((1, -1), (1, -q))
+
+
+def test_weil_candidate_failure_ladder():
+    # a weight-1 factor in the denominator: parity fails after weight_split
+    den = qpoly.mul(_trivial_den(5), (1, -2, 5))
+    score, result, failure = _candidate((1,), den, 5, 0, 4)
+    assert score == 1
+    assert str(failure) == "factor weights contradict their numerator/denominator side"
+    assert result["fact"].misplaced == ((1, "den", (1, -2, 5)),)
+    # |a_2| = 7 is not q = 5, so Z(1/(q t)) is no multiple of Z(t)
+    score, result, failure = _candidate((1, -2, 7), _trivial_den(5), 5, 2, 2)
+    assert score == 2
+    assert isinstance(failure, FunctionalEquationViolated)
+    assert "sign" not in result
+    # real roots of weights 0.98 and 1.02 pass the 0.25 weight tolerance and
+    # the functional equation, but not the root-modulus bound
+    score, result, failure = _candidate((1, -201, 10007), _trivial_den(10007), 10007, 2, 2)
+    assert score == 3
+    assert str(failure) == "root modulus bound violated"
+    assert result["sign"] == 1
+    assert [(i, rep.passed) for i, rep in result["rh"]] == [(0, True), (1, False), (2, True)]
+
+
+def test_weil_candidate_keeps_a_squared_factor():
+    square = qpoly.mul((1, 2, 5), (1, 2, 5))
+    score, result, failure = _candidate(square, _trivial_den(5), 5, 4, 2)
+    assert (score, failure) == (4, None)
+    assert result["fact"].factors == ((0, (1, -1)), (1, square), (2, (1, -5)))
+    assert all(rep.passed for _, rep in result["rh"])
 
 
 def test_cm_sweep_reports_zero_mismatches(capsys):

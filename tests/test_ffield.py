@@ -1,6 +1,7 @@
 """Tests for finite field construction and arithmetic."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,9 @@ from weilzeta.errors import (
     InvalidPrime,
 )
 from weilzeta.ffield import (
+    _berlekamp_kernel,
+    _berlekamp_split,
+    _is_irreducible,
     enumerate_field,
     is_prime,
     make_field,
@@ -50,6 +54,56 @@ def test_make_field_smallest_irreducible_modulus():
     # lexicographically first by low-to-high coefficient tuple
     assert make_field(3, 2).modulus == (1, 0, 1)
     assert make_field(2, 3).modulus == (1, 0, 1, 1)
+
+
+def _mul_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
+def _monic(p, n):
+    """Every monic polynomial of degree n over F_p, low degree first."""
+    return [tail + (1,) for tail in product(range(p), repeat=n)]
+
+
+def test_is_irreducible_matches_trial_division():
+    # trial division run as a sieve: the reducible monic polynomials of
+    # degree n are the products of monic g and h with deg g + deg h = n
+    for p, top in ((2, 6), (3, 6), (5, 4), (7, 4)):
+        for n in range(2, top + 1):
+            reducible = {_mul_mod(g, h, p)
+                         for d in range(1, n // 2 + 1)
+                         for g in _monic(p, d) for h in _monic(p, n - d)}
+            for f in _monic(p, n):
+                assert _is_irreducible(f, p) == (f not in reducible), (p, f)
+
+
+def test_berlekamp_splits_square_free_products():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        chosen = set()
+        for _ in range(rng.randint(1, 6)):
+            while True:
+                f = tuple(rng.randrange(p) for _ in range(rng.randint(1, 6))) + (1,)
+                if _is_irreducible(f, p):
+                    break
+            chosen.add(f)
+        f = (1,)
+        for g in chosen:
+            f = _mul_mod(f, g, p)
+        basis = _berlekamp_kernel(f, p)
+        factors = _berlekamp_split(f, basis, p)
+        assert len(factors) == len(basis) == len(chosen)
+        assert all(_is_irreducible(g, p) for g in factors)
+        prod = (1,)
+        for g in factors:
+            prod = _mul_mod(prod, g, p)
+        assert prod == f
+        assert set(factors) == chosen
 
 
 def test_make_field_rejects_bad_arguments():

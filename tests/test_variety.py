@@ -120,6 +120,15 @@ def test_parse_refuses_huge_expansions_fast():
     assert time.perf_counter() - start < 5.0
 
 
+def test_parse_refuses_deep_nesting():
+    head = "field p=5\nambient affine dim=1 vardim=0\npoly "
+    v = parse_variety(head + "(" * 50 + "X0" + ")" * 50 + "\n")
+    assert str(v.polys[0]) == "X0"
+    for depth in (300, 3000):
+        with pytest.raises(ParseError, match=r"line 3 col 106: parentheses nested deeper"):
+            parse_variety(head + "(" * depth + "X0" + ")" * depth + "\n")
+
+
 def test_parse_rejects_unreadable_integers():
     head = "field p=5\nambient affine dim=1 vardim=0\n"
     with pytest.raises(ParseError, match="line 3 col 9: invalid integer"):
@@ -195,6 +204,14 @@ def test_budget_cap_on_enumeration():
     assert count_points(parse_variety(P2_F3), 2, budget=91) == 91
     with pytest.raises(EnumerationBudgetExceeded):
         count_points(parse_variety(P2_F3), 2, budget=90)
+    # one projective point, but its polynomial is evaluated on F_{p^m} codes,
+    # so the field size counts too
+    point = "field p=2\nambient projective dim=0 vardim=0\npoly {}\n"
+    assert count_points(parse_variety(point.format("X0")), 9, budget=512) == 0
+    with pytest.raises(EnumerationBudgetExceeded, match=r"F_2\^10 exceed budget 512"):
+        count_points(parse_variety(point.format("X0")), 10, budget=512)
+    # zero polynomials need no field at all
+    assert count_points(parse_variety(point.format("2*X0")), 100, budget=1) == 1
 
 
 def test_ec_count_matches_naive_scan():
