@@ -1,10 +1,13 @@
-"""Varieties over prime fields and exhaustive point counting.
+"""Varieties over prime fields and exact point counting.
 
 A VarietySpec is a list of multivariate polynomials over F_p together with
 an affine or projective ambient space and a declared dimension. Counting
-over F_{p^m} enumerates normalized representatives (projective: first
+over F_{p^m} runs over normalized representatives (projective: first
 nonzero coordinate equal to 1, earlier coordinates zero) and evaluates
-every polynomial exactly.
+every polynomial exactly. A single polynomial over odd p of degree <= 2 in
+some variable X_v is counted one coordinate fewer: where X_v is free, the
+other coordinates are enumerated and the roots in X_v of a*X_v^2 + b*X_v
++ c come from the quadratic character of b^2 - 4ac.
 
 The inner loop sees the extension field as Zech-logarithm codes: 0 is
 zero and k+1 is g^k for a fixed multiplicative generator g. A monomial is
@@ -442,12 +445,60 @@ def _compile_poly(poly, field):
     return ev
 
 
-def _projective_reps(nvars, q):
-    """Normalized representatives: leading zeros, then 1, then free tail."""
-    for lead in range(nvars):
-        prefix = (0,) * lead + (1,)
-        for tail in product(range(q), repeat=nvars - lead - 1):
-            yield prefix + tail
+def _strata(nvars, q, projective):
+    """Coordinate ranges whose products are the normalized representatives.
+
+    Affine: one stratum, every coordinate free. Projective: one stratum per
+    position of the leading 1, with zeros before it and a free tail.
+    """
+    if not projective:
+        return [[range(q)] * nvars]
+    return [[(0,)] * lead + [(1,)] + [range(q)] * (nvars - lead - 1)
+            for lead in range(nvars)]
+
+
+def _quadratic_variable(poly):
+    """Largest v such that poly has degree <= 2 in X_v, or None."""
+    for v in reversed(range(poly.nvars)):
+        if all(exps[v] <= 2 for exps, _ in poly.terms):
+            return v
+    return None
+
+
+def _count_roots(poly, v, field, points):
+    """Sum over points of the number of X_v in F_q with poly = 0.
+
+    poly is a*X_v^2 + b*X_v + c with a, b, c free of X_v, and each point
+    carries a placeholder at v. For a != 0 the root count is 1 + chi(b^2 -
+    4ac), chi the quadratic character, which needs odd q: the code k + 1
+    of g^k is a square exactly when k is even, and -1 is g^((q-1)/2).
+    """
+    parts = ({}, {}, {})  # parts[e]: the terms with X_v^e, X_v removed
+    for exps, c in poly.terms:
+        parts[exps[v]][exps[:v] + (0,) + exps[v + 1:]] = c
+    ev_c, ev_b, ev_a = (_compile_poly(MultiPoly(poly.nvars, tuple(sorted(d.items()))), field)
+                        for d in parts)
+    q = field.q
+    qm1 = q - 1
+    zech = field.zech
+    log_minus4 = field.log[4 % field.spec.p] + qm1 // 2
+    total = 0
+    for pt in points:
+        a, b, c = ev_a(pt), ev_b(pt), ev_c(pt)
+        if not a:
+            # linear: one root, or none, or every X_v when it is absent
+            total += 1 if b else 0 if c else q
+        elif not c:
+            # roots 0 and -b/a, which coincide when b = 0
+            total += 2 if b else 1
+        else:
+            # d is the code of b^2 - 4ac divided by the square b^2 (b != 0),
+            # or of -4ac itself; t is the log of -4ac
+            t = log_minus4 + a + c - 2
+            d = zech[(t - 2 * (b - 1)) % qm1] if b else t % qm1 + 1
+            # a double root when d = 0, else two roots exactly when d - 1 is even
+            total += 1 if not d else 2 if d & 1 else 0
+    return total
 
 
 def _rep_count(v, q, budget):
@@ -469,10 +520,16 @@ def _rep_count(v, q, budget):
 def count_points(v, m, budget=DEFAULT_BUDGET):
     """Exact number of F_{p^m} points of v.
 
-    Projective points are counted once via normalized representatives. The
-    number of enumerated tuples (never more than the ambient space size)
-    must stay within budget, and so must the field size q, which sizes the
-    Zech tables.
+    Projective points are counted once via normalized representatives, at
+    each of which every polynomial is evaluated. For one polynomial over odd
+    p that has degree <= 2 in some variable, the largest such X_v is
+    eliminated wherever the normalization leaves it free: only the other
+    coordinates are enumerated, and the roots in X_v are counted by the
+    quadratic character (see _count_roots).
+
+    The budget bounds the number of representatives of the ambient space,
+    q^n or 1 + q + ... + q^(n-1), not the tuples actually visited, and it
+    bounds the field size q, which sizes the Zech tables.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
@@ -498,17 +555,21 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
             f"tables of F_{v.p}^{m} exceed budget {budget} elements")
     field = _indexed_field(v.p, m)
     evals = [_compile_poly(p, field) for p in polys]
-    # coordinates are codes; code 0 is zero and code 1 is one, so
-    # (0, ..., 0, 1, tail) are the normalized representatives
-    points = _projective_reps(v.nvars, q) if v.ambient == "projective" \
-        else product(range(q), repeat=v.nvars)
+    x = _quadratic_variable(polys[0]) if len(polys) == 1 and v.p != 2 else None
     count = 0
-    for pt in points:
-        for ev in evals:
-            if ev(pt):
-                break
-        else:
-            count += 1
+    for ranges in _strata(v.nvars, q, v.ambient == "projective"):
+        if x is not None and len(ranges[x]) > 1:
+            # X_x is free here: enumerate the others and count roots in X_x
+            count += _count_roots(polys[0], x, field,
+                                  product(*ranges[:x], (0,), *ranges[x + 1:]))
+            continue
+        # coordinates are codes; code 0 is zero and code 1 is one
+        for pt in product(*ranges):
+            for ev in evals:
+                if ev(pt):
+                    break
+            else:
+                count += 1
     return count
 
 

@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -304,13 +304,64 @@ def _brute_force_count(polys, spec, projective):
             for exps, c in poly.terms:
                 term = spec.from_int(c)
                 for x, e in zip(pt, exps):
-                    term = term * x ** e
+                    if e:
+                        term = term * x ** e
                 acc = acc + term
             if acc:
                 break
         else:
             count += 1
     return count
+
+
+def _system_text(p, polys, projective):
+    nvars = polys[0].nvars
+    ambient = "projective" if projective else "affine"
+    dim = nvars - 1 if projective else nvars
+    return (f"field p={p}\nambient {ambient} dim={dim} vardim=0\n"
+            + "".join(f"poly {poly}\n" for poly in polys))
+
+
+def _weierstrass_poly(rng, p, nvars, projective):
+    """y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6, homogenized by z in P^2."""
+    a1, a2, a3, a4, a6 = (rng.randrange(p) for _ in range(5))
+    coeffs = {(0, 2, 1): 1, (1, 1, 1): a1, (0, 1, 2): a3,
+              (3, 0, 0): -1, (2, 0, 1): -a2, (1, 0, 2): -a4, (0, 0, 3): -a6}
+    return MultiPoly.from_dict(nvars, {e[:nvars]: c for e, c in coeffs.items()}, p)
+
+
+def _quadric_poly(rng, p, nvars, projective, diagonal):
+    """Random quadric; affine ones get linear and constant terms as well."""
+    pairs = [(i, i) for i in range(nvars)] if diagonal else \
+        [(i, j) for i in range(nvars) for j in range(i, nvars)]
+    if not projective:
+        pairs += [(i, None) for i in range(nvars)] + [(None, None)]
+    coeffs = {}
+    for pair in pairs:
+        exps = [0] * nvars
+        for i in pair:
+            if i is not None:
+                exps[i] += 1
+        coeffs[tuple(exps)] = rng.randrange(p)
+    return MultiPoly.from_dict(nvars, coeffs, p)
+
+
+def _quadratic_in_one(rng, p, nvars, projective):
+    """Random polynomial of degree <= 2 in one random variable, any degree in the rest."""
+    v = rng.randrange(nvars)
+    degree = rng.randint(2, 4)
+    coeffs = {}
+    for _ in range(rng.randint(1, 5)):
+        exps = [0] * nvars
+        if projective:
+            exps[v] = rng.randint(0, 2) if nvars > 1 else degree
+            for _ in range(degree - exps[v]):
+                exps[rng.choice([i for i in range(nvars) if i != v])] += 1
+        else:
+            exps = [rng.choice((0, 1, 2, 3, p, 7)) for _ in range(nvars)]
+            exps[v] = rng.randint(0, 2)
+        coeffs[tuple(exps)] = rng.randrange(1, p)
+    return MultiPoly.from_dict(nvars, coeffs, p)
 
 
 def test_count_points_matches_exact_brute_force():
@@ -323,8 +374,64 @@ def test_count_points_matches_exact_brute_force():
             while spec.q ** (nvars + (0 if projective else 1)) <= 700:
                 nvars += 1
             polys = _random_system(rng, p, nvars, projective)
-            ambient = "projective" if projective else "affine"
-            dim = nvars - 1 if projective else nvars
-            text = (f"field p={p}\nambient {ambient} dim={dim} vardim=0\n"
-                    + "".join(f"poly {poly}\n" for poly in polys))
+            text = _system_text(p, polys, projective)
             assert count_points(parse_variety(text), m) == _brute_force_count(polys, spec, projective)
+    # single polynomials of degree <= 2 in some variable, which odd p counts
+    # by the quadratic character: every m whose scan of q^n tuples stays
+    # within 729 = 3^6, with n up to 4 as that allows (n = 3 for curves)
+    families = (
+        ("weierstrass", _weierstrass_poly),
+        ("diagonal quadric", lambda *args: _quadric_poly(*args, diagonal=True)),
+        ("quadric", lambda *args: _quadric_poly(*args, diagonal=False)),
+        ("quadratic in one variable", _quadratic_in_one),
+    )
+    rng = random.Random(3)
+    for p in (2, 3, 5, 7):
+        for projective in (False, True):
+            for name, draw in families:
+                fixed = (3 if projective else 2) if name == "weierstrass" else None
+                m = 1
+                while (p ** m) ** (fixed or 2) <= 729:
+                    spec = make_field(p, m)
+                    nvars = fixed or max(n for n in range(2, 5) if spec.q ** n <= 729)
+                    polys = [draw(rng, p, nvars, projective)]
+                    text = _system_text(p, polys, projective)
+                    assert count_points(parse_variety(text), m) == \
+                        _brute_force_count(polys, spec, projective), (name, text, m)
+                    m += 1
+
+
+@pytest.mark.parametrize("p, m, ambient, expr, expected", [
+    # a = 0 != b: one root in X1 wherever X0 != 0; at X0 = 0, a = b = 0 != c
+    (5, 1, "affine dim=2", "X0*X1 - 1", 4),
+    # a = b = 0 everywhere (X1 absent): every X1 over the 3 cube roots of 1 in F_7
+    (7, 1, "affine dim=2", "X0^3 - 1", 21),
+    # b = 0 != c: 1 + chi(4 X0) roots, which sum to q
+    (7, 1, "affine dim=2", "X1^2 - X0", 7),
+    # zero discriminant wherever X0 != 0, and c = 0 at X0 = 0: (X0 + X1)^2
+    (5, 2, "affine dim=2", "X1^2 + 2*X0*X1 + X0^2", 25),
+    # X2 is eliminated, and (0 : 0 : 1), where it is the leading 1, lies on the conic
+    (3, 2, "projective dim=2", "X0^2 - X1*X2", 10),
+    # X0 (degree 2) is eliminated but fixed to 1 or 0 in every stratum of P^1
+    (5, 1, "projective dim=1", "X0^2*X1 - X1^3", 3),
+])
+def test_quadratic_elimination_branches(p, m, ambient, expr, expected):
+    v = parse_variety(f"field p={p}\nambient {ambient} vardim=0\npoly {expr}\n")
+    assert count_points(v, m) == expected
+    assert _brute_force_count(v.polys, make_field(p, m), v.ambient == "projective") == expected
+
+
+def test_count_points_invariant_under_coordinate_permutations():
+    # a permutation moves which variable is eliminated and where it sits
+    # relative to the leading 1 of the projective normalization
+    rng = random.Random(5)
+    for p, m, projective, nvars in ((3, 2, True, 3), (5, 1, True, 4), (7, 1, False, 3),
+                                    (3, 1, False, 4), (2, 3, True, 3)):
+        for _ in range(6):
+            poly = _quadratic_in_one(rng, p, nvars, projective)
+            counts = set()
+            for perm in permutations(range(nvars)):
+                permuted = MultiPoly.from_dict(
+                    nvars, {tuple(exps[i] for i in perm): c for exps, c in poly.terms}, p)
+                counts.add(count_points(parse_variety(_system_text(p, [permuted], projective)), m))
+            assert len(counts) == 1, (poly, counts)
