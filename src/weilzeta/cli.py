@@ -19,14 +19,13 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from . import dimgroup as dg
-from . import pseudolattice as pl
-from . import qpoly, zeta
+# Only what count and cm run is imported here (perfbench/tracer.py also
+# patches these names on this module); every other command imports its
+# modules itself, so a job loads only the code it runs.
 from .cmcurve import (count_via_character, frobenius_trace,
                       grossencharacter_trace_d1)
 from .errors import InvalidInput, MathCheckError, WeilZetaError
 from .ffield import DEFAULT_BUDGET, primes_in_range
-from .qlinalg import mat_mul_int
 from .variety import count_series, ec_count, load_variety
 
 
@@ -114,6 +113,8 @@ def _pipeline_candidate(series, n, q, num_deg, den_deg, config):
     Returns (score, result dict, failure or None). Score counts fully
     passed stages so candidate degree pairs can be ranked.
     """
+    from . import zeta
+
     result = {"num_deg": num_deg, "den_deg": den_deg}
     try:
         z = zeta.pade_reconstruct(series, num_deg, den_deg)
@@ -148,6 +149,8 @@ def _pipeline_candidate(series, n, q, num_deg, den_deg, config):
 
 
 def cmd_weil(config):
+    from . import qpoly, zeta
+
     v = load_variety(config.path)
     q = v.p
     n = v.vardim
@@ -265,6 +268,10 @@ def cmd_cm(config):
 # --- lattice ---
 
 def cmd_lattice(config):
+    from . import pseudolattice as pl
+    from . import qpoly
+    from .qlinalg import mat_mul_int
+
     L = pl.load_lattice(config.path)
     report = Report("weilzeta lattice")
     report.kv("input", config.path)
@@ -304,6 +311,9 @@ def cmd_lattice(config):
 # --- dimgroup ---
 
 def cmd_dimgroup(config):
+    from . import dimgroup as dg
+    from . import qpoly
+
     T = dg.load_matrix(config.path, ell=config.det_check)
     G = dg.build(T)
     report = Report("weilzeta dimgroup")
@@ -364,7 +374,8 @@ def build_parser():
         p.add_argument("--mmax", type=int, default=mmax_default,
                        help="number of extension degrees to count")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="maximum number of tuples to enumerate")
+                       help="cap on the number of ambient representatives and "
+                            "on each field size p^m")
         p.add_argument("--out", help="write the report to this path")
 
     p_count = sub.add_parser("count", help="point counts of a variety file")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import (DivisionByZero, EnumerationBudgetExceeded, FieldMismatch,
-                     InternalError, InvalidDegree, InvalidPrime)
+from .errors import (DivisionByZero, FieldMismatch, InternalError, InvalidDegree,
+                     InvalidPrime)
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -349,14 +349,3 @@ def make_field(p, m):
         if _is_irreducible(f, p):
             return FieldSpec(p, m, f)
     raise InternalError(f"no irreducible polynomial of degree {m} over F_{p}")
-
-
-def enumerate_field(spec, budget=DEFAULT_BUDGET):
-    """Yield all q elements in lexicographic coefficient order, 0 first."""
-    if spec.q > budget:
-        raise EnumerationBudgetExceeded(
-            f"field size {spec.q} exceeds enumeration budget {budget}")
-    for tail in product(range(spec.p), repeat=spec.m):
-        # itertools.product varies the last position fastest; coefficient
-        # order wants c_0 fastest, so reverse the tuple
-        yield FFElement(spec, tail[::-1])

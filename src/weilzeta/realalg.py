@@ -361,26 +361,3 @@ def minimal_polynomial(x):
                 monic = tuple(Fraction(c) / vec[-1] for c in vec)
                 return qpoly.primitive_int(monic)
     raise InternalError("no minimal polynomial found below field degree")
-
-
-def same_number(x, y):
-    """Exact equality across possibly different fields."""
-    if isinstance(x, RealAlgebraic) and isinstance(y, RealAlgebraic) and x.field == y.field:
-        return x == y
-    mx = minimal_polynomial(x)
-    my = minimal_polynomial(y)
-    if mx != my:
-        return False
-    if len(mx) == 2:
-        return True  # both equal the unique rational root
-    while True:
-        ax, bx = x.interval()
-        ay, by = y.interval()
-        if bx < ay or by < ax:
-            return False
-        lo, hi = min(ax, ay), max(bx, by)
-        count = qpoly.count_roots(mx, lo, hi)
-        if count == 1:
-            return True
-        x.field.refine()
-        y.field.refine()

@@ -31,7 +31,7 @@ from weilzeta.pseudolattice import (
 )
 from weilzeta.qlinalg import mat_mul_int
 from weilzeta.qpoly import mul as poly_mul
-from weilzeta.realalg import RealNumberField, minimal_polynomial, same_number
+from weilzeta.realalg import RealNumberField, minimal_polynomial
 from weilzeta.variety import (
     count_points,
     count_series,
@@ -194,9 +194,12 @@ def test_criterion_6_dimension_group_exactness():
     ok = minimal_polynomial(G.lam) == (2, -4, 1)
     # independent Sturm isolation of the dominant root of x^2 - 4x + 2
     cert = RealNumberField((2, -4, 1), (Fraction(3), Fraction(4)))
-    ok &= same_number(G.lam, cert.gen())
+    ok &= G.lam == cert.gen()
     root2 = RealNumberField.quadratic(2)
-    ok &= same_number(G.lam, root2.from_rational(Fraction(2)) + root2.gen())
+    # 2 + sqrt(2) is the one root of x^2 - 4x + 2 in (3, 4)
+    two_plus_root2 = root2.from_rational(Fraction(2)) + root2.gen()
+    ok &= minimal_polynomial(two_plus_root2) == (2, -4, 1)
+    ok &= 3 < two_plus_root2 < 4 and 3 < G.lam < 4
     rng = random.Random(20260814)
     T = G.matrix.rows
     for _ in range(200):

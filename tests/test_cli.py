@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface."""
 
-import json
 import os
 import subprocess
 import sys
@@ -262,37 +261,32 @@ def test_timing_lines_are_marked(capsys):
     assert any(line.startswith("# timing") for line in out.splitlines())
 
 
-_IMPORT_PROBE = """
-import json, sys
-from weilzeta.cli import main
-
-heavy = ("sympy", "mpmath")
-out = sys.argv[-1]
-seen, codes = {}, []
-for name, argv in [("import", None),
-                   ("count", ["count", sys.argv[1]]),
-                   ("cm", ["cm", "5", "13"]),
-                   ("lattice", ["lattice", sys.argv[2]]),
-                   ("dimgroup", ["dimgroup", sys.argv[3]]),
-                   ("weil", ["weil", sys.argv[4], "--mmax", "4"])]:
-    if argv is not None:
-        codes.append(main(argv + ["--out", out]))
-    seen[name] = [m for m in heavy if m in sys.modules]
-print(json.dumps({"codes": codes, "seen": seen}))
-"""
-
-
 def test_no_command_loads_sympy_and_only_weil_loads_mpmath(tmp_path):
-    # a fresh interpreter, since this one has loaded both already; weil
-    # runs last because a module once loaded stays in sys.modules
+    # each command in its own fresh `python -m weilzeta.cli` process;
+    # -X importtime names every module the process imports (cli itself
+    # runs as __main__, so it is not among them)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(SAMPLES / "p1_f3.variety"),
-         str(SAMPLES / "sqrt2.lattice"), str(SAMPLES / "hecke_3111.matrix"),
-         str(SAMPLES / "ell_f3.variety"), str(tmp_path / "report.txt")],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0, 0, 0, 0]
-    assert result["seen"] == {"import": [], "count": [], "cm": [], "lattice": [],
-                              "dimgroup": [], "weil": ["mpmath"]}
+    base = {"weilzeta", "weilzeta.errors", "weilzeta.ffield", "weilzeta.variety",
+            "weilzeta.cmcurve"}
+    algebra = base | {"weilzeta.qpoly", "weilzeta.qlinalg"}
+    expected = {
+        ("count", str(SAMPLES / "p1_f3.variety")): (base, set()),
+        ("cm", "5", "13"): (base, set()),
+        ("lattice", str(SAMPLES / "sqrt2.lattice")): (
+            algebra | {"weilzeta.realalg", "weilzeta.pseudolattice"}, set()),
+        ("dimgroup", str(SAMPLES / "hecke_3111.matrix")): (
+            algebra | {"weilzeta.realalg", "weilzeta.dimgroup"}, set()),
+        ("weil", str(SAMPLES / "ell_f3.variety"), "--mmax", "4"): (
+            algebra | {"weilzeta.zeta"}, {"mpmath"}),
+    }
+    for argv, (ours, heavy) in expected.items():
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "weilzeta.cli", *argv,
+             "--out", str(tmp_path / "report.txt")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (argv, done.stderr[-2000:])
+        loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert {m for m in loaded if m.split(".")[0] == "weilzeta"} == ours, argv[0]
+        assert {m for m in loaded if m in ("sympy", "mpmath")} == heavy, argv[0]

@@ -7,7 +7,6 @@ import pytest
 
 from weilzeta.errors import (
     DivisionByZero,
-    EnumerationBudgetExceeded,
     InvalidDegree,
     InvalidPrime,
 )
@@ -15,7 +14,6 @@ from weilzeta.ffield import (
     _berlekamp_kernel,
     _berlekamp_split,
     _is_irreducible,
-    enumerate_field,
     is_prime,
     make_field,
     primes_in_range,
@@ -113,23 +111,22 @@ def test_make_field_rejects_bad_arguments():
         make_field(5, 0)
 
 
-def test_enumerate_field_order_and_count():
+def _elements(spec):
+    return [spec.from_index(i) for i in range(spec.q)]
+
+
+def test_from_index_order_and_count():
     f4 = make_field(2, 2)
-    els = list(enumerate_field(f4))
+    els = _elements(f4)
     assert [e.coeffs for e in els] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert [e.index() for e in els] == [0, 1, 2, 3]
     f9 = make_field(3, 2)
-    assert len({e.coeffs for e in enumerate_field(f9)}) == 9
-
-
-def test_enumerate_field_budget():
-    f = make_field(2, 5)
-    with pytest.raises(EnumerationBudgetExceeded):
-        list(enumerate_field(f, budget=10))
+    assert len({e.coeffs for e in _elements(f9)}) == 9
 
 
 def test_field_arithmetic_f4():
     f4 = make_field(2, 2)
-    zero, one, x, x1 = list(enumerate_field(f4))
+    zero, one, x, x1 = _elements(f4)
     assert (x + x1).coeffs == (1, 0)
     # x(x+1) = x^2 + x = 1 modulo x^2 + x + 1
     assert (x * x1).coeffs == (1, 0)
@@ -140,7 +137,7 @@ def test_field_arithmetic_f4():
 
 def test_inverse_of_zero_rejected():
     f4 = make_field(2, 2)
-    els = list(enumerate_field(f4))
+    els = _elements(f4)
     with pytest.raises(DivisionByZero):
         els[0].inv()
 
@@ -149,7 +146,7 @@ def test_field_axioms_random_sample():
     rng = random.Random(5)
     for p, m in ((2, 2), (3, 2), (5, 1), (2, 3)):
         spec = make_field(p, m)
-        els = list(enumerate_field(spec))
+        els = _elements(spec)
         for _ in range(40):
             a, b, c = (rng.choice(els) for _ in range(3))
             left = (a * b) * c
@@ -164,7 +161,7 @@ def test_frobenius_fixes_every_element():
     for p, m in ((2, 2), (3, 2), (2, 3)):
         spec = make_field(p, m)
         q = p**m
-        for e in enumerate_field(spec):
+        for e in _elements(spec):
             exp, base, result = q, e, None
             while exp:
                 if exp & 1:
@@ -176,7 +173,7 @@ def test_frobenius_fixes_every_element():
 
 def test_multiplicative_inverses_exist():
     spec = make_field(3, 2)
-    els = list(enumerate_field(spec))
+    els = _elements(spec)
     one = els[1]
     assert one.coeffs == (1, 0)
     for e in els[1:]:
@@ -190,7 +187,7 @@ def test_inverse_and_group_order_in_every_small_extension_field():
         while p**m <= 256:
             spec = make_field(p, m)
             one = spec.one()
-            for a in list(enumerate_field(spec))[1:]:
+            for a in _elements(spec)[1:]:
                 assert a * a.inv() == one
                 assert a ** (spec.q - 1) == one
                 assert a ** -1 == a.inv()

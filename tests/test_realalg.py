@@ -8,7 +8,6 @@ from weilzeta.errors import DivisionByZero, InvalidInterval, NotIrreducible
 from weilzeta.realalg import (
     RealNumberField,
     minimal_polynomial,
-    same_number,
 )
 
 
@@ -104,13 +103,14 @@ def test_minimal_polynomial_is_primitive_with_positive_leading():
     assert minimal_polynomial(K.from_rational(F(10)) * K.gen()) == (-200, 0, 1)
 
 
-def test_same_number_across_representations():
+def test_equality_across_field_representations():
     K1 = RealNumberField.quadratic(2)
     K2 = RealNumberField.quadratic(2)
-    assert same_number(K1.gen(), K2.gen())
-    assert same_number((K1.one() + K1.gen()) - K1.one(), K2.gen())
-    assert not same_number(K1.gen(), RealNumberField.quadratic(3).gen())
-    assert not same_number(K1.gen(), K1.from_rational(F(141, 100)))
+    assert K1 == K2
+    assert K1.gen() == K2.gen()
+    assert (K1.one() + K1.gen()) - K1.one() == K2.gen()
+    assert minimal_polynomial(K1.gen()) != minimal_polynomial(RealNumberField.quadratic(3).gen())
+    assert K1.gen() != K1.from_rational(F(141, 100))
 
 
 def test_refine_to_width_shrinks_interval():

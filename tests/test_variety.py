@@ -13,7 +13,7 @@ from weilzeta.errors import (
     SingularCurve,
     UnsupportedCharacteristic,
 )
-from weilzeta.ffield import enumerate_field, make_field, primes_in_range
+from weilzeta.ffield import make_field, primes_in_range
 from weilzeta.variety import (
     MultiPoly,
     _IndexedField,
@@ -296,7 +296,7 @@ def _brute_force_count(polys, spec, projective):
     last nonzero coordinate is one."""
     one = spec.one()
     count = 0
-    for pt in product(list(enumerate_field(spec)), repeat=polys[0].nvars):
+    for pt in product([spec.from_index(i) for i in range(spec.q)], repeat=polys[0].nvars):
         if projective and [x for x in pt if x][-1:] != [one]:
             continue
         for poly in polys:
