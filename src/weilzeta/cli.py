@@ -87,21 +87,29 @@ def _matrix_str(rows):
 
 # --- count ---
 
-def cmd_count(config):
+def _count_section(config, command, settings=()):
+    """(variety, report, series): the header, extra settings, then counts."""
     v = load_variety(config.path)
-    report = Report("weilzeta count")
+    report = Report(f"weilzeta {command}")
     report.kv("input", config.path)
     report.kv("characteristic", v.p)
     report.kv("ambient", f"{v.ambient} dim={v.ambient_dim}")
     report.kv("declared dimension", v.vardim)
     report.kv("m_max", config.mmax)
     report.kv("budget", config.budget)
+    for key, value in settings:
+        report.kv(key, value)
     t0 = time.perf_counter()
     series = count_series(v, config.mmax, config.budget)
     report.timing("counts", time.perf_counter() - t0)
     report.add("counts:")
     for m, n in enumerate(series.counts, start=1):
         report.add(f"  N_{m} = {n}")
+    return v, report, series
+
+
+def cmd_count(config):
+    _, report, _ = _count_section(config, "count")
     return report, True
 
 
@@ -151,26 +159,11 @@ def _pipeline_candidate(series, n, q, num_deg, den_deg, config):
 def cmd_weil(config):
     from . import qpoly, zeta
 
-    v = load_variety(config.path)
+    v, report, series_counts = _count_section(
+        config, "weil", (("rh tolerance", config.rh_tol),
+                         ("weight tolerance", config.weight_tol)))
     q = v.p
     n = v.vardim
-    report = Report("weilzeta weil")
-    report.kv("input", config.path)
-    report.kv("characteristic", v.p)
-    report.kv("ambient", f"{v.ambient} dim={v.ambient_dim}")
-    report.kv("declared dimension", n)
-    report.kv("m_max", config.mmax)
-    report.kv("budget", config.budget)
-    report.kv("rh tolerance", config.rh_tol)
-    report.kv("weight tolerance", config.weight_tol)
-
-    t0 = time.perf_counter()
-    series_counts = count_series(v, config.mmax, config.budget)
-    report.timing("counts", time.perf_counter() - t0)
-    report.add("counts:")
-    for m, cnt in enumerate(series_counts.counts, start=1):
-        report.add(f"  N_{m} = {cnt}")
-
     series = zeta.zeta_series(series_counts)
     report.kv("zeta series", qpoly.poly_str(series.coeffs))
 
@@ -373,27 +366,27 @@ def build_parser():
     def common(p, mmax_default):
         p.add_argument("--mmax", type=int, default=mmax_default,
                        help="number of extension degrees to count")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=int, default=RunConfig.budget,
                        help="cap on the number of ambient representatives and "
                             "on each field size p^m")
         p.add_argument("--out", help="write the report to this path")
 
     p_count = sub.add_parser("count", help="point counts of a variety file")
     p_count.add_argument("path")
-    common(p_count, 2)
+    common(p_count, RunConfig.mmax)
 
     p_weil = sub.add_parser("weil", help="full zeta pipeline on a variety file")
     p_weil.add_argument("path")
     common(p_weil, 4)
-    p_weil.add_argument("--rh-tol", type=float, default=1e-9,
+    p_weil.add_argument("--rh-tol", type=float, default=RunConfig.rh_tol,
                         help="root modulus tolerance")
-    p_weil.add_argument("--weight-tol", type=float, default=0.25,
+    p_weil.add_argument("--weight-tol", type=float, default=RunConfig.weight_tol,
                         help="weight rounding tolerance")
     p_weil.add_argument("--betti", help="comma-separated expected Betti numbers")
 
     p_cm = sub.add_parser("cm", help="Grossencharacter sweep for y^2 = x^3 - x")
-    p_cm.add_argument("pmin", type=int, nargs="?", default=5)
-    p_cm.add_argument("pmax", type=int, nargs="?", default=97)
+    p_cm.add_argument("pmin", type=int, nargs="?", default=RunConfig.pmin)
+    p_cm.add_argument("pmax", type=int, nargs="?", default=RunConfig.pmax)
     p_cm.add_argument("--out", help="write the report to this path")
 
     p_lat = sub.add_parser("lattice", help="endomorphism ring of a lattice file")
@@ -402,7 +395,7 @@ def build_parser():
 
     p_dim = sub.add_parser("dimgroup", help="dimension group of a matrix file")
     p_dim.add_argument("path")
-    p_dim.add_argument("--det-check", type=int, default=None,
+    p_dim.add_argument("--det-check", type=int, default=RunConfig.det_check,
                        help="require symmetry and this determinant")
     p_dim.add_argument("--out", help="write the report to this path")
 
@@ -410,8 +403,9 @@ def build_parser():
 
 
 def _config_from_args(args):
-    # the defaults live in RunConfig and in the parser; pass on only the
-    # fields the chosen subcommand defines
+    # the parser takes its defaults from RunConfig (weil's --mmax 4 is the
+    # one per-command default); pass on only the fields the chosen
+    # subcommand defines
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
              if hasattr(args, f.name)}
     betti = given.pop("betti", None)

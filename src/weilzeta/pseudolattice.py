@@ -209,18 +209,19 @@ def density_witness(L, eps=Fraction(1, 1000)):
     theta = L.generators[1]
     eps_elt = L.field.from_rational(eps)
     x = theta
-    h_prev, h_cur = 1, x.__floor__()
+    a = x.__floor__()
+    h_prev, h_cur = 1, a
     k_prev, k_cur = 0, 1
     for _ in range(10000):
         value = k_cur * theta - h_cur
         if value.is_zero():
             raise InternalError("generator 2 turned out rational")
-        candidate = value if value.sign() > 0 else -value
+        positive = value.sign() > 0
+        candidate = value if positive else -value
         if candidate < eps_elt:
-            c0, c1 = (-h_cur, k_cur) if value.sign() > 0 else (h_cur, -k_cur)
+            c0, c1 = (-h_cur, k_cur) if positive else (h_cur, -k_cur)
             return DensityWitness(c0=c0, c1=c1, value=candidate)
-        frac = x - x.__floor__()
-        x = frac.inverse()
+        x = (x - a).inverse()
         a = x.__floor__()
         h_prev, h_cur = h_cur, a * h_cur + h_prev
         k_prev, k_cur = k_cur, a * k_cur + k_prev

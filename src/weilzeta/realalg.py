@@ -19,8 +19,8 @@ from functools import total_ordering
 from math import floor as _floor
 
 from . import qpoly
-from .errors import (DivisionByZero, FieldMismatch, InternalError,
-                     InvalidInterval, NotIrreducible)
+from .errors import (DivisionByZero, FieldMismatch, InvalidInterval,
+                     NotIrreducible)
 from .qlinalg import nullspace
 
 
@@ -261,28 +261,26 @@ class RealAlgebraic:
             return 0
         if self.is_rational():
             return 1 if self.coords[0] > 0 else -1
-        f = self.field
-        while True:
-            lo, hi = f._interval
-            vlo, vhi = _interval_eval(self.coords, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            f.refine()
+        lo, _ = self._refine_until(lambda lo, hi: lo > 0 or hi < 0)
+        return 1 if lo > 0 else -1
 
     def interval(self):
         """Current rational enclosure of the value (refinable)."""
         lo, hi = self.field._interval
         return _interval_eval(self.coords, lo, hi)
 
-    def refine_to_width(self, width):
-        """Shrink the enclosure below the given rational width."""
+    def _refine_until(self, done):
+        """Refine the field's interval until done(lo, hi) holds for the
+        enclosure of the value; returns that enclosure."""
         lo, hi = self.interval()
-        while hi - lo >= width:
+        while not done(lo, hi):
             self.field.refine()
             lo, hi = self.interval()
         return lo, hi
+
+    def refine_to_width(self, width):
+        """Shrink the enclosure below the given rational width."""
+        return self._refine_until(lambda lo, hi: hi - lo < width)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -305,10 +303,7 @@ class RealAlgebraic:
     def __floor__(self):
         if self.is_rational():
             return _floor(self.coords[0])
-        lo, hi = self.interval()
-        while _floor(lo) != _floor(hi):
-            self.field.refine()
-            lo, hi = self.interval()
+        lo, _ = self._refine_until(lambda lo, hi: _floor(lo) == _floor(hi))
         return _floor(lo)
 
     def floor(self):
@@ -320,10 +315,7 @@ class RealAlgebraic:
             return "0"
         if self.sign() < 0:
             return "-" + (-self).decimal_str(digits)
-        lo, hi = self.interval()
-        while lo <= 0:
-            self.field.refine()
-            lo, hi = self.interval()
+        lo, _ = self._refine_until(lambda lo, hi: lo > 0)
         target = lo * Fraction(10) ** -(digits + 3)
         lo, hi = self.refine_to_width(target)
         mid = (lo + hi) / 2
@@ -341,23 +333,15 @@ def minimal_polynomial(x):
     """Primitive integer minimal polynomial of x over Q, positive leading
     coefficient, coefficients low degree first.
 
-    Computed exactly: the powers 1, x, ..., x^k are tested for the first
-    rational linear dependence.
+    Computed exactly (Cohen, GTM 138) from one kernel of the D x (D+1)
+    matrix whose columns are the coordinates of 1, x, ..., x^D. Its first
+    basis vector belongs to the first power that depends on the lower
+    ones; those are all pivot columns, so the vector is that dependence.
     """
     f = x.field
-    D = f.degree
-    powers = [f.one().coords]
-    cur = f.one()
-    for k in range(1, D + 1):
-        cur = cur * x
-        powers.append(cur.coords)
-        # columns: coordinates of 1, x, .., x^k; dependence = kernel vector
-        A = [[powers[j][d] for j in range(k + 1)] for d in range(D)]
-        basis = nullspace(A, Fraction(0), Fraction(1))
-        if basis:
-            # take the dependence involving the highest power
-            vec = next((v for v in basis if v[-1] != 0), None)
-            if vec is not None:
-                monic = tuple(Fraction(c) / vec[-1] for c in vec)
-                return qpoly.primitive_int(monic)
-    raise InternalError("no minimal polynomial found below field degree")
+    powers = [f.one()]
+    for _ in range(f.degree):
+        powers.append(powers[-1] * x)
+    A = [[p.coords[d] for p in powers] for d in range(f.degree)]
+    # D+1 columns in D rows: the kernel is never empty
+    return qpoly.primitive_int(nullspace(A, Fraction(0), Fraction(1))[0])

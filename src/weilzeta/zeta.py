@@ -119,26 +119,20 @@ def zeta_series(counts):
     return PowerSeriesQ(coeffs=tuple(cs))
 
 
-def _series_inv(poly, order):
-    """Power series inverse of a polynomial with constant term 1."""
-    if not poly or poly[0] != 1:
+def _series_div(num, den, order):
+    """Coefficients c_0..c_order of the power series num/den.
+
+    Needs den(0) = 1; then c_k = num_k - sum_{j>=1} den_j * c_{k-j}
+    (Knuth, TAOCP vol. 2, 4.7).
+    """
+    if not den or den[0] != 1:
         raise NotNormalized("series inverse needs constant term 1")
-    out = [Fraction(1)]
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(poly) - 1) + 1):
-            acc += Fraction(poly[j]) * out[k - j]
-        out.append(-acc)
-    return out
-
-
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[:order + 1]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[:order + 1 - i]):
-            out[i + j] += Fraction(x) * Fraction(y)
+    out = []
+    for k in range(order + 1):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc)
     return out
 
 
@@ -175,7 +169,8 @@ def pade_reconstruct(s, num_deg, den_deg):
     """Rational function matching the series through order num_deg+den_deg.
 
     Solves the linear system for the denominator, reads off the numerator,
-    then verifies by re-expanding against every available series term.
+    then verifies by dividing num by den as power series and comparing
+    against every available series term.
     """
     coeffs = s.coeffs if isinstance(s, PowerSeriesQ) else tuple(s)
     order = len(coeffs) - 1
@@ -201,8 +196,7 @@ def pade_reconstruct(s, num_deg, den_deg):
     num = tuple(sum(den[j] * c(k - j) for j in range(min(k, den_deg) + 1))
                 for k in range(num_deg + 1))
 
-    inv = _series_inv(qpoly.trim(den) or (Fraction(1),), order)
-    expanded = _series_mul(qpoly.trim(num), inv, order)
+    expanded = _series_div(num, den, order)
     for k in range(order + 1):
         if expanded[k] != c(k):
             raise NoRationalFit(
@@ -312,7 +306,7 @@ def _numeric_roots(coeffs):
                 vals.append(complex(rho))
             if ok:
                 return vals
-    raise InternalError(f"root finding failed to certify {qpoly.poly_str(coeffs)}")
+    raise InternalError(f"root finding failed the residual check for {qpoly.poly_str(coeffs)}")
 
 
 def weight_split(z, q, n, tol=0.25):
@@ -429,20 +423,14 @@ def betti_check(fact, expected):
 def point_count_from_zeta(z, m):
     """Coefficient of t^m in t * Z'(t)/Z(t), the m-th point count.
 
-    Computed exactly from the logarithmic derivative of num and den; a
-    non-integer coefficient means z was not a zeta function.
+    Computed exactly as coefficient m-1 of the series divisions num'/num
+    and den'/den; a non-integer coefficient means z was not a zeta
+    function.
     """
     if m < 1:
         raise InvalidInput("m must be >= 1")
-
-    def log_deriv_coeff(poly):
-        # [t^m] of t * poly'/poly for poly with constant term 1
-        dp = qpoly.deriv(poly)
-        inv = _series_inv(poly, m)
-        prod = _series_mul(list(dp) + [Fraction(0)], inv, m - 1)
-        return prod[m - 1]
-
-    value = log_deriv_coeff(z.num) - log_deriv_coeff(z.den)
+    value = (_series_div(qpoly.deriv(z.num), z.num, m - 1)[m - 1]
+             - _series_div(qpoly.deriv(z.den), z.den, m - 1)[m - 1])
     if value.denominator != 1:
         raise NotIntegral(f"N_{m} = {value} is not an integer")
     return int(value)

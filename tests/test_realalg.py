@@ -1,9 +1,11 @@
 """Tests for exact real algebraic number arithmetic."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from weilzeta import qpoly
 from weilzeta.errors import DivisionByZero, InvalidInterval, NotIrreducible
 from weilzeta.realalg import (
     RealNumberField,
@@ -101,6 +103,39 @@ def test_minimal_polynomial_is_primitive_with_positive_leading():
     assert minimal_polynomial(K.from_rational(F(3, 2))) == (-3, 2)
     # 10*sqrt(2) has minimal polynomial x^2 - 200
     assert minimal_polynomial(K.from_rational(F(10)) * K.gen()) == (-200, 0, 1)
+
+
+def test_minimal_polynomial_of_an_element_of_a_proper_subfield():
+    # theta^2 = sqrt(2) in Q(2^(1/4)): the first dependent power is x^2,
+    # neither 1 (rationals) nor x^4 (generators of the whole field)
+    K = RealNumberField((-2, 0, 0, 0, 1), (1, 2))
+    assert minimal_polynomial(K.gen() ** 2) == (-2, 0, 1)
+    assert minimal_polynomial(K.gen()) == (-2, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("minpoly, interval", [
+    ((-2, 0, 1), (1, 2)),
+    ((-1, -3, 0, 1), (1, 2)),
+    ((-2, 0, 0, 0, 1), (1, 2)),
+    ((1, 0, -10, 0, 1), (3, 4)),
+])
+def test_minimal_polynomial_properties_on_random_elements(minpoly, interval):
+    # coordinates often vanish in odd positions, which lands in subfields
+    rng = random.Random(4242)
+    K = RealNumberField(minpoly, interval)
+    for _ in range(40):
+        coords = [F(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                  if i % 2 == 0 or rng.random() < 0.5 else F(0)
+                  for i in range(K.degree)]
+        x = K.element(coords)
+        mp = minimal_polynomial(x)
+        value = K.zero()
+        for c in reversed(mp):
+            value = value * x + c
+        assert value.is_zero(), (coords, mp)
+        assert qpoly.factor_int(mp)[1] == [(mp, 1)], (coords, mp)
+        assert qpoly.primitive_int(mp) == mp and mp[-1] > 0
+        assert K.degree % (len(mp) - 1) == 0
 
 
 def test_equality_across_field_representations():

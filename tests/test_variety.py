@@ -435,3 +435,25 @@ def test_count_points_invariant_under_coordinate_permutations():
                     nvars, {tuple(exps[i] for i in perm): c for exps, c in poly.terms}, p)
                 counts.add(count_points(parse_variety(_system_text(p, [permuted], projective)), m))
             assert len(counts) == 1, (poly, counts)
+
+
+def test_multipoly_str_round_trips_through_the_parser():
+    rng = random.Random(31)
+    for case in range(300):
+        p = rng.choice((2, 3, 5, 7, 11))
+        projective = rng.random() < 0.5
+        nvars = rng.randint(1, 4)
+        degree = rng.randint(0, 5)
+        coeffs = {}
+        # the first case of every ten is the zero polynomial
+        for _ in range(0 if case % 10 == 0 else rng.randint(1, 6)):
+            if projective:
+                exps = [0] * nvars
+                for _ in range(degree):
+                    exps[rng.randrange(nvars)] += 1
+            else:
+                exps = [rng.randint(0, 5) for _ in range(nvars)]
+            coeffs[tuple(exps)] = rng.randint(-2 * p, 2 * p)
+        poly = MultiPoly.from_dict(nvars, coeffs, p)
+        parsed = parse_variety(_system_text(p, [poly], projective)).polys[0]
+        assert parsed == poly, (p, projective, str(poly))

@@ -255,3 +255,40 @@ def test_point_count_from_zeta_requires_integer_counts():
     z = RationalFunctionQ((1,), (1, Fraction(-1, 2)))
     with pytest.raises(NotIntegral):
         point_count_from_zeta(z, 1)
+
+
+def _weil_numerator(q, traces):
+    num = (1,)
+    for a in traces:
+        num = qpoly.mul(num, (1, -a, q))
+    return num
+
+
+def test_pade_and_point_count_round_trip_on_random_weil_numerators():
+    # N_m = q^m + 1 - sum_i s_m(a_i), with s_m the power sums of the roots
+    # of x^2 - a_i x + q; point_count_from_zeta must reproduce them, and
+    # pade_reconstruct must rebuild num/den from their zeta series
+    rng = random.Random(1009)
+    for _ in range(200):
+        q = rng.choice((2, 3, 4, 5, 7, 9))
+        g = rng.randint(1, 3)
+        bound = int(2 * q ** 0.5)
+        traces = [rng.randint(-bound, bound) for _ in range(g)]
+        z = RationalFunctionQ(_weil_numerator(q, traces), (1, -(q + 1), q))
+        sums = [(2, a) for a in traces]
+        expected = []
+        for m in range(1, 2 * g + 3):
+            expected.append(q ** m + 1 - sum(s1 for _, s1 in sums))
+            sums = [(s1, a * s1 - q * s0) for (s0, s1), a in zip(sums, traces)]
+        counts = [point_count_from_zeta(z, m) for m in range(1, 2 * g + 3)]
+        assert counts == expected, (q, traces)
+        assert pade_reconstruct(zeta_series(counts), 2 * g, 2) == z, (q, traces)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_pade_no_rational_fit_names_the_first_differing_order(k):
+    # 1/(1 - 2t) through order k - 1, then one coefficient off
+    coeffs = [Fraction(2) ** j for j in range(9)]
+    coeffs[k] += 1
+    with pytest.raises(NoRationalFit, match=f"at order {k}$"):
+        pade_reconstruct(coeffs, 0, 1)
