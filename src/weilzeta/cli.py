@@ -24,8 +24,9 @@ from dataclasses import dataclass, fields
 # modules itself, so a job loads only the code it runs.
 from .cmcurve import (count_via_character, frobenius_trace,
                       grossencharacter_trace_d1)
-from .errors import InvalidInput, MathCheckError, WeilZetaError
-from .ffield import DEFAULT_BUDGET, primes_in_range
+from .errors import (EnumerationBudgetExceeded, InvalidInput, MathCheckError,
+                     WeilZetaError)
+from .ffield import DEFAULT_BUDGET, is_prime
 from .variety import count_series, ec_count, load_variety
 
 
@@ -39,8 +40,6 @@ class RunConfig:
     pmax: int = 97
     mmax: int = 2
     budget: int = DEFAULT_BUDGET
-    rh_tol: float = 1e-9
-    weight_tol: float = 0.25
     det_check: int | None = None
     betti: tuple | None = None
     out: str | None = None
@@ -50,10 +49,6 @@ class RunConfig:
             raise InvalidInput("budget must be at least 1")
         if self.mmax < 1:
             raise InvalidInput("mmax must be at least 1")
-        if not 0 < self.rh_tol < 0.5:
-            raise InvalidInput("rh tolerance must lie in (0, 0.5)")
-        if not 0 < self.weight_tol < 0.5:
-            raise InvalidInput("weight tolerance must lie in (0, 0.5)")
 
 
 class Report:
@@ -115,7 +110,7 @@ def cmd_count(config):
 
 # --- weil ---
 
-def _pipeline_candidate(series, n, q, num_deg, den_deg, config):
+def _pipeline_candidate(series, n, q, num_deg, den_deg):
     """Run pade -> weights -> FE -> RH, recording how far we got.
 
     Returns (score, result dict, failure or None). Score counts fully
@@ -124,35 +119,24 @@ def _pipeline_candidate(series, n, q, num_deg, den_deg, config):
     from . import zeta
 
     result = {"num_deg": num_deg, "den_deg": den_deg}
+    score = 0
     try:
-        z = zeta.pade_reconstruct(series, num_deg, den_deg)
-    except MathCheckError as exc:
-        return 0, result, exc
-    result["z"] = z
-    try:
-        fact = zeta.weight_split(z, q, n, tol=config.weight_tol)
-    except MathCheckError as exc:
-        return 1, result, exc
-    result["fact"] = fact
-    if not fact.parity_ok:
-        return 1, result, MathCheckError(
-            "factor weights contradict their numerator/denominator side")
-    try:
+        z = result["z"] = zeta.pade_reconstruct(series, num_deg, den_deg)
+        score = 1
+        fact = result["fact"] = zeta.weight_split(z, q, n)
+        if not fact.parity_ok:
+            raise MathCheckError(
+                "factor weights contradict their numerator/denominator side")
+        score = 2
         sign = zeta.functional_equation_check(z, q, n, fact.chi)
+        result["fact"] = zeta.with_sign(fact, sign)
+        result["sign"] = sign
+        score = 3
+        result["rh"] = [(i, zeta.rh_check(poly, q, i)) for i, poly in fact.factors]
+        if not all(rep.passed for _, rep in result["rh"]):
+            raise MathCheckError("root modulus bound violated")
     except MathCheckError as exc:
-        return 2, result, exc
-    fact = zeta.with_sign(fact, sign)
-    result["fact"] = fact
-    result["sign"] = sign
-    rh_reports = []
-    all_pass = True
-    for i, poly in fact.factors:
-        rep = zeta.rh_check(poly, q, i, tol=config.rh_tol)
-        rh_reports.append((i, rep))
-        all_pass = all_pass and rep.passed
-    result["rh"] = rh_reports
-    if not all_pass:
-        return 3, result, MathCheckError("root modulus bound violated")
+        return score, result, exc
     return 4, result, None
 
 
@@ -160,8 +144,8 @@ def cmd_weil(config):
     from . import qpoly, zeta
 
     v, report, series_counts = _count_section(
-        config, "weil", (("rh tolerance", config.rh_tol),
-                         ("weight tolerance", config.weight_tol)))
+        config, "weil", (("rh tolerance", zeta.RH_TOL),
+                         ("weight tolerance", zeta.WEIGHT_TOL)))
     q = v.p
     n = v.vardim
     series = zeta.zeta_series(series_counts)
@@ -172,7 +156,7 @@ def cmd_weil(config):
     for num_deg in range(config.mmax + 1):
         den_deg = config.mmax - num_deg
         score, result, failure = _pipeline_candidate(
-            series, n, q, num_deg, den_deg, config)
+            series, n, q, num_deg, den_deg)
         key = (score, den_deg)
         if best is None or key > best[0]:
             best = (key, result, failure)
@@ -199,7 +183,7 @@ def cmd_weil(config):
         rendered = "undetermined (odd n*chi)" if sign is None else f"{sign:+d}"
         report.kv("functional equation sign", rendered)
     if "rh" in result:
-        report.add(f"rh check (tol {config.rh_tol}):")
+        report.add(f"rh check (tol {zeta.RH_TOL}):")
         for i, rep in result["rh"]:
             rec = {True: "reciprocal ok", False: "reciprocal FAIL",
                    None: "reciprocal n/a"}[rep.reciprocal_ok]
@@ -232,13 +216,25 @@ def cmd_weil(config):
 def cmd_cm(config):
     if config.pmin > config.pmax:
         raise InvalidInput("pmin must not exceed pmax")
+    # one ec_count sweep visits p x-values, so the budget caps the sum of
+    # the primes, checked before any curve is counted
+    primes = []
+    visited = 0
+    for p in range(max(config.pmin, 5), config.pmax + 1):
+        if is_prime(p):
+            visited += p
+            if visited > config.budget:
+                raise EnumerationBudgetExceeded(
+                    f"sweeping the primes {config.pmin} .. {config.pmax} "
+                    f"exceeds budget {config.budget} x-values")
+            primes.append(p)
     report = Report("weilzeta cm")
     report.kv("curve", "y^2 = x^3 - x")
     report.kv("primes", f"{config.pmin} .. {config.pmax}")
     t0 = time.perf_counter()
     mismatches = 0
     rows = 0
-    for p in primes_in_range(max(config.pmin, 5), config.pmax):
+    for p in primes:
         gross = grossencharacter_trace_d1(p)
         brute = frobenius_trace(-1, 0, p)
         count = count_via_character(gross, p)
@@ -378,10 +374,6 @@ def build_parser():
     p_weil = sub.add_parser("weil", help="full zeta pipeline on a variety file")
     p_weil.add_argument("path")
     common(p_weil, 4)
-    p_weil.add_argument("--rh-tol", type=float, default=RunConfig.rh_tol,
-                        help="root modulus tolerance")
-    p_weil.add_argument("--weight-tol", type=float, default=RunConfig.weight_tol,
-                        help="weight rounding tolerance")
     p_weil.add_argument("--betti", help="comma-separated expected Betti numbers")
 
     p_cm = sub.add_parser("cm", help="Grossencharacter sweep for y^2 = x^3 - x")

@@ -11,6 +11,7 @@ import pytest
 from weilzeta import qpoly
 from weilzeta.cli import RunConfig, _pipeline_candidate, build_parser, main
 from weilzeta.errors import FunctionalEquationViolated, InvalidInput
+from weilzeta.ffield import primes_in_range
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import RationalFunctionQ, point_count_from_zeta, zeta_series
 
@@ -125,7 +126,7 @@ def _candidate(num, den, q, num_deg, den_deg):
     z = RationalFunctionQ(num, den)
     counts = tuple(point_count_from_zeta(z, m) for m in range(1, num_deg + den_deg + 1))
     series = zeta_series(PointCountSeries(q, counts))
-    return _pipeline_candidate(series, 1, q, num_deg, den_deg, RunConfig(command="weil"))
+    return _pipeline_candidate(series, 1, q, num_deg, den_deg)
 
 
 def _trivial_den(q):
@@ -161,6 +162,18 @@ def test_weil_candidate_keeps_a_squared_factor():
     assert all(rep.passed for _, rep in result["rh"])
 
 
+def test_weil_tolerances_are_fixed_and_printed(capsys):
+    code, out, _ = _run(capsys, ["weil", str(SAMPLES / "ell_f5.variety"), "--mmax", "4"])
+    assert code == 0
+    assert "rh tolerance: 1e-09\nweight tolerance: 0.25\n" in out
+    assert "rh check (tol 1e-09):" in out
+    for flag in ("--rh-tol", "--weight-tol"):
+        with pytest.raises(SystemExit) as info:
+            main(["weil", str(SAMPLES / "ell_f5.variety"), flag, "0.1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+
+
 def test_cm_sweep_reports_zero_mismatches(capsys):
     code, out, _ = _run(capsys, ["cm", "5", "37"])
     assert code == 0
@@ -168,6 +181,21 @@ def test_cm_sweep_reports_zero_mismatches(capsys):
     assert "p=13: gross=6 brute=6" in out
     assert "mismatches: 0" in out
     assert "verdict: PASS" in out
+
+
+def test_cm_budget_caps_the_sum_of_the_primes(capsys):
+    # each ec_count sweep visits p x-values; the primes 5 .. 17659 sum past
+    # the default budget 2^24, the primes 5 .. 17657 do not
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["cm", "5", str(10**30)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "EnumerationBudgetExceeded" in err
+    assert sum(primes_in_range(5, 17657)) <= RunConfig.budget
+    assert sum(primes_in_range(5, 17659)) > RunConfig.budget
+    assert _run(capsys, ["cm", "17659", "17659"])[0] == 0
+    assert _run(capsys, ["cm", "5", "17659"])[0] == 3
 
 
 def test_lattice_sqrt2_report(capsys):
@@ -235,10 +263,6 @@ def test_out_flag_writes_report_file(capsys, tmp_path):
 def test_run_config_validation():
     with pytest.raises(InvalidInput):
         RunConfig(command="count", path="x", budget=0)
-    with pytest.raises(InvalidInput):
-        RunConfig(command="weil", path="x", rh_tol=0.7)
-    with pytest.raises(InvalidInput):
-        RunConfig(command="weil", path="x", weight_tol=0.0)
 
 
 def test_cli_flag_validation_exits_2(capsys):

@@ -16,7 +16,7 @@ from weilzeta.cmcurve import (
 )
 from weilzeta.errors import HasseViolation, InternalError, InvalidInput, InvalidPrime
 from weilzeta.ffield import primes_in_range
-from weilzeta.variety import ec_count
+from weilzeta.variety import count_points, ec_count, weierstrass_variety
 
 
 def test_gaussian_integer_arithmetic():
@@ -91,6 +91,21 @@ def test_grossencharacter_inert_primes_give_zero():
 def test_grossencharacter_trace_matches_brute_force():
     for p in primes_in_range(5, 200):
         assert grossencharacter_trace_d1(p) == frobenius_trace(-1, 0, p)
+
+
+def test_grossencharacter_predicts_extension_field_counts():
+    # the Grossencharacter trace and the recurrence for N_m against the
+    # Zech-table enumeration of the projective model over F_{p^m}
+    cases = 0
+    for p in primes_in_range(5, 64):
+        v = weierstrass_variety(-1, 0, p)
+        fd = frobenius_eigenvalues(grossencharacter_trace_d1(p), p)
+        for m in range(1, 4):
+            if p ** m > 2 ** 12:
+                break
+            assert fd.extension_count(m) == count_points(v, m), (p, m)
+            cases += 1
+    assert cases == 36
 
 
 def test_frobenius_trace_frozen_values():

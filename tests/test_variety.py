@@ -423,18 +423,20 @@ def test_quadratic_elimination_branches(p, m, ambient, expr, expected):
 
 def test_count_points_invariant_under_coordinate_permutations():
     # a permutation moves which variable is eliminated and where it sits
-    # relative to the leading 1 of the projective normalization
+    # relative to the leading 1 of the projective normalization; systems of
+    # 2 or 3 polynomials, each permuted alike, take the enumeration path
     rng = random.Random(5)
     for p, m, projective, nvars in ((3, 2, True, 3), (5, 1, True, 4), (7, 1, False, 3),
                                     (3, 1, False, 4), (2, 3, True, 3)):
-        for _ in range(6):
-            poly = _quadratic_in_one(rng, p, nvars, projective)
+        for size in (1, 1, 1, 1, 1, 1, 2, 2, 3, 3):
+            polys = [_quadratic_in_one(rng, p, nvars, projective) for _ in range(size)]
             counts = set()
             for perm in permutations(range(nvars)):
-                permuted = MultiPoly.from_dict(
+                permuted = [MultiPoly.from_dict(
                     nvars, {tuple(exps[i] for i in perm): c for exps, c in poly.terms}, p)
-                counts.add(count_points(parse_variety(_system_text(p, [permuted], projective)), m))
-            assert len(counts) == 1, (poly, counts)
+                    for poly in polys]
+                counts.add(count_points(parse_variety(_system_text(p, permuted, projective)), m))
+            assert len(counts) == 1, (polys, counts)
 
 
 def test_multipoly_str_round_trips_through_the_parser():
