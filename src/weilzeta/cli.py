@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields
 
 # Only what count and cm run is imported here (perfbench/tracer.py also
 # patches these names on this module); every other command imports its
@@ -28,27 +27,6 @@ from .errors import (EnumerationBudgetExceeded, InvalidInput, MathCheckError,
                      WeilZetaError)
 from .ffield import DEFAULT_BUDGET, is_prime
 from .variety import count_series, ec_count, load_variety
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands."""
-
-    command: str
-    path: str | None = None
-    pmin: int = 5
-    pmax: int = 97
-    mmax: int = 2
-    budget: int = DEFAULT_BUDGET
-    det_check: int | None = None
-    betti: tuple | None = None
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise InvalidInput("budget must be at least 1")
-        if self.mmax < 1:
-            raise InvalidInput("mmax must be at least 1")
 
 
 class Report:
@@ -82,20 +60,20 @@ def _matrix_str(rows):
 
 # --- count ---
 
-def _count_section(config, command, settings=()):
+def _count_section(args, command, settings=()):
     """(variety, report, series): the header, extra settings, then counts."""
-    v = load_variety(config.path)
+    v = load_variety(args.path)
     report = Report(f"weilzeta {command}")
-    report.kv("input", config.path)
+    report.kv("input", args.path)
     report.kv("characteristic", v.p)
     report.kv("ambient", f"{v.ambient} dim={v.ambient_dim}")
     report.kv("declared dimension", v.vardim)
-    report.kv("m_max", config.mmax)
-    report.kv("budget", config.budget)
+    report.kv("m_max", args.mmax)
+    report.kv("budget", args.budget)
     for key, value in settings:
         report.kv(key, value)
     t0 = time.perf_counter()
-    series = count_series(v, config.mmax, config.budget)
+    series = count_series(v, args.mmax, args.budget)
     report.timing("counts", time.perf_counter() - t0)
     report.add("counts:")
     for m, n in enumerate(series.counts, start=1):
@@ -103,8 +81,8 @@ def _count_section(config, command, settings=()):
     return v, report, series
 
 
-def cmd_count(config):
-    _, report, _ = _count_section(config, "count")
+def cmd_count(args):
+    _, report, _ = _count_section(args, "count")
     return report, True
 
 
@@ -140,12 +118,12 @@ def _pipeline_candidate(series, n, q, num_deg, den_deg):
     return 4, result, None
 
 
-def cmd_weil(config):
+def cmd_weil(args):
     from . import qpoly, zeta
 
     v, report, series_counts = _count_section(
-        config, "weil", (("rh tolerance", zeta.RH_TOL),
-                         ("weight tolerance", zeta.WEIGHT_TOL)))
+        args, "weil", (("rh tolerance", zeta.RH_TOL),
+                       ("weight tolerance", zeta.WEIGHT_TOL)))
     q = v.p
     n = v.vardim
     series = zeta.zeta_series(series_counts)
@@ -153,8 +131,8 @@ def cmd_weil(config):
 
     t0 = time.perf_counter()
     best = None
-    for num_deg in range(config.mmax + 1):
-        den_deg = config.mmax - num_deg
+    for num_deg in range(args.mmax + 1):
+        den_deg = args.mmax - num_deg
         score, result, failure = _pipeline_candidate(
             series, n, q, num_deg, den_deg)
         key = (score, den_deg)
@@ -167,7 +145,7 @@ def cmd_weil(config):
     (score, _), result, failure = best
     report.kv("pade degrees",
               f"num {result['num_deg']}, den {result['den_deg']} "
-              f"(scanned num+den = {config.mmax})")
+              f"(scanned num+den = {args.mmax})")
 
     ok = True
     if "z" in result:
@@ -190,17 +168,17 @@ def cmd_weil(config):
             verdict = "pass" if rep.passed else "FAIL"
             report.add(f"  P_{i}: max deviation {rep.max_modulus_deviation:.3e}, "
                        f"{rec}, {verdict}")
-    if config.betti is not None and "fact" in result:
+    if args.betti and "fact" in result:
         fact = result["fact"]
         try:
-            flags = zeta.betti_check(fact, config.betti)
+            flags = zeta.betti_check(fact, args.betti)
         except WeilZetaError as exc:
             report.kv("betti check", f"error: {exc}")
             ok = False
         else:
             degrees = tuple(qpoly.degree(p) for _, p in fact.factors)
             report.kv("betti degrees", str(degrees))
-            report.kv("betti expected", str(tuple(config.betti)))
+            report.kv("betti expected", str(args.betti))
             for i, flag in enumerate(flags):
                 report.add(f"  b_{i}: {'pass' if flag else 'FAIL'}")
             ok = ok and all(flags)
@@ -213,24 +191,24 @@ def cmd_weil(config):
 
 # --- cm ---
 
-def cmd_cm(config):
-    if config.pmin > config.pmax:
+def cmd_cm(args):
+    if args.pmin > args.pmax:
         raise InvalidInput("pmin must not exceed pmax")
-    # one ec_count sweep visits p x-values, so the budget caps the sum of
-    # the primes, checked before any curve is counted
+    # one ec_count sweep visits p x-values, so the default budget caps the
+    # sum of the primes, checked before any curve is counted
     primes = []
     visited = 0
-    for p in range(max(config.pmin, 5), config.pmax + 1):
+    for p in range(max(args.pmin, 5), args.pmax + 1):
         if is_prime(p):
             visited += p
-            if visited > config.budget:
+            if visited > DEFAULT_BUDGET:
                 raise EnumerationBudgetExceeded(
-                    f"sweeping the primes {config.pmin} .. {config.pmax} "
-                    f"exceeds budget {config.budget} x-values")
+                    f"sweeping the primes {args.pmin} .. {args.pmax} "
+                    f"exceeds budget {DEFAULT_BUDGET} x-values")
             primes.append(p)
     report = Report("weilzeta cm")
     report.kv("curve", "y^2 = x^3 - x")
-    report.kv("primes", f"{config.pmin} .. {config.pmax}")
+    report.kv("primes", f"{args.pmin} .. {args.pmax}")
     t0 = time.perf_counter()
     mismatches = 0
     rows = 0
@@ -256,14 +234,14 @@ def cmd_cm(config):
 
 # --- lattice ---
 
-def cmd_lattice(config):
+def cmd_lattice(args):
     from . import pseudolattice as pl
     from . import qpoly
     from .qlinalg import mat_mul_int
 
-    L = pl.load_lattice(config.path)
+    L = pl.load_lattice(args.path)
     report = Report("weilzeta lattice")
-    report.kv("input", config.path)
+    report.kv("input", args.path)
     report.kv("field minpoly", qpoly.poly_str(L.field.minpoly, "x"))
     lo, hi = L.field.interval()
     report.kv("field root in", f"[{lo}, {hi}]")
@@ -299,18 +277,18 @@ def cmd_lattice(config):
 
 # --- dimgroup ---
 
-def cmd_dimgroup(config):
+def cmd_dimgroup(args):
     from . import dimgroup as dg
     from . import qpoly
 
-    T = dg.load_matrix(config.path, ell=config.det_check)
+    T = dg.load_matrix(args.path, ell=args.det_check)
     G = dg.build(T)
     report = Report("weilzeta dimgroup")
-    report.kv("input", config.path)
+    report.kv("input", args.path)
     report.kv("matrix", _matrix_str(T.rows))
     report.kv("determinant", T.det())
-    if config.det_check is not None:
-        report.kv("det check", f"symmetric with determinant {config.det_check}: ok")
+    if args.det_check is not None:
+        report.kv("det check", f"symmetric with determinant {args.det_check}: ok")
     report.kv("lambda minpoly", qpoly.poly_str(G.field.minpoly, "x"))
     lo, hi = G.field.interval()
     report.kv("lambda isolated in", f"[{lo}, {hi}]")
@@ -333,7 +311,7 @@ def cmd_dimgroup(config):
     report.kv("level coherence tau(v,k) = tau(Tv,k+1)", "exact" if coherent else "FAIL")
     scaling = dg.trace_value(G, dg.shift(G, x)) == G.lam * dg.trace_value(G, x)
     report.kv("shift scaling tau(shift x) = lambda*tau(x)", "exact" if scaling else "FAIL")
-    ell = config.det_check
+    ell = args.det_check
     if ell is None:
         d = abs(T.det())
         ell = d if d >= 2 else None
@@ -357,77 +335,58 @@ def build_parser():
         prog="weilzeta",
         description="Exact zeta functions, Weil checks, pseudo-lattices and "
                     "dimension groups over finite fields.")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mmax_default):
+    def command(name, run, text):
+        p = sub.add_parser(name, parents=[out], help=text)
+        p.set_defaults(run=run)
+        return p
+
+    def counting(name, run, text, mmax_default):
+        p = command(name, run, text)
+        p.add_argument("path")
         p.add_argument("--mmax", type=int, default=mmax_default,
                        help="number of extension degrees to count")
-        p.add_argument("--budget", type=int, default=RunConfig.budget,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="cap on the number of ambient representatives and "
                             "on each field size p^m")
-        p.add_argument("--out", help="write the report to this path")
+        return p
 
-    p_count = sub.add_parser("count", help="point counts of a variety file")
-    p_count.add_argument("path")
-    common(p_count, RunConfig.mmax)
-
-    p_weil = sub.add_parser("weil", help="full zeta pipeline on a variety file")
-    p_weil.add_argument("path")
-    common(p_weil, 4)
+    counting("count", cmd_count, "point counts of a variety file", 2)
+    p_weil = counting("weil", cmd_weil, "full zeta pipeline on a variety file", 4)
     p_weil.add_argument("--betti", help="comma-separated expected Betti numbers")
 
-    p_cm = sub.add_parser("cm", help="Grossencharacter sweep for y^2 = x^3 - x")
-    p_cm.add_argument("pmin", type=int, nargs="?", default=RunConfig.pmin)
-    p_cm.add_argument("pmax", type=int, nargs="?", default=RunConfig.pmax)
-    p_cm.add_argument("--out", help="write the report to this path")
+    p_cm = command("cm", cmd_cm, "Grossencharacter sweep for y^2 = x^3 - x")
+    p_cm.add_argument("pmin", type=int, nargs="?", default=5)
+    p_cm.add_argument("pmax", type=int, nargs="?", default=97)
 
-    p_lat = sub.add_parser("lattice", help="endomorphism ring of a lattice file")
+    p_lat = command("lattice", cmd_lattice, "endomorphism ring of a lattice file")
     p_lat.add_argument("path")
-    p_lat.add_argument("--out", help="write the report to this path")
 
-    p_dim = sub.add_parser("dimgroup", help="dimension group of a matrix file")
+    p_dim = command("dimgroup", cmd_dimgroup, "dimension group of a matrix file")
     p_dim.add_argument("path")
-    p_dim.add_argument("--det-check", type=int, default=RunConfig.det_check,
+    p_dim.add_argument("--det-check", type=int,
                        help="require symmetry and this determinant")
-    p_dim.add_argument("--out", help="write the report to this path")
 
     return parser
-
-
-def _config_from_args(args):
-    # the parser takes its defaults from RunConfig (weil's --mmax 4 is the
-    # one per-command default); pass on only the fields the chosen
-    # subcommand defines
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if hasattr(args, f.name)}
-    betti = given.pop("betti", None)
-    if betti:
-        try:
-            given["betti"] = tuple(int(v) for v in betti.split(","))
-        except ValueError:
-            raise InvalidInput("--betti expects comma-separated integers") from None
-    return RunConfig(**given)
-
-
-_COMMANDS = {
-    "count": cmd_count,
-    "weil": cmd_weil,
-    "cm": cmd_cm,
-    "lattice": cmd_lattice,
-    "dimgroup": cmd_dimgroup,
-}
-
-
-def run(config):
-    """Execute a config; returns (report, all checks passed)."""
-    return _COMMANDS[config.command](config)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        report, ok = run(config)
+        # flag values are checked before any work; only weil has --betti,
+        # and cm has neither --budget nor --mmax
+        if getattr(args, "betti", None):
+            try:
+                args.betti = tuple(int(v) for v in args.betti.split(","))
+            except ValueError:
+                raise InvalidInput("--betti expects comma-separated integers") from None
+        for name in ("budget", "mmax"):
+            if getattr(args, name, 1) < 1:
+                raise InvalidInput(f"{name} must be at least 1")
+        report, ok = args.run(args)
     except WeilZetaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -435,8 +394,8 @@ def main(argv=None):
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     text = report.render()
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

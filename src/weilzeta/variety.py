@@ -1,7 +1,10 @@
 """Varieties over prime fields and exact point counting.
 
 A VarietySpec is a list of multivariate polynomials over F_p together with
-an affine or projective ambient space and a declared dimension. Counting
+an affine or projective ambient space and a declared dimension. The parser
+builds each polynomial as sparse monomials, tuples of (variable, exponent)
+pairs that the counting loop reads as they are, so parsing costs time and
+memory in the length of the text, not in the declared dimension. Counting
 over F_{p^m} runs over normalized representatives (projective: first
 nonzero coordinate equal to 1, earlier coordinates zero) and evaluates
 every polynomial exactly. A single polynomial over odd p of degree <= 2 in
@@ -29,26 +32,27 @@ from .ffield import DEFAULT_BUDGET, is_prime, make_field
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """Sparse polynomial: sorted (exponent vector, coefficient) pairs."""
+    """Sparse polynomial: (monomial, coefficient) pairs.
+
+    A monomial is a tuple of (v, e) pairs, sorted by v with every e >= 1;
+    () is the constant monomial. Terms sort as their exponent vectors
+    (e_0, ..., e_{nvars-1}) would.
+    """
 
     nvars: int
-    terms: tuple  # ((e_0,...,e_{nvars-1}), c) with 0 < c < p, sorted by exponents
+    terms: tuple  # ((((v, e), ...), c), ...) with 0 < c < p
 
     @classmethod
     def from_dict(cls, nvars, coeffs, p):
-        terms = []
-        for exps, c in coeffs.items():
-            c %= p
-            if c:
-                terms.append((tuple(exps), c))
-        terms.sort()
+        terms = [(mono, c % p) for mono, c in coeffs.items() if c % p]
+        terms.sort(key=lambda t: tuple((-v, e) for v, e in t[0]))
         return cls(nvars, tuple(terms))
 
     def is_zero(self):
         return not self.terms
 
     def total_degrees(self):
-        return sorted({sum(e) for e, _ in self.terms})
+        return sorted({sum(e for _, e in mono) for mono, _ in self.terms})
 
     def is_homogeneous(self):
         return len(self.total_degrees()) <= 1
@@ -57,13 +61,10 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.terms:
-            factors = [str(c)] if c != 1 or not any(exps) else []
-            for v, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"X{v}")
-                elif e > 1:
-                    factors.append(f"X{v}^{e}")
+        for mono, c in self.terms:
+            factors = [str(c)] if c != 1 or not mono else []
+            for v, e in mono:
+                factors.append(f"X{v}" if e == 1 else f"X{v}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -83,6 +84,8 @@ class VarietySpec:
             raise InvalidPrime(f"field characteristic {self.p} is not prime")
         if self.ambient not in ("projective", "affine"):
             raise ParseError(f"unknown ambient {self.ambient!r}")
+        if self.ambient_dim < 0 or self.vardim < 0:
+            raise ParseError("dim and vardim must be non-negative")
         if self.ambient == "projective":
             for poly in self.polys:
                 if not poly.is_homogeneous():
@@ -110,8 +113,8 @@ class PointCountSeries:
 # --- expression parser ---
 
 # Largest product the parser expands, in term pairs (len(a) * len(b)). One
-# pair costs 1.0-1.7 us (2 to 5 variables, CPython 3.11, 2-vCPU VM), so a
-# product at the limit takes 0.3-0.45 s; larger powers of sums such as
+# pair costs 0.8-1.1 us (2 to 5 variables, CPython 3.11, 2-vCPU Xeon VM),
+# so a product at the limit takes 0.2-0.3 s; larger powers of sums such as
 # (X0 + X1 + 1)^200 would otherwise run for tens of seconds and more.
 _MAX_TERM_PAIRS = 1 << 18
 
@@ -168,7 +171,8 @@ def _tokenize(text, line_no, col_offset):
 class _ExprParser:
     """Recursive descent over +, -, *, ^ with parentheses.
 
-    Produces a sparse coefficient dict {exponent tuple: integer}.
+    Produces a coefficient dict {monomial: integer}, monomials as in
+    MultiPoly.
     """
 
     def __init__(self, tokens, nvars, p, line_no):
@@ -235,7 +239,7 @@ class _ExprParser:
                 self.fail(vcol, "exponent must be an integer literal")
             if value < 0:
                 self.fail(vcol, "exponent must be non-negative")
-            result = {(0,) * self.nvars: 1}
+            result = {(): 1}
             while value:
                 if value & 1:
                     result = self.mul(result, base, col)
@@ -248,13 +252,11 @@ class _ExprParser:
     def atom(self):
         kind, value, col = self.take()
         if kind == "int":
-            return {(0,) * self.nvars: value % self.p}
+            return {(): value % self.p}
         if kind == "var":
             if value >= self.nvars:
                 self.fail(col, f"variable X{value} out of range, expected X0..X{self.nvars - 1}")
-            exps = [0] * self.nvars
-            exps[value] = 1
-            return {tuple(exps): 1}
+            return {((value, 1),): 1}
         if kind == "(":
             if self.depth == _MAX_NESTING:
                 self.fail(col, f"parentheses nested deeper than {_MAX_NESTING} levels")
@@ -270,22 +272,26 @@ class _ExprParser:
 
 def _poly_add(a, b, p):
     out = dict(a)
-    for exps, c in b.items():
-        out[exps] = (out.get(exps, 0) + c) % p
-    return {e: c for e, c in out.items() if c}
+    for mono, c in b.items():
+        out[mono] = (out.get(mono, 0) + c) % p
+    return {mono: c for mono, c in out.items() if c}
 
 
 def _poly_neg(a, p):
-    return {e: (-c) % p for e, c in a.items() if c}
+    return {mono: (-c) % p for mono, c in a.items() if c}
 
 
 def _poly_mul(a, b, p):
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = (out.get(e, 0) + ca * cb) % p
-    return {e: c for e, c in out.items() if c}
+    for ma, ca in a.items():
+        exps_a = dict(ma)
+        for mb, cb in b.items():
+            exps = exps_a.copy()
+            for v, e in mb:
+                exps[v] = exps.get(v, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c % p for mono, c in out.items() if c % p}
 
 
 def parse_variety(text, path="<string>"):
@@ -417,14 +423,14 @@ def _indexed_field(p, m):
     return _IndexedField(p, m)
 
 
-def _compile_poly(poly, field):
-    """Closure evaluating the polynomial at a tuple of codes; returns a code."""
+def _compile_poly(terms, field):
+    """Closure evaluating (monomial, c) terms at a tuple of codes; returns a code."""
     qm1 = field.q - 1
     zech = field.zech
     # (log c, ((v, e mod q-1), ...)); a variable whose exponent reduces to 0
     # stays, because a zero coordinate still kills the term
-    terms = tuple((field.log[c], tuple((v, e % qm1) for v, e in enumerate(exps) if e))
-                  for exps, c in poly.terms)
+    terms = tuple((field.log[c], tuple((v, e % qm1) for v, e in mono))
+                  for mono, c in terms)
 
     def ev(point):
         acc = 0
@@ -459,10 +465,11 @@ def _strata(nvars, q, projective):
 
 def _quadratic_variable(poly):
     """Largest v such that poly has degree <= 2 in X_v, or None."""
-    for v in reversed(range(poly.nvars)):
-        if all(exps[v] <= 2 for exps, _ in poly.terms):
-            return v
-    return None
+    high = {v for mono, _ in poly.terms for v, e in mono if e > 2}
+    v = poly.nvars - 1
+    while v in high:
+        v -= 1
+    return v if v >= 0 else None
 
 
 def _count_roots(poly, v, field, points):
@@ -473,11 +480,11 @@ def _count_roots(poly, v, field, points):
     4ac), chi the quadratic character, which needs odd q: the code k + 1
     of g^k is a square exactly when k is even, and -1 is g^((q-1)/2).
     """
-    parts = ({}, {}, {})  # parts[e]: the terms with X_v^e, X_v removed
-    for exps, c in poly.terms:
-        parts[exps[v]][exps[:v] + (0,) + exps[v + 1:]] = c
-    ev_c, ev_b, ev_a = (_compile_poly(MultiPoly(poly.nvars, tuple(sorted(d.items()))), field)
-                        for d in parts)
+    parts = ([], [], [])  # parts[e]: the terms with X_v^e, X_v removed
+    for mono, c in poly.terms:
+        e = dict(mono).get(v, 0)
+        parts[e].append((tuple(ve for ve in mono if ve[0] != v), c))
+    ev_c, ev_b, ev_a = (_compile_poly(terms, field) for terms in parts)
     q = field.q
     qm1 = q - 1
     zech = field.zech
@@ -540,10 +547,8 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
             f"enumerating {v.nvars} coordinates over F_{v.p}^{m} exceeds "
             f"budget {budget} tuples")
     if v.nvars == 0:
-        # ambient is a single point (affine) or empty (projective)
-        if v.ambient == "affine":
-            return 1 if all(p.is_zero() for p in v.polys) else 0
-        return 0
+        # the affine ambient of dimension 0 is a single point
+        return 1 if all(p.is_zero() for p in v.polys) else 0
     # a zero polynomial vanishes everywhere and imposes nothing
     polys = [p for p in v.polys if not p.is_zero()]
     if not polys:
@@ -554,7 +559,7 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
         raise EnumerationBudgetExceeded(
             f"tables of F_{v.p}^{m} exceed budget {budget} elements")
     field = _indexed_field(v.p, m)
-    evals = [_compile_poly(p, field) for p in polys]
+    evals = [_compile_poly(p.terms, field) for p in polys]
     x = _quadratic_variable(polys[0]) if len(polys) == 1 and v.p != 2 else None
     count = 0
     for ranges in _strata(v.nvars, q, v.ambient == "projective"):

@@ -39,10 +39,6 @@ class PowerSeriesQ:
 
     coeffs: tuple
 
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
 
 @dataclass(frozen=True)
 class RationalFunctionQ:
@@ -72,7 +68,6 @@ class WeilFactorization:
     factors: tuple
     chi: int
     sign: int | None = None
-    parity_ok: bool = True
     misplaced: tuple = ()
 
     def __post_init__(self):
@@ -94,6 +89,11 @@ class WeilFactorization:
         total = sum((-1) ** i * qpoly.degree(p) for i, p in self.factors)
         if total != self.chi:
             raise InternalError("chi does not match factor degrees")
+
+    @property
+    def parity_ok(self):
+        """True when no factor was misplaced."""
+        return not self.misplaced
 
     def factor(self, i):
         return dict(self.factors)[i]
@@ -360,7 +360,6 @@ def weight_split(z, q, n):
         q=q, n=n,
         factors=tuple(sorted(buckets.items())),
         chi=chi, sign=None,
-        parity_ok=not misplaced,
         misplaced=tuple(misplaced))
 
 
@@ -378,8 +377,8 @@ class RHReport:
     passed: bool
 
 
-def rh_check(P, q, i, tol=RH_TOL):
-    """Verify every root of P has modulus q^{-i/2} within tol.
+def rh_check(P, q, i):
+    """Verify every root of P has modulus q^{-i/2} within RH_TOL.
 
     Also reports the exact coefficient reciprocity a_{d-j} * q^{i*j} =
     sign * q^{i*d/2} * a_j, a necessary condition available whenever i*d
@@ -411,7 +410,7 @@ def rh_check(P, q, i, tol=RH_TOL):
             reciprocal_ok = False
     return RHReport(max_modulus_deviation=float(deviation),
                     reciprocal_ok=reciprocal_ok,
-                    passed=deviation <= tol)
+                    passed=deviation <= RH_TOL)
 
 
 def betti_check(fact, expected):

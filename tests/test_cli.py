@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from weilzeta import qpoly
-from weilzeta.cli import RunConfig, _pipeline_candidate, build_parser, main
-from weilzeta.errors import FunctionalEquationViolated, InvalidInput
-from weilzeta.ffield import primes_in_range
+from weilzeta.cli import _pipeline_candidate, build_parser, main
+from weilzeta.errors import FunctionalEquationViolated
+from weilzeta.ffield import DEFAULT_BUDGET, primes_in_range
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import RationalFunctionQ, point_count_from_zeta, zeta_series
 
@@ -77,6 +77,22 @@ def test_count_budget_fails_fast_on_huge_ambient_spaces(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "EnumerationBudgetExceeded" in err
+
+
+@pytest.mark.parametrize("ambient, nvars, poly", [
+    ("affine", 10**12, "X0 + 1"),
+    ("projective", 10**12 + 1, "X0 - X1000000000000"),
+])
+def test_count_parse_cost_does_not_grow_with_the_declared_dimension(
+        capsys, tmp_path, ambient, nvars, poly):
+    path = tmp_path / "huge.variety"
+    path.write_text(f"field p=5\nambient {ambient} dim={10**12} vardim=0\npoly {poly}\n")
+    start = time.perf_counter()
+    code, _, err = _run(capsys, ["count", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert err == (f"error: EnumerationBudgetExceeded: enumerating {nvars} coordinates "
+                   f"over F_5^1 exceeds budget {DEFAULT_BUDGET} tuples\n")
 
 
 def test_weil_projective_plane(capsys):
@@ -192,8 +208,8 @@ def test_cm_budget_caps_the_sum_of_the_primes(capsys):
     assert code == 3
     assert out == ""
     assert "EnumerationBudgetExceeded" in err
-    assert sum(primes_in_range(5, 17657)) <= RunConfig.budget
-    assert sum(primes_in_range(5, 17659)) > RunConfig.budget
+    assert sum(primes_in_range(5, 17657)) <= DEFAULT_BUDGET
+    assert sum(primes_in_range(5, 17659)) > DEFAULT_BUDGET
     assert _run(capsys, ["cm", "17659", "17659"])[0] == 0
     assert _run(capsys, ["cm", "5", "17659"])[0] == 3
 
@@ -260,9 +276,19 @@ def test_out_flag_writes_report_file(capsys, tmp_path):
     assert "N_1 = 8" in text
 
 
-def test_run_config_validation():
-    with pytest.raises(InvalidInput):
-        RunConfig(command="count", path="x", budget=0)
+@pytest.mark.parametrize("argv, message", [
+    (["count", "ELL", "--budget", "0"], "budget must be at least 1"),
+    (["weil", "ELL", "--budget", "0"], "budget must be at least 1"),
+    (["count", "ELL", "--mmax", "0"], "mmax must be at least 1"),
+    (["weil", "ELL", "--mmax", "0"], "mmax must be at least 1"),
+    (["weil", "ELL", "--betti", "1,x"], "--betti expects comma-separated integers"),
+    (["cm", "9", "5"], "pmin must not exceed pmax"),
+])
+def test_invalid_flag_values_exit_2_before_any_work(capsys, argv, message):
+    argv = [str(SAMPLES / "ell_f5.variety") if a == "ELL" else a for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: InvalidInput: {message}\n"
 
 
 def test_cli_flag_validation_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -16,6 +17,7 @@ from weilzeta.errors import (
 from weilzeta.ffield import make_field, primes_in_range
 from weilzeta.variety import (
     MultiPoly,
+    VarietySpec,
     _IndexedField,
     count_points,
     count_series,
@@ -81,15 +83,15 @@ def test_parse_variety_fields_and_polys():
 def test_parse_variety_reduces_coefficients_mod_p():
     v = parse_variety("field p=5\nambient affine dim=1 vardim=0\npoly 7*X0 - 12\n")
     terms = dict(v.polys[0].terms)
-    assert terms[(1,)] == 2
-    assert terms[(0,)] == 3
+    assert terms[((0, 1),)] == 2
+    assert terms[()] == 3
 
 
 def test_parse_variety_powers_by_squaring():
     v = parse_variety("field p=5\nambient affine dim=1 vardim=0\npoly (X0 + 1)^5\n")
-    assert v.polys[0].terms == (((0,), 1), ((5,), 1))
+    assert v.polys[0].terms == (((), 1), (((0, 5),), 1))
     v = parse_variety("field p=5\nambient affine dim=1 vardim=0\npoly X0^200000\n")
-    assert v.polys[0].terms == (((200000,), 1),)
+    assert v.polys[0].terms == ((((0, 200000),), 1),)
 
 
 def test_parse_variety_skips_comments_and_blank_lines():
@@ -146,9 +148,11 @@ def test_projective_polynomials_must_be_homogeneous():
 
 
 def test_multipoly_str_and_homogeneity():
-    poly = MultiPoly.from_dict(3, {(3, 0, 0): 4, (1, 0, 2): 1}, 5)
+    poly = MultiPoly.from_dict(3, {((0, 3),): 4, ((0, 1), (2, 2)): 1}, 5)
     assert poly.is_homogeneous()
     assert "X0" in str(poly)
+    # terms sort as their exponent vectors (1, 0, 2) < (3, 0, 0) would
+    assert str(poly) == "X0*X2^2 + 4*X0^3"
 
 
 def test_projective_space_counts_match_closed_form():
@@ -250,6 +254,21 @@ def test_point_zero_dimensional_space():
     assert count_points(v, 3) == 1
 
 
+def test_affine_zero_dimensional_space():
+    # the ambient is one point, which only a nonzero constant removes
+    head = "field p=5\nambient affine dim=0 vardim=0\n"
+    for polys, expected in (("", 1), ("poly 0\npoly 5\n", 1), ("poly 3\n", 0),
+                            ("poly 0\npoly 2 - 4\n", 0)):
+        v = parse_variety(head + polys)
+        assert [count_points(v, m) for m in (1, 2, 3)] == [expected] * 3, polys
+
+
+def test_variety_spec_rejects_negative_dimensions():
+    for dims in ((-1, 0), (1, -1)):
+        with pytest.raises(ParseError, match="dim and vardim must be non-negative"):
+            VarietySpec(5, "projective", *dims, ())
+
+
 def _prime_powers(limit):
     for p in primes_in_range(2, limit):
         q, m = p, 1
@@ -274,6 +293,11 @@ def test_zech_tables_match_exact_arithmetic():
             assert (x + spec.one()).index() == (index[code - 1] if code else 0)
 
 
+def _monomial(exps):
+    """Sparse monomial ((v, e), ...) of a mapping from variables to exponents."""
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
 def _random_system(rng, p, nvars, homogeneous):
     polys = []
     for _ in range(rng.randint(1, 2)):
@@ -281,12 +305,10 @@ def _random_system(rng, p, nvars, homogeneous):
         coeffs = {}
         for _ in range(rng.randint(1, 4)):
             if homogeneous:
-                exps = [0] * nvars
-                for _ in range(degree):
-                    exps[rng.randrange(nvars)] += 1
+                exps = Counter(rng.randrange(nvars) for _ in range(degree))
             else:
-                exps = [rng.choice((0, 1, 2, 3, p, 7, 9, 26)) for _ in range(nvars)]
-            coeffs[tuple(exps)] = rng.randrange(1, p)
+                exps = {v: rng.choice((0, 1, 2, 3, p, 7, 9, 26)) for v in range(nvars)}
+            coeffs[_monomial(exps)] = rng.randrange(1, p)
         polys.append(MultiPoly.from_dict(nvars, coeffs, p))
     return polys
 
@@ -301,11 +323,10 @@ def _brute_force_count(polys, spec, projective):
             continue
         for poly in polys:
             acc = spec.zero()
-            for exps, c in poly.terms:
+            for mono, c in poly.terms:
                 term = spec.from_int(c)
-                for x, e in zip(pt, exps):
-                    if e:
-                        term = term * x ** e
+                for v, e in mono:
+                    term = term * pt[v] ** e
                 acc = acc + term
             if acc:
                 break
@@ -325,9 +346,11 @@ def _system_text(p, polys, projective):
 def _weierstrass_poly(rng, p, nvars, projective):
     """y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6, homogenized by z in P^2."""
     a1, a2, a3, a4, a6 = (rng.randrange(p) for _ in range(5))
-    coeffs = {(0, 2, 1): 1, (1, 1, 1): a1, (0, 1, 2): a3,
-              (3, 0, 0): -1, (2, 0, 1): -a2, (1, 0, 2): -a4, (0, 0, 3): -a6}
-    return MultiPoly.from_dict(nvars, {e[:nvars]: c for e, c in coeffs.items()}, p)
+    # x, y, z are X0, X1, X2; the affine curve (nvars = 2) sets z = 1
+    coeffs = {((1, 2), (2, 1)): 1, ((0, 1), (1, 1), (2, 1)): a1, ((1, 1), (2, 2)): a3,
+              ((0, 3),): -1, ((0, 2), (2, 1)): -a2, ((0, 1), (2, 2)): -a4, ((2, 3),): -a6}
+    return MultiPoly.from_dict(
+        nvars, {tuple(ve for ve in mono if ve[0] < nvars): c for mono, c in coeffs.items()}, p)
 
 
 def _quadric_poly(rng, p, nvars, projective, diagonal):
@@ -338,11 +361,7 @@ def _quadric_poly(rng, p, nvars, projective, diagonal):
         pairs += [(i, None) for i in range(nvars)] + [(None, None)]
     coeffs = {}
     for pair in pairs:
-        exps = [0] * nvars
-        for i in pair:
-            if i is not None:
-                exps[i] += 1
-        coeffs[tuple(exps)] = rng.randrange(p)
+        coeffs[_monomial(Counter(i for i in pair if i is not None))] = rng.randrange(p)
     return MultiPoly.from_dict(nvars, coeffs, p)
 
 
@@ -352,15 +371,14 @@ def _quadratic_in_one(rng, p, nvars, projective):
     degree = rng.randint(2, 4)
     coeffs = {}
     for _ in range(rng.randint(1, 5)):
-        exps = [0] * nvars
         if projective:
-            exps[v] = rng.randint(0, 2) if nvars > 1 else degree
+            exps = Counter({v: rng.randint(0, 2) if nvars > 1 else degree})
             for _ in range(degree - exps[v]):
                 exps[rng.choice([i for i in range(nvars) if i != v])] += 1
         else:
-            exps = [rng.choice((0, 1, 2, 3, p, 7)) for _ in range(nvars)]
+            exps = {i: rng.choice((0, 1, 2, 3, p, 7)) for i in range(nvars)}
             exps[v] = rng.randint(0, 2)
-        coeffs[tuple(exps)] = rng.randrange(1, p)
+        coeffs[_monomial(exps)] = rng.randrange(1, p)
     return MultiPoly.from_dict(nvars, coeffs, p)
 
 
@@ -432,8 +450,11 @@ def test_count_points_invariant_under_coordinate_permutations():
             polys = [_quadratic_in_one(rng, p, nvars, projective) for _ in range(size)]
             counts = set()
             for perm in permutations(range(nvars)):
+                # X_perm[k] becomes X_k
+                moved = {old: new for new, old in enumerate(perm)}
                 permuted = [MultiPoly.from_dict(
-                    nvars, {tuple(exps[i] for i in perm): c for exps, c in poly.terms}, p)
+                    nvars, {_monomial({moved[v]: e for v, e in mono}): c
+                            for mono, c in poly.terms}, p)
                     for poly in polys]
                 counts.add(count_points(parse_variety(_system_text(p, permuted, projective)), m))
             assert len(counts) == 1, (polys, counts)
@@ -450,12 +471,10 @@ def test_multipoly_str_round_trips_through_the_parser():
         # the first case of every ten is the zero polynomial
         for _ in range(0 if case % 10 == 0 else rng.randint(1, 6)):
             if projective:
-                exps = [0] * nvars
-                for _ in range(degree):
-                    exps[rng.randrange(nvars)] += 1
+                exps = Counter(rng.randrange(nvars) for _ in range(degree))
             else:
-                exps = [rng.randint(0, 5) for _ in range(nvars)]
-            coeffs[tuple(exps)] = rng.randint(-2 * p, 2 * p)
+                exps = {v: rng.randint(0, 5) for v in range(nvars)}
+            coeffs[_monomial(exps)] = rng.randint(-2 * p, 2 * p)
         poly = MultiPoly.from_dict(nvars, coeffs, p)
         parsed = parse_variety(_system_text(p, [poly], projective)).polys[0]
         assert parsed == poly, (p, projective, str(poly))
