@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 from .errors import (DependentGenerators, DimensionMismatch, FieldMismatch,
                      InternalError, InvalidInput, NotEndomorphism,
@@ -209,7 +209,7 @@ def density_witness(L, eps=Fraction(1, 1000)):
     theta = L.generators[1]
     eps_elt = L.field.from_rational(eps)
     x = theta
-    a = x.__floor__()
+    a = floor(x)
     h_prev, h_cur = 1, a
     k_prev, k_cur = 0, 1
     for _ in range(10000):
@@ -222,7 +222,7 @@ def density_witness(L, eps=Fraction(1, 1000)):
             c0, c1 = (-h_cur, k_cur) if positive else (h_cur, -k_cur)
             return DensityWitness(c0=c0, c1=c1, value=candidate)
         x = (x - a).inverse()
-        a = x.__floor__()
+        a = floor(x)
         h_prev, h_cur = h_cur, a * h_cur + h_prev
         k_prev, k_cur = k_cur, a * k_cur + k_prev
     raise InternalError("continued fraction failed to converge")

@@ -306,9 +306,6 @@ class RealAlgebraic:
         lo, _ = self._refine_until(lambda lo, hi: _floor(lo) == _floor(hi))
         return _floor(lo)
 
-    def floor(self):
-        return self.__floor__()
-
     def decimal_str(self, digits=30):
         """Deterministic decimal rendering with the given significant digits."""
         if self.is_zero():

@@ -4,13 +4,14 @@ A VarietySpec is a list of multivariate polynomials over F_p together with
 an affine or projective ambient space and a declared dimension. The parser
 builds each polynomial as sparse monomials, tuples of (variable, exponent)
 pairs that the counting loop reads as they are, so parsing costs time and
-memory in the length of the text, not in the declared dimension. Counting
-over F_{p^m} runs over normalized representatives (projective: first
-nonzero coordinate equal to 1, earlier coordinates zero) and evaluates
-every polynomial exactly. A single polynomial over odd p of degree <= 2 in
-some variable X_v is counted one coordinate fewer: where X_v is free, the
-other coordinates are enumerated and the roots in X_v of a*X_v^2 + b*X_v
-+ c come from the quadratic character of b^2 - 4ac.
+memory in the text and its products (one limit per file), not in the
+declared dimension. Counting over F_{p^m}, p^m within the budget, runs over
+normalized representatives (projective: first nonzero coordinate equal to
+1, earlier coordinates zero) and evaluates every polynomial exactly. A
+single polynomial over odd p of degree <= 2 in some variable X_v is
+counted one coordinate fewer: where X_v is free, the other coordinates are
+enumerated and the roots in X_v of a*X_v^2 + b*X_v + c come from the
+quadratic character of b^2 - 4ac.
 
 The inner loop sees the extension field as Zech-logarithm codes: 0 is
 zero and k+1 is g^k for a fixed multiplicative generator g. A monomial is
@@ -112,10 +113,10 @@ class PointCountSeries:
 
 # --- expression parser ---
 
-# Largest product the parser expands, in term pairs (len(a) * len(b)). One
-# pair costs 0.8-1.1 us (2 to 5 variables, CPython 3.11, 2-vCPU Xeon VM),
-# so a product at the limit takes 0.2-0.3 s; larger powers of sums such as
-# (X0 + X1 + 1)^200 would otherwise run for tens of seconds and more.
+# Term pairs (len(a) * len(b) per product) that one file may expand in all.
+# A pair costs 1.0-2.2 us (2 to 5 variables, CPython 3.11, 2-vCPU Xeon VM),
+# so a file at the limit parses in at most about 0.55 s; (X0 + X1 + 1)^200,
+# or 3,000 lines of (X0 + X1 + 1)^40, would otherwise take 10 s and more.
 _MAX_TERM_PAIRS = 1 << 18
 
 # Deepest parenthesis nesting the parser accepts. Each level costs the
@@ -171,17 +172,15 @@ def _tokenize(text, line_no, col_offset):
 class _ExprParser:
     """Recursive descent over +, -, *, ^ with parentheses.
 
-    Produces a coefficient dict {monomial: integer}, monomials as in
-    MultiPoly.
+    One parser per file turns each poly line into a coefficient dict
+    {monomial: integer}, monomials as in MultiPoly, and counts the term
+    pairs of all the file's products against _MAX_TERM_PAIRS.
     """
 
-    def __init__(self, tokens, nvars, p, line_no):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, nvars, p):
         self.nvars = nvars
         self.p = p
-        self.line_no = line_no
-        self.depth = 0
+        self.pairs = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -194,7 +193,11 @@ class _ExprParser:
     def fail(self, col, message):
         raise ParseError(f"line {self.line_no} col {col}: {message}")
 
-    def parse(self):
+    def parse(self, tokens, line_no):
+        self.tokens = tokens
+        self.pos = 0
+        self.line_no = line_no
+        self.depth = 0
         result = self.expr()
         kind, _, col = self.peek()
         if kind != "end":
@@ -202,33 +205,40 @@ class _ExprParser:
         return result
 
     def expr(self):
-        kind, _, _ = self.peek()
-        if kind == "-":
+        acc = {}
+        sign = 1
+        if self.peek()[0] == "-":
             self.take()
-            acc = _poly_neg(self.term(), self.p)
-        else:
-            acc = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            if op == "-":
-                rhs = _poly_neg(rhs, self.p)
-            acc = _poly_add(acc, rhs, self.p)
-        return acc
+            sign = -1
+        while True:
+            for mono, c in self.term().items():
+                acc[mono] = acc.get(mono, 0) + sign * c
+            if self.peek()[0] not in ("+", "-"):
+                break
+            sign = 1 if self.take()[0] == "+" else -1
+        p = self.p
+        return {mono: c % p for mono, c in acc.items() if c % p}
 
     def mul(self, a, b, col):
-        """Product of two expansions, refused when it would be too large."""
-        if len(a) * len(b) > _MAX_TERM_PAIRS:
-            self.fail(col, f"product of {len(a)} by {len(b)} terms exceeds "
-                           f"{_MAX_TERM_PAIRS} term pairs")
+        """Product of two expansions, refused once the file's pairs pass the limit."""
+        self.pairs += len(a) * len(b)
+        if self.pairs > _MAX_TERM_PAIRS:
+            self.fail(col, f"product of {len(a)} by {len(b)} terms takes this file "
+                           f"past {_MAX_TERM_PAIRS} term pairs")
         return _poly_mul(a, b, self.p)
 
     def term(self):
-        acc = self.power()
+        # (factor, column of the '*' before it), multiplied neighbours pairwise
+        # so that a chain of n factors rebuilds each monomial O(log n) times
+        factors = [(self.power(), None)]
         while self.peek()[0] == "*":
             col = self.take()[2]
-            acc = self.mul(acc, self.power(), col)
-        return acc
+            factors.append((self.power(), col))
+        while len(factors) > 1:
+            odd = factors[-1:] if len(factors) % 2 else []
+            factors = [(self.mul(a, b, col), left) for (a, left), (b, col)
+                       in zip(factors[::2], factors[1::2])] + odd
+        return factors[0][0]
 
     def power(self):
         base = self.atom()
@@ -268,17 +278,6 @@ class _ExprParser:
                 self.fail(col2, "expected ')'")
             return inner
         self.fail(col, f"unexpected token {kind!r}")
-
-
-def _poly_add(a, b, p):
-    out = dict(a)
-    for mono, c in b.items():
-        out[mono] = (out.get(mono, 0) + c) % p
-    return {mono: c for mono, c in out.items() if c}
-
-
-def _poly_neg(a, p):
-    return {mono: (-c) % p for mono, c in a.items() if c}
 
 
 def _poly_mul(a, b, p):
@@ -341,6 +340,7 @@ def parse_variety(text, path="<string>"):
         raise ParseError(f"line {no}: dim and vardim must be non-negative")
 
     nvars = ambient_dim + 1 if ambient == "projective" else ambient_dim
+    parser = _ExprParser(nvars, p)
     polys = []
     for no, ln in content[2:]:
         if not ln.startswith("poly"):
@@ -348,8 +348,7 @@ def parse_variety(text, path="<string>"):
         expr = ln[4:]
         if not expr.startswith((" ", "\t")):
             raise ParseError(f"line {no}: expected whitespace after 'poly'")
-        tokens = _tokenize(expr, no, len("poly"))
-        coeffs = _ExprParser(tokens, nvars, p, no).parse()
+        coeffs = parser.parse(_tokenize(expr, no, len("poly")), no)
         polys.append(MultiPoly.from_dict(nvars, coeffs, p))
     return VarietySpec(p=p, ambient=ambient, ambient_dim=ambient_dim,
                        vardim=vardim, polys=tuple(polys))
@@ -536,7 +535,8 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
 
     The budget bounds the number of representatives of the ambient space,
     q^n or 1 + q + ... + q^(n-1), not the tuples actually visited, and it
-    bounds the field size q, which sizes the Zech tables.
+    bounds the field size q = p^m of every count, before any early return,
+    so that m is at most log_p(budget) for every file.
     """
     if m < 1:
         raise ValueError("extension degree must be >= 1")
@@ -546,6 +546,11 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
         raise EnumerationBudgetExceeded(
             f"enumerating {v.nvars} coordinates over F_{v.p}^{m} exceeds "
             f"budget {budget} tuples")
+    if q > budget:
+        # every count is over F_{p^m}, also one that needs no table; q
+        # itself may have thousands of digits, so the message names p and m
+        raise EnumerationBudgetExceeded(
+            f"tables of F_{v.p}^{m} exceed budget {budget} elements")
     if v.nvars == 0:
         # the affine ambient of dimension 0 is a single point
         return 1 if all(p.is_zero() for p in v.polys) else 0
@@ -553,11 +558,6 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
     polys = [p for p in v.polys if not p.is_zero()]
     if not polys:
         return total
-    if q > budget:
-        # the log and Zech tables hold q entries each; q itself may have
-        # thousands of digits, so the message names p and m
-        raise EnumerationBudgetExceeded(
-            f"tables of F_{v.p}^{m} exceed budget {budget} elements")
     field = _indexed_field(v.p, m)
     evals = [_compile_poly(p.terms, field) for p in polys]
     x = _quadratic_variable(polys[0]) if len(polys) == 1 and v.p != 2 else None
@@ -588,7 +588,6 @@ def count_series(v, m_max, budget=DEFAULT_BUDGET):
 
 # --- Weierstrass fast path over prime fields ---
 
-@lru_cache(maxsize=128)
 def _square_classes(p):
     """chi[v] for the quadratic character on F_p, chi(0) = 0."""
     chi = [-1] * p

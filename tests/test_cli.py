@@ -95,6 +95,43 @@ def test_count_parse_cost_does_not_grow_with_the_declared_dimension(
                    f"over F_5^1 exceeds budget {DEFAULT_BUDGET} tuples\n")
 
 
+_CHAIN = "field p=2\nambient affine dim=20000 vardim=0\npoly " + "*".join(
+    f"X{i}" for i in range(20000)) + "\n"
+_SQUARES = "field p=2\nambient affine dim=6000 vardim=0\npoly " + " + ".join(
+    f"X{i}^2" for i in range(6000)) + "\n"
+_POWER_LINES = "field p=5\nambient affine dim=2 vardim=1\n" + "poly (X0 + X1 + 1)^40\n" * 3000
+
+
+@pytest.mark.parametrize("text, argv, code, seconds, message", [
+    # parse cost follows the text, then the ambient space passes the budget
+    (_CHAIN, ["count", "--mmax", "1"], 3, 2.0, "enumerating 20000 coordinates"),
+    (_SQUARES, ["count", "--mmax", "1"], 3, 2.0, "enumerating 6000 coordinates"),
+    # each line expands 3,720 term pairs; line 73 takes the file past the limit
+    (_POWER_LINES, ["count", "--mmax", "1"], 2, 2.0,
+     "ParseError: line 73 col 19: product of 30 by 30 terms takes this file past "
+     "262144 term pairs"),
+    # one-point and all-zero files still count over F_{p^m}, so p^m <= budget
+    ("field p=2\nambient affine dim=0 vardim=0\n", ["count", "--mmax", "100000"], 3, 1.0,
+     "tables of F_2^25 exceed budget 16777216 elements"),
+    ("field p=2\nambient projective dim=0 vardim=0\npoly 2*X0\n",
+     ["weil", "--mmax", "100000"], 3, 1.0, "tables of F_2^25 exceed budget 16777216 elements"),
+], ids=["product-chain", "sum-of-squares", "power-lines", "count-mmax", "weil-mmax"])
+def test_hostile_inputs_fail_fast_in_a_fresh_process(tmp_path, text, argv, code, seconds,
+                                                     message):
+    path = tmp_path / "hostile.variety"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    # the timeout turns a regression into a failure instead of a hang
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", argv[0], str(path), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == code, done.stderr[-2000:]
+    assert message in done.stderr
+    assert elapsed < seconds
+
+
 def test_weil_projective_plane(capsys):
     code, out, _ = _run(capsys, ["weil", str(SAMPLES / "p2_f3.variety"), "--mmax", "3"])
     assert code == 0

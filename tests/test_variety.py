@@ -112,7 +112,8 @@ def test_parse_errors_carry_position():
 
 def test_parse_refuses_huge_expansions_fast():
     start = time.perf_counter()
-    with pytest.raises(ParseError, match=r"line 3 col 19: .* exceeds \d+ term pairs"):
+    with pytest.raises(ParseError,
+                       match=r"line 3 col 19: .* takes this file past \d+ term pairs"):
         parse_variety("field p=5\nambient affine dim=2 vardim=1\n"
                       "poly (X0 + X1 + 1)^200000\n")
     # a product of two powers that each stay under the limit
@@ -120,6 +121,17 @@ def test_parse_refuses_huge_expansions_fast():
         parse_variety("field p=101\nambient affine dim=2 vardim=1\n"
                       "poly (X0 + X1 + 1)^40 * (X0 + X1 + 1)^40\n")
     assert time.perf_counter() - start < 5.0
+
+
+def test_expansion_limit_holds_per_file():
+    # expanding (X0 + X1 + 1)^50 takes 133,218 term pairs: one line stays
+    # under the limit, two pass it together
+    head = "field p=101\nambient affine dim=2 vardim=1\n"
+    line = "poly (X0 + X1 + 1)^50\n"
+    assert len(parse_variety(head + line).polys[0].terms) == 1326
+    with pytest.raises(ParseError, match=r"^line 4 col 19: product of 190 by 561 terms "
+                                         r"takes this file past 262144 term pairs$"):
+        parse_variety(head + line + line)
 
 
 def test_parse_refuses_deep_nesting():
@@ -214,8 +226,10 @@ def test_budget_cap_on_enumeration():
     assert count_points(parse_variety(point.format("X0")), 9, budget=512) == 0
     with pytest.raises(EnumerationBudgetExceeded, match=r"F_2\^10 exceed budget 512"):
         count_points(parse_variety(point.format("X0")), 10, budget=512)
-    # zero polynomials need no field at all
-    assert count_points(parse_variety(point.format("2*X0")), 100, budget=1) == 1
+    # zero polynomials need no table, but the field size is capped all the same
+    assert count_points(parse_variety(point.format("2*X0")), 1, budget=2) == 1
+    with pytest.raises(EnumerationBudgetExceeded, match=r"F_2\^100 exceed budget 1"):
+        count_points(parse_variety(point.format("2*X0")), 100, budget=1)
 
 
 def test_ec_count_matches_naive_scan():
