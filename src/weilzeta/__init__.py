@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it; a submodule maps to itself
 _SOURCE = {name: module for module, names in (
     ("errors", ("errors",)),
-    ("ffield", ("DEFAULT_BUDGET", "FieldSpec", "FFElement", "make_field",
-                "is_prime", "primes_in_range")),
+    ("ffield", ("DEFAULT_BUDGET", "make_field", "is_prime", "primes_in_range")),
     ("variety", ("MultiPoly", "VarietySpec", "PointCountSeries",
                  "parse_variety", "load_variety", "count_points",
                  "count_series", "ec_count", "weierstrass_variety")),

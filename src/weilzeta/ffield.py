@@ -1,17 +1,17 @@
-"""Finite fields F_{p^m} with exact, reproducible arithmetic.
+"""Prime tests, polynomials over F_p and the moduli of F_{p^m}.
 
-Fields are described by a FieldSpec holding the characteristic p, the
-degree m and a monic irreducible modulus over F_p, chosen as the
-lexicographically smallest one so identical inputs always give identical
-fields. Elements are coefficient vectors reduced mod p, low degree first.
+Polynomials over F_p are int tuples, low degree first, trimmed of zero
+leading coefficients. make_field picks the modulus of F_{p^m}: the
+lexicographically smallest monic irreducible polynomial of degree m, so
+identical inputs always give identical fields. Arithmetic in F_{p^m}
+itself lives in the Zech-logarithm tables of variety._IndexedField.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .errors import (DivisionByZero, FieldMismatch, InternalError, InvalidDegree,
-                     InvalidPrime)
+from .errors import InternalError, InvalidDegree, InvalidPrime
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -177,143 +177,6 @@ def _is_irreducible(f, p):
     return basis is not None and len(basis) == 1
 
 
-class FieldSpec:
-    """Immutable description of F_{p^m} plus element constructors."""
-
-    __slots__ = ("p", "m", "q", "modulus", "_zero", "_one")
-
-    def __init__(self, p, m, modulus):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", p ** m)
-        object.__setattr__(self, "modulus", tuple(c % p for c in modulus))
-        object.__setattr__(self, "_zero", FFElement(self, (0,) * m))
-        object.__setattr__(self, "_one", FFElement(self, (1,) + (0,) * (m - 1)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
-    def __repr__(self):
-        return f"FieldSpec(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
-
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
-
-    def element(self, coeffs):
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.m:
-            raise FieldMismatch(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return FFElement(self, coeffs)
-
-    def from_int(self, c):
-        """Embed the prime-field value c."""
-        return FFElement(self, (c % self.p,) + (0,) * (self.m - 1))
-
-    def from_index(self, idx):
-        """Element number idx in enumeration order (base-p digits of idx)."""
-        cs = []
-        for _ in range(self.m):
-            cs.append(idx % self.p)
-            idx //= self.p
-        return FFElement(self, tuple(cs))
-
-
-class FFElement:
-    """Element of a FieldSpec; supports +, -, *, /, ** and equality."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FFElement is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, FFElement):
-            raise TypeError(f"cannot combine FFElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch("elements of different fields")
-        return other
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        return (isinstance(other, FFElement) and other.field == self.field
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __add__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FFElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        p = self.field.p
-        return FFElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        f = self.field
-        p, m = f.p, f.m
-        if m == 1:
-            return FFElement(f, (self.coeffs[0] * other.coeffs[0] % p,))
-        out = _pmod(_pmul(self.coeffs, other.coeffs, p), f.modulus, p)
-        return FFElement(f, out + (0,) * (m - len(out)))
-
-    def inv(self):
-        if not self:
-            raise DivisionByZero("inverse of zero")
-        return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inv()
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def index(self):
-        """Position in enumeration order (base-p value of the coefficients)."""
-        idx = 0
-        for c in reversed(self.coeffs):
-            idx = idx * self.field.p + c
-        return idx
-
-    def __repr__(self):
-        return f"FFElement({list(self.coeffs)} mod p={self.field.p})"
-
-
 def _pdivmod(a, b, p):
     """Division with remainder by monic b over F_p."""
     a = list(a)
@@ -333,19 +196,20 @@ def _pdivmod(a, b, p):
 
 
 def make_field(p, m):
-    """Field with the lexicographically smallest monic irreducible modulus.
+    """Modulus of F_{p^m}: the lexicographically smallest monic irreducible
+    polynomial of degree m over F_p, as its coefficient tuple low first.
 
     Coefficient tuples (c_0, ..., c_{m-1}) of candidate moduli are compared
-    low degree first; for m = 1 the modulus is x by convention.
+    low degree first; for m = 1 the modulus is x, (0, 1), by convention.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
     if m < 1:
         raise InvalidDegree(f"extension degree must be >= 1, got {m}")
     if m == 1:
-        return FieldSpec(p, 1, (0, 1))
+        return (0, 1)
     for tail in product(range(p), repeat=m):
         f = tail + (1,)
         if _is_irreducible(f, p):
-            return FieldSpec(p, m, f)
+            return f
     raise InternalError(f"no irreducible polynomial of degree {m} over F_{p}")

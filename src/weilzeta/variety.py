@@ -13,11 +13,12 @@ counted one coordinate fewer: where X_v is free, the other coordinates are
 enumerated and the roots in X_v of a*X_v^2 + b*X_v + c come from the
 quadratic character of b^2 - 4ac.
 
-The inner loop sees the extension field as Zech-logarithm codes: 0 is
-zero and k+1 is g^k for a fixed multiplicative generator g. A monomial is
-a sum of logarithms, and a sum of two powers of g is one Zech lookup. The
-log and Zech tables are built once per field from O(q) products in the
-exact arithmetic of ffield.
+The inner loop sees F_{p^m} as Zech-logarithm codes, its one
+representation of the field: 0 is zero and k+1 is g^k for a fixed
+multiplicative generator g. A monomial is a sum of logarithms, and a sum
+of two powers of g is one Zech lookup. The log and Zech tables are built
+once per field by walking the powers of g as vectors of base-p digits,
+O(m deg g) integer operations per power.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .errors import (EnumerationBudgetExceeded, InvalidPrime, NotHomogeneous,
                      ParseError, SingularCurve, UnsupportedCharacteristic)
-from .ffield import DEFAULT_BUDGET, is_prime, make_field
+from .ffield import DEFAULT_BUDGET, _ppowmod, is_prime, make_field
 
 
 @dataclass(frozen=True)
@@ -228,17 +230,25 @@ class _ExprParser:
         return _poly_mul(a, b, self.p)
 
     def term(self):
-        # (factor, column of the '*' before it), multiplied neighbours pairwise
-        # so that a chain of n factors rebuilds each monomial O(log n) times
-        factors = [(self.power(), None)]
+        # a stack of (product, number of factors in it, column of the '*'
+        # before it): the top two merge while they hold equal numbers of
+        # factors, as a binary counter, and the rest right to left at the
+        # end, so that a chain of n factors rebuilds each monomial O(log n)
+        # times and keeps O(log n) partial products alive
+        stack = [(self.power(), 1, None)]
         while self.peek()[0] == "*":
             col = self.take()[2]
-            factors.append((self.power(), col))
-        while len(factors) > 1:
-            odd = factors[-1:] if len(factors) % 2 else []
-            factors = [(self.mul(a, b, col), left) for (a, left), (b, col)
-                       in zip(factors[::2], factors[1::2])] + odd
-        return factors[0][0]
+            stack.append((self.power(), 1, col))
+            while len(stack) > 1 and stack[-2][1] == stack[-1][1]:
+                self.merge(stack)
+        while len(stack) > 1:
+            self.merge(stack)
+        return stack[0][0]
+
+    def merge(self, stack):
+        b, nb, col = stack.pop()
+        a, na, left = stack.pop()
+        stack.append((self.mul(a, b, col), na + nb, left))
 
     def power(self):
         base = self.atom()
@@ -365,24 +375,37 @@ class _IndexedField:
     """Zech-logarithm arithmetic on F_{p^m}.
 
     Elements are codes: 0 is zero and k+1 is g^k, where g is the
-    smallest-index generator of the multiplicative group. log[i] is the
-    discrete logarithm of the element with enumeration index i != 0, and
-    zech[k] is the code of 1 + g^k, so g^a + g^b = g^a * (1 + g^(b-a)).
+    smallest-index generator of the multiplicative group. The enumeration
+    index of an element is the base-p value of its coefficients over the
+    modulus f = make_field(p, m), low degree first. log[i] is the discrete
+    logarithm of the element with index i != 0, and zech[k] is the code of
+    1 + g^k, so g^a + g^b = g^a * (1 + g^(b-a)).
     """
 
     def __init__(self, p, m):
-        spec = make_field(p, m)
-        self.spec = spec
-        self.q = q = spec.q
-        gen = self._find_generator(spec)
+        f = make_field(p, m)
+        self.p = p
+        self.q = q = p ** m
+        gen = self._find_generator(p, m, f)
+        lead, rest = gen[-1], gen[-2::-1]
+        low = f[:m]
+        weights = [p ** i for i in range(m)]
         exp = [0] * (q - 1)
         log = [0] * q
-        cur = spec.one()
+        # g^k as m base-p digits, low first. Times g is a Horner pass over
+        # g's coefficients, high first: each step shifts by x and folds x^m
+        # back as -(f_0 + f_1 x + ... + f_{m-1} x^(m-1)); the digits are
+        # reduced mod p once per power
+        cur = [1] + [0] * (m - 1)
         for k in range(q - 1):
-            idx = cur.index()
+            idx = sum(map(mul, cur, weights))
             exp[k] = idx
             log[idx] = k
-            cur = cur * gen
+            acc = [lead * d for d in cur]
+            for c in rest:
+                top = acc[-1]
+                acc = [a + c * d - top * fi for a, d, fi in zip([0, *acc], cur, low)]
+            cur = [a % p for a in acc]
         zech = []
         for idx in exp:
             # adding 1 changes only the constant digit, the lowest base-p digit
@@ -392,10 +415,10 @@ class _IndexedField:
         self.zech = zech
 
     @staticmethod
-    def _find_generator(spec):
-        """Smallest-index generator of the multiplicative group."""
-        q = spec.q
-        order = q - 1
+    def _find_generator(p, m, f):
+        """Smallest-index generator of the multiplicative group of
+        F_p[x]/(f), as its coefficient tuple low first without leading zeros."""
+        order = p ** m - 1
         # prime factors of the group order
         factors = []
         n = order
@@ -408,11 +431,13 @@ class _IndexedField:
             d += 1
         if n > 1:
             factors.append(n)
-        for idx in range(1, q):
-            cand = spec.from_index(idx)
-            if not cand:
-                continue
-            if all(cand ** (order // f) != spec.one() for f in factors):
+        for idx in range(1, order + 1):
+            digits = []
+            while idx:
+                digits.append(idx % p)
+                idx //= p
+            cand = tuple(digits)
+            if all(_ppowmod(cand, order // r, f, p) != (1,) for r in factors):
                 return cand
         raise AssertionError("multiplicative group has a generator")
 
@@ -487,7 +512,7 @@ def _count_roots(poly, v, field, points):
     q = field.q
     qm1 = q - 1
     zech = field.zech
-    log_minus4 = field.log[4 % field.spec.p] + qm1 // 2
+    log_minus4 = field.log[4 % field.p] + qm1 // 2
     total = 0
     for pt in points:
         a, b, c = ev_a(pt), ev_b(pt), ev_c(pt)

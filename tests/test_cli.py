@@ -132,6 +132,22 @@ def test_hostile_inputs_fail_fast_in_a_fresh_process(tmp_path, text, argv, code,
     assert elapsed < seconds
 
 
+def test_field_tables_to_2_16_build_fast_in_a_fresh_process(tmp_path):
+    # no point of P^0 over F_2 satisfies X0 = 0, so the run is the Zech
+    # tables of F_2^m for m = 1..16, 2^17 entries in all
+    path = tmp_path / "p0.variety"
+    path.write_text("field p=2\nambient projective dim=0 vardim=0\npoly X0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", "count", str(path),
+                           "--mmax", "16"], env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "N_16 = 0" in done.stdout
+    assert elapsed < 2.0
+
+
 def test_weil_projective_plane(capsys):
     code, out, _ = _run(capsys, ["weil", str(SAMPLES / "p2_f3.variety"), "--mmax", "3"])
     assert code == 0

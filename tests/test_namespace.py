@@ -36,7 +36,8 @@ def test_star_import_and_dir_list_every_public_name():
     assert set(weilzeta.__all__) <= set(dir(weilzeta))
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "same_number", "enumerate_field"])
+@pytest.mark.parametrize("name", ["no_such_name", "same_number", "enumerate_field",
+                                  "FieldSpec", "FFElement"])
 def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(weilzeta, name)

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
@@ -14,7 +15,7 @@ from weilzeta.errors import (
     SingularCurve,
     UnsupportedCharacteristic,
 )
-from weilzeta.ffield import make_field, primes_in_range
+from weilzeta.ffield import _pmod, _pmul, _ppowmod, _psub, make_field, primes_in_range
 from weilzeta.variety import (
     MultiPoly,
     VarietySpec,
@@ -132,6 +133,22 @@ def test_expansion_limit_holds_per_file():
     with pytest.raises(ParseError, match=r"^line 4 col 19: product of 190 by 561 terms "
                                          r"takes this file past 262144 term pairs$"):
         parse_variety(head + line + line)
+
+
+def test_product_chain_parses_in_bounded_memory():
+    # the factors of a * chain merge as they arrive, so that the chain keeps
+    # O(log n) partial products alive, not n one-term dicts at once
+    n = 20000
+    text = (f"field p=2\nambient affine dim={n} vardim=0\npoly "
+            + "*".join(f"X{i}" for i in range(n)) + "\n")
+    tracemalloc.start()
+    try:
+        v = parse_variety(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.polys[0].terms == ((tuple((i, 1) for i in range(n)), 1),)
+    assert peak < 12 * 2**20
 
 
 def test_parse_refuses_deep_nesting():
@@ -291,20 +308,37 @@ def _prime_powers(limit):
             q, m = q * p, m + 1
 
 
+def _elements(p, m):
+    """F_{p^m} in enumeration order, as trimmed coefficient tuples low first."""
+    out = []
+    for idx in range(p ** m):
+        digits = []
+        while idx:
+            digits.append(idx % p)
+            idx //= p
+        out.append(tuple(digits))
+    return out
+
+
+def _index(x, p):
+    return sum(c * p ** i for i, c in enumerate(x))
+
+
 def test_zech_tables_match_exact_arithmetic():
     for p, m in _prime_powers(1024):
         field = _IndexedField(p, m)
-        spec = field.spec
-        gen = _IndexedField._find_generator(spec)
-        powers = [spec.one()]
-        for _ in range(spec.q - 2):
-            powers.append(powers[-1] * gen)
-        index = [x.index() for x in powers]
+        f = make_field(p, m)
+        gen = _IndexedField._find_generator(p, m, f)
+        powers = [(1,)]
+        for _ in range(field.q - 2):
+            powers.append(_pmod(_pmul(powers[-1], gen, p), f, p))
+        index = [_index(x, p) for x in powers]
         # distinct powers g^0..g^(q-2) make g a generator
-        assert len(set(index)) == spec.q - 1
-        assert [field.log[i] for i in index] == list(range(spec.q - 1))
+        assert len(set(index)) == field.q - 1
+        assert [field.log[i] for i in index] == list(range(field.q - 1))
         for x, code in zip(powers, field.zech):
-            assert (x + spec.one()).index() == (index[code - 1] if code else 0)
+            # x + 1, written as x - (-1)
+            assert _index(_psub(x, (-1,), p), p) == (index[code - 1] if code else 0)
 
 
 def _monomial(exps):
@@ -327,21 +361,22 @@ def _random_system(rng, p, nvars, homogeneous):
     return polys
 
 
-def _brute_force_count(polys, spec, projective):
-    """Zeros evaluated with FFElement; projective points as the tuples whose
-    last nonzero coordinate is one."""
-    one = spec.one()
+def _brute_force_count(polys, p, m, projective):
+    """Zeros evaluated on coefficient tuples modulo make_field(p, m);
+    projective points as the tuples whose last nonzero coordinate is one."""
+    f = make_field(p, m)
     count = 0
-    for pt in product([spec.from_index(i) for i in range(spec.q)], repeat=polys[0].nvars):
-        if projective and [x for x in pt if x][-1:] != [one]:
+    for pt in product(_elements(p, m), repeat=polys[0].nvars):
+        if projective and [x for x in pt if x][-1:] != [(1,)]:
             continue
         for poly in polys:
-            acc = spec.zero()
+            # minus the value of poly, which is zero exactly when the value is
+            acc = ()
             for mono, c in poly.terms:
-                term = spec.from_int(c)
+                term = (c,)
                 for v, e in mono:
-                    term = term * pt[v] ** e
-                acc = acc + term
+                    term = _pmod(_pmul(term, _ppowmod(pt[v], e, f, p), p), f, p)
+                acc = _psub(acc, term, p)
             if acc:
                 break
         else:
@@ -399,15 +434,14 @@ def _quadratic_in_one(rng, p, nvars, projective):
 def test_count_points_matches_exact_brute_force():
     rng = random.Random(2)
     for p, m in product((2, 3, 5, 7), (2, 3)):
-        spec = make_field(p, m)
         for projective in (False, True):
             # keep the brute-force scan near 700 tuples (affine q^n, projective ~q^(n-1))
             nvars = 2 if projective else 1
-            while spec.q ** (nvars + (0 if projective else 1)) <= 700:
+            while (p ** m) ** (nvars + (0 if projective else 1)) <= 700:
                 nvars += 1
             polys = _random_system(rng, p, nvars, projective)
             text = _system_text(p, polys, projective)
-            assert count_points(parse_variety(text), m) == _brute_force_count(polys, spec, projective)
+            assert count_points(parse_variety(text), m) == _brute_force_count(polys, p, m, projective)
     # single polynomials of degree <= 2 in some variable, which odd p counts
     # by the quadratic character: every m whose scan of q^n tuples stays
     # within 729 = 3^6, with n up to 4 as that allows (n = 3 for curves)
@@ -424,12 +458,11 @@ def test_count_points_matches_exact_brute_force():
                 fixed = (3 if projective else 2) if name == "weierstrass" else None
                 m = 1
                 while (p ** m) ** (fixed or 2) <= 729:
-                    spec = make_field(p, m)
-                    nvars = fixed or max(n for n in range(2, 5) if spec.q ** n <= 729)
+                    nvars = fixed or max(n for n in range(2, 5) if (p ** m) ** n <= 729)
                     polys = [draw(rng, p, nvars, projective)]
                     text = _system_text(p, polys, projective)
                     assert count_points(parse_variety(text), m) == \
-                        _brute_force_count(polys, spec, projective), (name, text, m)
+                        _brute_force_count(polys, p, m, projective), (name, text, m)
                     m += 1
 
 
@@ -450,7 +483,7 @@ def test_count_points_matches_exact_brute_force():
 def test_quadratic_elimination_branches(p, m, ambient, expr, expected):
     v = parse_variety(f"field p={p}\nambient {ambient} vardim=0\npoly {expr}\n")
     assert count_points(v, m) == expected
-    assert _brute_force_count(v.polys, make_field(p, m), v.ambient == "projective") == expected
+    assert _brute_force_count(v.polys, p, m, v.ambient == "projective") == expected
 
 
 def test_count_points_invariant_under_coordinate_permutations():
