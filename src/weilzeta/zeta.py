@@ -9,8 +9,10 @@ factors by root modulus into weights, the root-modulus bound, and the
 comparison of factor degrees against expected Betti numbers.
 
 Floats appear only where unavoidable: assigning weights from root moduli
-and measuring modulus deviations. Everything else is exact. Roots come
-from mpmath; a relative residual below 1e-10 is a sanity check on each
+and measuring modulus deviations. Everything else is exact. Roots are
+seeded by Aberth-Ehrlich iteration in doubles and polished by Newton
+steps on Python ints to far beyond double precision, then rounded to the
+nearest doubles; a relative residual below 1e-10 is a sanity check on each
 root, not an error bound, since clustered roots defeat it.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import log
+from math import cos, frexp, isfinite, isqrt, ldexp, log, pi, sin
 
 from . import qpoly
 from .errors import (DimensionMismatch, EmptySeries, FunctionalEquationViolated,
@@ -282,36 +284,151 @@ def functional_equation_check(z, q, n, chi):
         residual_plus=sq, residual_minus=None)
 
 
-def _numeric_roots(coeffs):
-    """All complex roots of an integer polynomial, found numerically.
+# Bits of each polished root relative to its modulus, in the first pass
+# and in the one escalation. Far more than a double's 53: rounding the
+# polished root gives the doubles nearest the true root unless a part lies
+# within about 2^-250 of its size from a midpoint between two doubles.
+ROOT_BITS = (256, 512)
+# Cap on the Aberth sweeps and on the Newton steps of each root.
+MAX_STEPS = 64
 
-    The relative residual |P(rho)| / sum |a_j||rho|^j must fall below
-    1e-10; precision escalates once before giving up. The residual is a
-    sanity check, not an error bound: clustered roots defeat it.
+
+def _ldexp_int(c, e):
+    """c * 2**e as a double (c's top 64 bits), for an int c of any size."""
+    s = max(c.bit_length() - 64, 0)
+    return ldexp(c >> s, s + e)
+
+
+def _aberth_seeds(a):
+    """Approximate roots of a (ints, low first, degree >= 2) in doubles.
+
+    Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973; D. A. Bini,
+    Numer. Algorithms 13, 1996) on the polynomial in x = t / 2**k, where
+    2**k is near the geometric mean |a_0/a_n|^(1/n) of the root moduli and
+    the coefficients are scaled to at most 1, so inputs whose coefficients
+    or roots overflow a double still get seeds. Returns k and the x_i.
     """
-    import mpmath
+    n = len(a) - 1
+    k = round((a[0].bit_length() - a[n].bit_length()) / n)
+    top = max(c.bit_length() + k * j for j, c in enumerate(a))
+    b = [_ldexp_int(c, k * j - top) for j, c in enumerate(a)]
+    if not (b[0] and b[n]):
+        raise InternalError(
+            f"a root of {qpoly.poly_str(a)} lies outside the range of doubles")
+    xs = [complex(cos(th), sin(th)) for th in (2 * pi * i / n + 0.4 for i in range(n))]
+    try:
+        for _ in range(MAX_STEPS):
+            moved = False
+            for i, x in enumerate(xs):
+                p = dp = 0j
+                for c in reversed(b):
+                    dp = dp * x + p
+                    p = p * x + c
+                try:
+                    ratio = p / dp
+                    w = ratio / (1 - ratio * sum(1 / (x - y) for j, y in enumerate(xs) if j != i))
+                except ZeroDivisionError:
+                    continue
+                xs[i] = x - w
+                moved = moved or abs(w) > 2 ** -50 * abs(x)
+            if not moved:
+                break
+    except OverflowError:  # abs() of a diverging complex; _polish rejects it
+        pass
+    return k, xs
 
-    deg = qpoly.degree(coeffs)
-    if deg < 1:
+
+def _polish(a, x, k, bits):
+    """Newton-polish the seed x * 2**k to `bits` bits relative to its size.
+
+    The root is Z / D with Z = X + iY Gaussian and D = 2**f, f >= 0 chosen
+    so |Z| is about 2**bits or more. With Horner on homogenized coefficients,
+    P = D**n p(Z/D) and P' = D**(n-1) p'(Z/D) are exact Gaussian integers,
+    and the Newton step is Z -= P / P', rounded. Polishing stops at the
+    first step of at most one unit and returns the Z it started from, with
+    D and the relative residual check |P| <= 1e-10 * sum |a_j| |Z|^j
+    D^(n-j) made in integers; None when it does not converge or the
+    residual is larger.
+    """
+    if not (isfinite(x.real) and isfinite(x.imag)):
+        return None
+    n = len(a) - 1
+    f = max(bits - (frexp(max(abs(x.real), abs(x.imag)))[1] + k), 0)
+    hom = [c << (f * (n - j)) for j, c in enumerate(a)]
+    scale = Fraction(2) ** (f + k)
+    zx, zy = round(Fraction(x.real) * scale), round(Fraction(x.imag) * scale)
+    for _ in range(MAX_STEPS):
+        px, py, qx, qy = a[n], 0, 0, 0
+        for c in reversed(hom[:n]):
+            qx, qy = qx * zx - qy * zy + px, qx * zy + qy * zx + py
+            px, py = px * zx - py * zy + c, px * zy + py * zx
+        den = qx * qx + qy * qy
+        if not den:
+            return None
+        dx = (2 * (px * qx + py * qy) + den) // (2 * den)
+        dy = (2 * (py * qx - px * qy) + den) // (2 * den)
+        if abs(dx) <= 1 and abs(dy) <= 1:
+            r = isqrt(zx * zx + zy * zy)
+            size = 0
+            for c in reversed(hom):
+                size = size * r + abs(c)
+            if 10 ** 20 * (px * px + py * py) > size * size:
+                return None
+            return zx, zy, 1 << f
+        zx, zy = zx - dx, zy - dy
+    return None
+
+
+def _distinct(roots, bits):
+    """True when no two roots (X, Y, D) agree to bits/2 bits of their size."""
+    top = max(d for _, _, d in roots)
+    zs = [(x * (top // d), y * (top // d)) for x, y, d in roots]
+    for i, (xi, yi) in enumerate(zs):
+        for xj, yj in zs[:i]:
+            size = max(xi * xi + yi * yi, xj * xj + yj * yj)
+            if ((xi - xj) ** 2 + (yi - yj) ** 2) << bits <= size:
+                return False
+    return True
+
+
+def _numeric_roots(coeffs):
+    """All complex roots of an integer polynomial, each the nearest doubles.
+
+    Degree 1 is exact: -a_0/a_1, rounded once. Higher degrees take seeds
+    from Aberth-Ehrlich iteration in complex doubles and polish each by
+    Newton steps on Gaussian integers (see _polish) to ROOT_BITS relative
+    bits, so rounding each part with int / int, which Python rounds
+    correctly, gives the doubles nearest the true root. Each root must pass
+    the relative residual check |P(rho)| / sum |a_j||rho|^j <= 1e-10 and
+    the roots must be distinct; the precision escalates once before
+    InternalError. The residual is a sanity check, not an error bound:
+    clustered roots defeat it. A root whose modulus leaves the range of
+    doubles raises InternalError too, so no root rounds to 0 or infinity.
+    """
+    a = qpoly.trim(coeffs)
+    n = len(a) - 1
+    if n < 1:
         return []
-    high_first = list(reversed(qpoly.trim(coeffs)))
-    for dps in (60, 120):
-        with mpmath.workdps(dps):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in high_first],
-                                     maxsteps=200, extraprec=120)
-            ok = True
-            vals = []
-            for rho in roots:
-                res = abs(mpmath.polyval(high_first, rho))
-                scale_sum = sum(abs(mpmath.mpf(a)) * abs(rho) ** (deg - j)
-                                for j, a in enumerate(high_first))
-                if scale_sum == 0 or res / scale_sum > mpmath.mpf("1e-10"):
-                    ok = False
-                    break
-                vals.append(complex(rho))
-            if ok:
-                return vals
-    raise InternalError(f"root finding failed the residual check for {qpoly.poly_str(coeffs)}")
+    if n == 1:
+        roots = [(-a[0], 0, a[1])]
+    else:
+        k, seeds = _aberth_seeds(a)
+        for bits in ROOT_BITS:
+            roots = [_polish(a, x, k, bits) for x in seeds]
+            if None not in roots and _distinct(roots, bits):
+                break
+        else:
+            raise InternalError(
+                f"root finding failed the residual or distinctness check for "
+                f"{qpoly.poly_str(coeffs)}")
+    out = []
+    for x, y, d in roots:
+        size = (x * x + y * y).bit_length() // 2 - d.bit_length()
+        if not (x or y) or not -1000 < size < 1000:
+            raise InternalError(
+                f"a root of {qpoly.poly_str(coeffs)} lies outside the range of doubles")
+        out.append(complex(x / d, y / d))
+    return out
 
 
 def weight_split(z, q, n):

@@ -2,23 +2,28 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 import pytest
 
-from weilzeta import qpoly
+from weilzeta import qpoly, zeta
 from weilzeta.errors import (
     DimensionMismatch,
     EmptySeries,
     FunctionalEquationViolated,
     InsufficientPrecision,
+    InternalError,
     MixedWeightFactor,
     NoRationalFit,
     NotIntegral,
     WeightOutOfRange,
+    WeilZetaError,
 )
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import (
     RationalFunctionQ,
+    _numeric_roots,
     betti_check,
     curve_numerator,
     functional_equation_check,
@@ -292,3 +297,124 @@ def test_pade_no_rational_fit_names_the_first_differing_order(k):
     coeffs[k] += 1
     with pytest.raises(NoRationalFit, match=f"at order {k}$"):
         pade_reconstruct(coeffs, 0, 1)
+
+
+def test_tiny_root_moduli_keep_relative_precision():
+    # roots +-i * 2^-350 and +-i * 2^-600, far below any fixed absolute
+    # scale such as 2^-256 or 2^-512
+    poly = (1, 0, 2 ** 700)
+    assert [abs(rho) for rho in _numeric_roots(poly)] == [2.0 ** -350] * 2
+    assert [abs(rho) for rho in _numeric_roots((1, 0, 2 ** 1200))] == [2.0 ** -600] * 2
+    assert weight_split(RationalFunctionQ(poly, (1,)), 2 ** 700, 1).factor(1) == poly
+    assert rh_check(poly, 2 ** 700, 1).max_modulus_deviation == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda poly: _numeric_roots(poly),
+    lambda poly: weight_split(RationalFunctionQ(poly, (1,)), 2, 1),
+    lambda poly: rh_check(poly, 2, 1),
+])
+def test_root_below_the_double_range_raises_internal_error(call):
+    # the root 2^-1100 would round to 0.0 and reach log() in weight_split
+    with pytest.raises(InternalError, match="outside the range of doubles"):
+        call((1, -2 ** 1100))
+
+
+def test_two_seeds_on_one_root_raise_internal_error(monkeypatch):
+    # both seeds of 1 + t + t^2 near one root: Newton lands both on it, and
+    # without the distinctness check the other root would go missing
+    monkeypatch.setattr(zeta, "_aberth_seeds",
+                        lambda a: (0, [complex(-0.5, 0.86), complex(-0.5, 0.87)]))
+    with pytest.raises(InternalError, match="distinctness"):
+        _numeric_roots((1, 1, 1))
+
+
+def _mpmath_roots(coeffs):
+    # the root finder zeta used before its pure-Python one: mpmath.polyroots
+    # at 60 digits, escalating once to 120, each root checked by its
+    # relative residual
+    import mpmath
+
+    deg = qpoly.degree(coeffs)
+    if deg < 1:
+        return []
+    high_first = list(reversed(qpoly.trim(coeffs)))
+    for dps in (60, 120):
+        with mpmath.workdps(dps):
+            roots = mpmath.polyroots([mpmath.mpf(c) for c in high_first],
+                                     maxsteps=200, extraprec=120)
+            vals = []
+            for rho in roots:
+                res = abs(mpmath.polyval(high_first, rho))
+                scale_sum = sum(abs(mpmath.mpf(a)) * abs(rho) ** (deg - j)
+                                for j, a in enumerate(high_first))
+                if scale_sum == 0 or res / scale_sum > mpmath.mpf("1e-10"):
+                    break
+                vals.append(complex(rho))
+            else:
+                return vals
+    raise InternalError(f"mpmath failed the residual check for {qpoly.poly_str(coeffs)}")
+
+
+def _differential_cases():
+    """250 (P, q, i) with P(0) = 1: the shapes the Weil pipeline produces."""
+    rng = random.Random(15)
+    qs = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 121, 125)
+    cases = []
+    for _ in range(90):      # Weil products, genus <= 4
+        q = rng.choice(qs)
+        bound = isqrt(4 * q)
+        traces = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 4))]
+        cases.append((_weil_numerator(q, traces), q, 1))
+    for _ in range(30):      # repeated factors: a^2 = 4q, or equal traces
+        q = rng.choice((4, 9, 25, 49, 121))
+        bound = isqrt(4 * q)
+        a, b = rng.choice((-bound, bound)), rng.randint(-bound, bound)
+        cases.append((_weil_numerator(q, rng.choice(([a, a], [a, b], [b, b, a]))), q, 1))
+    for _ in range(40):      # one trace outside the Hasse range
+        q = rng.choice(qs)
+        out = rng.choice((-1, 1)) * (isqrt(4 * q) + rng.randint(1, 6))
+        traces = [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))] + [out]
+        cases.append((_weil_numerator(q, traces), q, 1))
+    for q in (2, 3, 5, 7, 9, 25, 49, 125):   # 1 - q^j t and 1 + q t^2
+        cases += [((1, -q ** j), q, 2 * j) for j in range(3)] + [((1, 0, q), q, 1)]
+    for _ in range(250 - len(cases)):        # random integer polynomials
+        middle = [rng.randint(-20, 20) for _ in range(rng.randint(0, 7))]
+        lead = rng.choice((-1, 1)) * rng.randint(1, 20)
+        cases.append(((1, *middle, lead), rng.choice(qs), rng.randint(0, 4)))
+    return cases
+
+
+def _radical(P):
+    g = qpoly.gcd_poly(P, qpoly.deriv(P))
+    return qpoly.primitive_int(qpoly.divmod_poly(P, g)[0]) if qpoly.degree(g) > 0 else P
+
+
+def _weil_outcome(P, q, i):
+    try:
+        split = weight_split(RationalFunctionQ(P, (1,)), q, 4)
+    except WeilZetaError as exc:
+        split = (type(exc).__name__, str(exc))
+    r = rh_check(P, q, i)
+    return split, f"{r.max_modulus_deviation:.3e}", r.passed
+
+
+def test_numeric_roots_match_mpmath_on_weil_shaped_polynomials(monkeypatch):
+    # differential against mpmath, the root finder's former implementation:
+    # the moduli of the roots are the same doubles, so the deviation that
+    # rh_check reports and the weights that weight_split prints agree
+    cases = _differential_cases()
+    assert len(cases) == 250
+    oracle = lru_cache(maxsize=None)(_mpmath_roots)
+    # both passes factor the same polynomials; factor each once
+    monkeypatch.setattr(qpoly, "factor_int", lru_cache(maxsize=None)(qpoly.factor_int))
+    for P, _, _ in cases:
+        radical = _radical(P)
+        assert (sorted(abs(rho) for rho in _numeric_roots(radical))
+                == sorted(abs(rho) for rho in oracle(radical))), P
+    ours = [_weil_outcome(*case) for case in cases]
+    monkeypatch.setattr(zeta, "_numeric_roots", oracle)
+    for case, outcome in zip(cases, ours):
+        assert _weil_outcome(*case) == outcome, case
+    kinds = {split[0] for split, _, _ in ours if isinstance(split, tuple)}
+    assert "MixedWeightFactor" in kinds
