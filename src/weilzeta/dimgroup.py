@@ -10,8 +10,9 @@ and models a Frobenius action.
 
 lambda is found from the exact characteristic polynomial: factor over the
 rationals, bracket the largest real root of each factor by Sturm
-bisection, keep the largest of these. w spans the kernel of T^t - lambda
-in Q(lambda). No floating point enters any trusted value.
+bisection, keep the largest of these. w is row 0 of adj(lambda I - T), a
+polynomial in lambda whose integer matrix coefficients come from the
+characteristic polynomial's own loop. No floating point enters any trusted value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError)
-from .qlinalg import charpoly_int, det_int, mat_vec_int, nullspace
+from .qlinalg import charpoly_int, det_int, mat_vec_int
 from .realalg import RealAlgebraic, RealNumberField, minimal_polynomial
 
 @dataclass(frozen=True)
@@ -127,13 +128,12 @@ def build(T):
 
     Exact pipeline: characteristic polynomial, factorization over Q,
     Sturm isolation of the largest real root lambda (DegenerateSpectrum
-    unless lambda > 1), then the left eigenvector w with w_1 = 1 from the
-    kernel of T^t - lambda over Q(lambda), re-verified entrywise, including
-    positivity.
+    unless lambda > 1), then the left eigenvector w with w_1 = 1 from row 0
+    of adj(lambda I - T), re-verified entrywise, including positivity.
     """
     if not isinstance(T, HeckeLikeMatrix):
         T = make_matrix(T)
-    chi = charpoly_int(T.rows)
+    chi, adjugate = charpoly_int(T.rows)
     minpoly, interval = _largest_real_root(chi)
     field = RealNumberField(minpoly, interval)
     lam = field.gen()
@@ -142,11 +142,13 @@ def build(T):
             "Perron-Frobenius eigenvalue must exceed 1 for a dense limit")
     b = T.b
     zero = field.zero()
-    rows = [[field.from_rational(T.rows[i][j]) - (lam if i == j else zero)
-             for i in range(b)] for j in range(b)]
-    # lambda is a simple eigenvalue of a primitive matrix (Perron-Frobenius),
-    # so the kernel is one line
-    v = nullspace(rows, zero, field.one())[0]
+    # adj(lambda I - T) (lambda I - T) = det = 0 and lambda is a simple
+    # eigenvalue (Perron-Frobenius), so the adjugate is c u w with c != 0 and
+    # u the positive right eigenvector: row 0, by Horner in lambda over the
+    # M_k, is a nonzero multiple of w
+    v = [zero] * b
+    for M in adjugate:
+        v = [lam * x + m for x, m in zip(v, M[0])]
     scale = v[0].inverse()
     w = tuple(scale * entry for entry in v)
     for j in range(b):

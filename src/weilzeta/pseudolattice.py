@@ -59,7 +59,7 @@ def _int_coords(L, x):
         raise FieldMismatch("element lives in a different field")
     deg = L.field.degree
     rows = [[L.generators[j].coords[r] for j in range(L.rank)] for r in range(deg)]
-    sol = solve_right(rows, list(x.coords), Fraction(0))
+    sol = solve_right(rows, list(x.coords))
     if sol is None or any(c.denominator != 1 for c in sol):
         return None
     return tuple(int(c) for c in sol)

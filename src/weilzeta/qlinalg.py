@@ -1,82 +1,95 @@
-"""Exact linear algebra: generic field elimination and integer lattices.
+"""Exact linear algebra over Q and Z, in arbitrary precision.
 
-The field routines work over any type supporting +, -, *, / and equality
-with its own zero (Fraction, finite field elements, real algebraic
-numbers). Integer routines cover determinants, characteristic polynomials,
-Hermite normal form and kernels, all in arbitrary precision.
+One fraction-free Gauss-Jordan elimination serves solve, nullspace, rank
+and det; integer routines add the characteristic polynomial with its
+adjugate, Hermite normal form and integer kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
-def _reduce(rows, ncols, zero):
-    """Reduced row echelon form over a field, pivoting in the first ncols columns.
+def echelon(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination, pivoting in the first ncols columns.
 
-    Returns (M, pivots): M the reduced rows, pivots the pivot column of
-    each of the first len(pivots) rows. Further rows are zero in the
-    first ncols columns.
+    Rows of ints or Fractions are scaled to integers by the lcm of their
+    denominators. In each column the first nonzero row at or below the next
+    pivot row becomes the pivot row p, and every other row becomes
+    (p[c] * row - row[c] * p) / d, d the previous pivot (E. H. Bareiss,
+    Math. Comp. 22, 1968; G. C. Nakos, P. R. Turner and R. M. Williams,
+    SIGSAM Bull. 31, 1997). Each division is exact: every entry is a minor
+    of the row-scaled input on the pivot rows and columns so far, bordered
+    by its own row and column, or in a pivot row with its own column in
+    place of that row's pivot column; Sylvester's identity makes d divide
+    the cross product, with skipped columns and any rank.
+
+    Returns (M, pivots, sign): pivot row i holds the last pivot at column
+    pivots[i] and zeros at the other pivot columns, so M[i][j] / M[i][pivots[i]]
+    is the reduced row echelon form; later rows are zero in the first ncols
+    columns; sign is the parity of the row swaps.
     """
-    M = [list(row) for row in rows]
-    m = len(M)
+    M = []
+    for row in rows:
+        s = lcm(*(v.denominator for v in row))
+        M.append([v.numerator * (s // v.denominator) for v in row])
     pivots = []
+    sign = prev = 1
     for c in range(ncols):
         r = len(pivots)
-        if r == m:
+        if r == len(M):
             break
-        pr = next((i for i in range(r, m) if M[i][c] != zero), None)
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
         if pr is None:
             continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = M[r][c]
-        M[r] = [v / inv for v in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != zero:
-                f = M[i][c]
-                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
+        if pr != r:
+            M[r], M[pr] = M[pr], M[r]
+            sign = -sign
+        top = M[r]
+        p = top[c]
+        for i, row in enumerate(M):
+            if i != r:
+                f = row[c]
+                M[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
         pivots.append(c)
-    return M, pivots
+    return M, pivots, sign
 
 
-def solve_right(A, b, zero):
-    """Solve A x = b over a field; returns None when inconsistent.
+def solve_right(A, b):
+    """Solve A x = b over Q; returns None when inconsistent.
 
     A is a list of rows. Underdetermined systems get free variables set to
     zero, so the result is deterministic.
     """
     n = len(A[0]) if A else 0
-    M, pivots = _reduce([list(row) + [rhs] for row, rhs in zip(A, b)], n, zero)
-    if any(row[n] != zero for row in M[len(pivots):]):
+    M, pivots, _ = echelon([list(row) + [rhs] for row, rhs in zip(A, b)], n)
+    if any(row[n] for row in M[len(pivots):]):
         return None
-    x = [zero] * n
-    for i, c in enumerate(pivots):
-        x[c] = M[i][n]
+    x = [Fraction(0)] * n
+    for row, c in zip(M, pivots):
+        x[c] = Fraction(row[n], row[c])
     return x
 
 
-def nullspace(A, zero, one):
-    """Basis of the right kernel of A over a field, as a list of vectors."""
+def nullspace(A):
+    """Basis of the right kernel of A over Q, as a list of vectors."""
     n = len(A[0]) if A else 0
-    M, pivots = _reduce(A, n, zero)
+    M, pivots, _ = echelon(A, n)
     basis = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        v = [zero] * n
-        v[f] = one
-        for i, c in enumerate(pivots):
-            v[c] = zero - M[i][f]
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, c in zip(M, pivots):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(v)
     return basis
 
 
 def rank_rational(A):
     """Rank of a matrix with int or Fraction entries."""
-    if not A:
-        return 0
-    M = [[Fraction(v) for v in row] for row in A]
-    return len(_reduce(M, len(M[0]), Fraction(0))[1])
+    return len(echelon(A, len(A[0]) if A else 0)[1])
 
 
 # --- integer matrices ---
@@ -96,48 +109,30 @@ def mat_vec_int(A, v):
 
 
 def det_int(A):
-    """Determinant by fraction-free Bareiss elimination."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if pr is None:
-                return 0
-            M[k], M[pr] = M[pr], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    """Determinant: the swap sign times the last pivot of echelon at full rank."""
+    M, pivots, sign = echelon(A, len(A))
+    if len(pivots) < len(A):
+        return 0
+    return sign * M[-1][-1] if A else 1
 
 
 def charpoly_int(A):
-    """Characteristic polynomial det(xI - A), monic, coefficients low first.
+    """det(xI - A), monic with coefficients low first, and the adjugate.
 
-    Faddeev-LeVerrier with exact rational steps; integer input gives
-    integer output.
+    Faddeev-LeVerrier: M_1 = I, M_k = A M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(A M_k) / k, exact on integers since the c are. Returns
+    the coefficients and [M_1, ..., M_n], with adj(xI - A) the sum of
+    M_k x^(n-k).
     """
     n = len(A)
-    cs = [Fraction(1)]  # leading coefficient of x^n
-    AM = [[Fraction(0)] * n for _ in range(n)]  # A M_0 with M_0 = 0
+    cs = [1]  # leading coefficient of x^n
+    Ms = []
+    AM = [[0] * n for _ in range(n)]  # A M_0 with M_0 = 0
     for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{n-k+1} I; A M_k gives the trace and the next step
-        M = [[AM[i][j] + (cs[0] if i == j else 0) for j in range(n)] for i in range(n)]
-        AM = [[sum(Fraction(A[i][t]) * M[t][j] for t in range(n))
-               for j in range(n)] for i in range(n)]
-        cs.insert(0, -sum(AM[i][i] for i in range(n)) / k)
-    out = []
-    for c in cs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return tuple(out)
+        Ms.append([[AM[i][j] + (cs[0] if i == j else 0) for j in range(n)] for i in range(n)])
+        AM = mat_mul_int(A, Ms[-1])
+        cs.insert(0, -sum(AM[i][i] for i in range(n)) // k)
+    return tuple(cs), Ms
 
 
 def hnf_with_transform(M):

@@ -341,4 +341,4 @@ def minimal_polynomial(x):
         powers.append(powers[-1] * x)
     A = [[p.coords[d] for p in powers] for d in range(f.degree)]
     # D+1 columns in D rows: the kernel is never empty
-    return qpoly.primitive_int(nullspace(A, Fraction(0), Fraction(1))[0])
+    return qpoly.primitive_int(nullspace(A)[0])

@@ -194,7 +194,7 @@ def pade_reconstruct(s, num_deg, den_deg):
         for k in range(num_deg + 1, num_deg + den_deg + 1):
             rows.append([c(k - j) for j in range(1, den_deg + 1)])
             rhs.append(-c(k))
-        sol = solve_right(rows, rhs, Fraction(0))
+        sol = solve_right(rows, rhs)
         if sol is None:
             raise NoRationalFit("no denominator matches the series")
         den = (Fraction(1),) + tuple(sol)
@@ -500,7 +500,8 @@ def rh_check(P, q, i):
     Also reports the exact coefficient reciprocity a_{d-j} * q^{i*j} =
     sign * q^{i*d/2} * a_j, a necessary condition available whenever i*d
     is even; reciprocal_ok is None when i*d is odd. Overall pass is the
-    numeric modulus bound alone.
+    numeric modulus bound alone, in doubles: InvalidInput when q^(i/2)
+    leaves their range.
     """
     coeffs = qpoly.trim(P)
     if not coeffs or coeffs[0] != 1:
@@ -512,9 +513,11 @@ def rh_check(P, q, i):
     g = qpoly.gcd_poly(coeffs, qpoly.deriv(coeffs))
     if qpoly.degree(g) > 0:
         radical = qpoly.primitive_int(qpoly.divmod_poly(coeffs, g)[0])
-    deviation = 0.0
-    for rho in _numeric_roots(radical):
-        deviation = max(deviation, abs(abs(rho) * q ** (i / 2) - 1))
+    roots = _numeric_roots(radical)
+    try:
+        deviation = max((abs(abs(rho) * q ** (i / 2) - 1) for rho in roots), default=0.0)
+    except OverflowError:  # q ** (i / 2) makes a double of q and of the power
+        raise InvalidInput(f"q^({i}/2) with q of {q.bit_length()} bits overflows a double") from None
     reciprocal_ok = None
     if (i * d) % 2 == 0:
         half = q ** (i * d // 2)

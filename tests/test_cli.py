@@ -11,7 +11,7 @@ import pytest
 from weilzeta import qpoly
 from weilzeta.cli import _pipeline_candidate, build_parser, main
 from weilzeta.errors import FunctionalEquationViolated
-from weilzeta.ffield import DEFAULT_BUDGET, primes_in_range
+from weilzeta.ffield import DEFAULT_BUDGET, is_prime, primes_in_range
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import RationalFunctionQ, point_count_from_zeta, zeta_series
 
@@ -393,3 +393,21 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
                   if line.startswith("import time:")}
         assert {m for m in loaded if m.split(".")[0] == "weilzeta"} == ours, argv[0]
         assert not {m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")}, argv[0]
+
+
+def test_weil_over_a_prime_beyond_doubles_fails_without_traceback(tmp_path):
+    # P^0 over the least prime above 2^1100: Z(t) = 1/(1 - t), and the
+    # root-modulus deviation would need q as a double
+    p = 2 ** 1100 + 2191
+    assert is_prime(p)
+    path = tmp_path / "p0.variety"
+    path.write_text(f"field p={p}\nambient projective dim=0 vardim=0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", "weil", str(path),
+                           "--mmax", "2", "--budget", str(2 ** 2300)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        "error: InvalidInput: q^(0/2) with q of 1101 bits overflows a double"]

@@ -210,3 +210,56 @@ def test_parse_matrix():
         parse_matrix("")
     with pytest.raises(ParseError):
         parse_matrix("3 x\n1 1\n")
+
+
+def _reduce(rows, ncols, zero):
+    """Reduced row echelon form over a field: plain Gauss-Jordan, used here as
+    the reference the adjugate eigenvector of build is checked against."""
+    M = [list(row) for row in rows]
+    m = len(M)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if M[i][c] != zero), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        inv = M[r][c]
+        M[r] = [v / inv for v in M[r]]
+        for i in range(m):
+            if i != r and M[i][c] != zero:
+                f = M[i][c]
+                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
+        pivots.append(c)
+    return M, pivots
+
+
+def _kernel_eigenvector(G):
+    """w with w_1 = 1 spanning the kernel of T^t - lambda over Q(lambda)."""
+    b, zero = G.b, G.field.zero()
+    rows = [[G.field.from_rational(G.matrix.rows[i][j]) - (G.lam if i == j else zero)
+             for i in range(b)] for j in range(b)]
+    M, pivots = _reduce(rows, b, zero)
+    assert len(pivots) == b - 1
+    free = next(f for f in range(b) if f not in pivots)
+    v = [zero] * b
+    v[free] = G.field.one()
+    for i, c in enumerate(pivots):
+        v[c] = zero - M[i][free]
+    return tuple(entry / v[0] for entry in v)
+
+
+def test_adjugate_eigenvector_matches_kernel_over_q_lambda():
+    rng = random.Random(16)
+    accepted = 0
+    while accepted < 200:
+        b = 2 + accepted % 4
+        rows = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(b)] for _ in range(b)]
+        try:
+            G = build(rows)
+        except (NotPrimitive, DegenerateSpectrum):
+            continue
+        assert G.w == _kernel_eigenvector(G), rows
+        accepted += 1

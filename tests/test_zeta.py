@@ -14,6 +14,7 @@ from weilzeta.errors import (
     FunctionalEquationViolated,
     InsufficientPrecision,
     InternalError,
+    InvalidInput,
     MixedWeightFactor,
     NoRationalFit,
     NotIntegral,
@@ -230,6 +231,19 @@ def test_rh_check_detects_wrong_modulus():
     assert not r.passed
     # degree times weight odd: exact reciprocity is inapplicable
     assert r.reciprocal_ok is None
+
+
+@pytest.mark.parametrize("P, q, i", [
+    ((1, -1), 2 ** 1100 + 1, 0),  # q itself is no double
+    ((1, -1), 2 ** 600, 4),       # q is, q^2 is not
+])
+def test_rh_check_q_power_outside_doubles_is_invalid_input(P, q, i):
+    with pytest.raises(InvalidInput, match="overflows a double"):
+        rh_check(P, q, i)
+
+
+def test_rh_check_without_roots_needs_no_power_of_q():
+    assert rh_check((1,), 2 ** 1100 + 1, 2).passed
 
 
 def test_rh_check_exact_reciprocity_failure():
