@@ -11,7 +11,6 @@ Both routes are kept separate so one can cross-check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -20,12 +19,22 @@ from .ffield import is_prime
 from .variety import ec_count
 
 
-@dataclass(frozen=True)
 class GaussianInt:
     """Element re + im*i of Z[i]."""
 
-    re: int
-    im: int
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussianInt:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __add__(self, other):
         return GaussianInt(self.re + other.re, self.im + other.im)
@@ -52,23 +61,23 @@ class GaussianInt:
         return f"{self.re} - {-self.im}i"
 
 
-@dataclass(frozen=True)
 class FrobeniusData:
     """Eigenvalue pair rat +- rad*sqrt(|disc|) (times i when disc < 0).
 
     Exact invariants: the pair sums to a and multiplies to q.
     """
 
-    a: int
-    q: int
-    disc: int
-    rat: Fraction
-    rad: Fraction
+    __slots__ = ("a", "q", "disc", "rat", "rad")
 
-    def __post_init__(self):
-        if 2 * self.rat != self.a:
+    def __init__(self, a, q, disc, rat, rad):
+        self.a = a
+        self.q = q
+        self.disc = disc
+        self.rat = rat  # Fraction
+        self.rad = rad  # Fraction
+        if 2 * rat != a:
             raise InternalError("eigenvalues must sum to the trace")
-        if self.rat ** 2 - self.rad ** 2 * self.disc != self.q:
+        if rat ** 2 - rad ** 2 * disc != q:
             raise InternalError("eigenvalues must multiply to q")
 
     def power_sum(self, m):

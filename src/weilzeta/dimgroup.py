@@ -17,7 +17,6 @@ characteristic polynomial's own loop. No floating point enters any trusted value
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qpoly
@@ -26,7 +25,6 @@ from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
 from .qlinalg import charpoly_int, det_int, mat_vec_int
 from .realalg import RealAlgebraic, RealNumberField, minimal_polynomial
 
-@dataclass(frozen=True)
 class HeckeLikeMatrix:
     """Primitive non-negative integer matrix, optionally det/symmetry tagged.
 
@@ -36,37 +34,37 @@ class HeckeLikeMatrix:
     determinant ell.
     """
 
-    b: int
-    rows: tuple
-    ell: int | None = None
+    __slots__ = ("b", "rows", "ell")
 
-    def __post_init__(self):
-        if self.b < 1 or len(self.rows) != self.b:
-            raise DimensionMismatch(f"expected {self.b} rows")
-        for row in self.rows:
-            if len(row) != self.b:
+    def __init__(self, b, rows, ell=None):
+        self.b = b
+        self.rows = rows
+        self.ell = ell
+        if b < 1 or len(rows) != b:
+            raise DimensionMismatch(f"expected {b} rows")
+        for row in rows:
+            if len(row) != b:
                 raise DimensionMismatch("matrix must be square")
             for v in row:
                 if not isinstance(v, int) or v < 0:
                     raise InvalidInput(f"entries must be non-negative integers, got {v!r}")
-        bound = (self.b - 1) ** 2 + 1
-        positive = [[v > 0 for v in row] for row in self.rows]
+        bound = (b - 1) ** 2 + 1
+        positive = [[v > 0 for v in row] for row in rows]
         power = positive
         for _ in range(bound):
             if all(all(row) for row in power):
                 break
-            power = [[any(power[i][k] and positive[k][j] for k in range(self.b))
-                      for j in range(self.b)] for i in range(self.b)]
+            power = [[any(power[i][k] and positive[k][j] for k in range(b))
+                      for j in range(b)] for i in range(b)]
         else:
             raise NotPrimitive(
                 f"no power up to {bound} has all entries positive")
-        if self.ell is not None:
-            if any(self.rows[i][j] != self.rows[j][i]
-                   for i in range(self.b) for j in range(self.b)):
+        if ell is not None:
+            if any(rows[i][j] != rows[j][i] for i in range(b) for j in range(b)):
                 raise InvalidInput("determinant-tagged matrix must be symmetric")
-            d = det_int(self.rows)
-            if d != self.ell:
-                raise InvalidInput(f"determinant is {d}, expected {self.ell}")
+            d = det_int(rows)
+            if d != ell:
+                raise InvalidInput(f"determinant is {d}, expected {ell}")
 
     def det(self):
         return det_int(self.rows)
@@ -109,14 +107,16 @@ def _largest_real_root(charpoly):
     return best_poly, best
 
 
-@dataclass(frozen=True)
 class DimensionGroup:
     """Direct limit data: matrix, Perron-Frobenius lambda, left eigenvector."""
 
-    matrix: HeckeLikeMatrix
-    field: RealNumberField
-    lam: RealAlgebraic
-    w: tuple
+    __slots__ = ("matrix", "field", "lam", "w")
+
+    def __init__(self, matrix, field, lam, w):
+        self.matrix = matrix  # HeckeLikeMatrix
+        self.field = field  # RealNumberField
+        self.lam = lam  # RealAlgebraic
+        self.w = w
 
     @property
     def b(self):
@@ -221,13 +221,15 @@ def equivalent(G, x, y):
     return False
 
 
-@dataclass(frozen=True)
 class UnitDecomposition:
     """lambda/ell with its minimal polynomial and the unit verdict."""
 
-    lam_unit: RealAlgebraic
-    minpoly: tuple
-    verified: bool
+    __slots__ = ("lam_unit", "minpoly", "verified")
+
+    def __init__(self, lam_unit, minpoly, verified):
+        self.lam_unit = lam_unit  # RealAlgebraic
+        self.minpoly = minpoly
+        self.verified = verified
 
 
 def unit_decomposition(G, ell):

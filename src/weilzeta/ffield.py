@@ -101,25 +101,54 @@ def _ppowmod(base, e, f, p):
     return result
 
 
-def _berlekamp_kernel(f, p):
-    """Basis of the Berlekamp space of monic f over F_p, or None when f is
-    not square-free mod p.
+def _berlekamp_matrix(f, p):
+    """Berlekamp matrix of monic f over F_p, or None when f is not
+    square-free mod p.
 
-    The v of degree < deg f with v^p = v mod f form an F_p-space with one
-    dimension per irreducible factor of a square-free f, and each v is a
-    constant mod every factor (Berlekamp 1967; Knuth, TAOCP vol. 2, 4.6.2).
+    The v of degree < deg f with v^p = v mod f form an F_p-space, the
+    kernel of this matrix, with one dimension per irreducible factor of a
+    square-free f, and each v is a constant mod every factor (Berlekamp
+    1967; Knuth, TAOCP vol. 2, 4.6.2). Column i is x^(i p) - x^i mod f.
     """
     if _pgcd(f, _ptrim(tuple(k * f[k] % p for k in range(1, len(f)))), p) != (1,):
         return None
     n = len(f) - 1
-    # column i is x^(i p) - x^i mod f: v lies in the space when sum v_i col_i = 0;
-    # Gauss-Jordan on the matrix m of these columns gives the basis
     xp = _ppowmod((0, 1), p, f, p)
     cols, power = [], (1,)
     for i in range(n):
         cols.append([(c - (j == i)) % p for j, c in enumerate(power + (0,) * (n - len(power)))])
         power = _pmod(_pmul(power, xp, p), f, p)
-    m = [list(row) for row in zip(*cols)]
+    return [list(row) for row in zip(*cols)]
+
+
+def _berlekamp_nullity(m, p):
+    """Dimension of the kernel of m over F_p (the number of irreducible
+    factors when m is a Berlekamp matrix), by forward elimination alone.
+
+    m is reduced in place; row operations keep its kernel, so
+    _berlekamp_kernel(m, p) still gives the same basis afterwards.
+    """
+    n = len(m)
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, n) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, n):
+            c = m[i][col] * inv % p
+            if c:
+                m[i] = [(a - c * b) % p for a, b in zip(m[i], top)]
+        rank += 1
+    return n - rank
+
+
+def _berlekamp_kernel(m, p):
+    """Basis of the kernel of the Berlekamp matrix m, read from its reduced
+    row echelon form, to which Gauss-Jordan brings m in place."""
+    n = len(m)
     pivots = []
     for col in range(n):
         r = len(pivots)
@@ -145,8 +174,8 @@ def _berlekamp_kernel(f, p):
 
 
 def _berlekamp_split(f, basis, p):
-    """Monic irreducible factors of square-free monic f over F_p, given its
-    _berlekamp_kernel basis.
+    """Monic irreducible factors of square-free monic f over F_p, given the
+    _berlekamp_kernel basis of its Berlekamp matrix.
 
     gcd(h, v - s) over s in F_p splits h by the values v takes on its
     factors. The basis tells every two factors apart and has one vector
@@ -173,8 +202,8 @@ def _is_irreducible(f, p):
     when it is square-free and its Berlekamp space is the constants alone."""
     if len(f) > 2 and f[0] == 0:
         return False  # divisible by x, like make_field's first p^(m-1) candidates
-    basis = _berlekamp_kernel(f, p)
-    return basis is not None and len(basis) == 1
+    m = _berlekamp_matrix(f, p)
+    return m is not None and _berlekamp_nullity(m, p) == 1
 
 
 def _pdivmod(a, b, p):

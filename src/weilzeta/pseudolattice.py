@@ -13,7 +13,6 @@ and a Hermite normal form gives its canonical Z-basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
 
@@ -24,23 +23,23 @@ from .qlinalg import hnf_rows, kernel_int, rank_rational, solve_right
 from .realalg import RealAlgebraic, RealNumberField
 
 
-@dataclass(frozen=True)
 class PseudoLattice:
     """Z-span of generators in one shared field, first generator 1."""
 
-    field: RealNumberField
-    generators: tuple
+    __slots__ = ("field", "generators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, field, generators):
+        self.field = field  # RealNumberField
+        self.generators = generators
+        if not generators:
             raise InvalidInput("a pseudo-lattice needs at least one generator")
-        for g in self.generators:
-            if not isinstance(g, RealAlgebraic) or g.field != self.field:
+        for g in generators:
+            if not isinstance(g, RealAlgebraic) or g.field != field:
                 raise FieldMismatch("generators must live in the lattice's field")
-        if self.generators[0] != 1:
+        if generators[0] != 1:
             raise NotNormalized("first generator must be 1")
-        coords = [g.coords for g in self.generators]
-        if rank_rational(coords) != len(self.generators):
+        coords = [g.coords for g in generators]
+        if rank_rational(coords) != len(generators):
             raise DependentGenerators(
                 "generators are linearly dependent over the rationals")
 
@@ -185,13 +184,15 @@ def point_count_from_frobenius(L, omega, q):
     return 1 + q - trace
 
 
-@dataclass(frozen=True)
 class DensityWitness:
     """Small positive lattice element c0*1 + c1*g_2 in (0, eps)."""
 
-    c0: int
-    c1: int
-    value: RealAlgebraic
+    __slots__ = ("c0", "c1", "value")
+
+    def __init__(self, c0, c1, value):
+        self.c0 = c0
+        self.c1 = c1
+        self.value = value  # RealAlgebraic
 
 
 def density_witness(L, eps=Fraction(1, 1000)):

@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .ffield import _berlekamp_kernel, _berlekamp_split, _pmod, _pmul, _ppowmod, is_prime
+from .ffield import (_berlekamp_kernel, _berlekamp_matrix, _berlekamp_nullity, _berlekamp_split,
+                     _pmod, _pmul, _ppowmod, is_prime)
 
 
 def trim(coeffs):
@@ -237,8 +238,9 @@ def _modular_factors(f):
 
     Of the first five odd primes that keep f's degree and leave it
     square-free, p is the one whose Berlekamp space is smallest: the fewest
-    factors keep the subsets that recombination tries few. Only p's space
-    is split.
+    factors keep the subsets that recombination tries few. Each prime costs
+    one forward elimination for the dimension; only p's space gets a basis
+    and is split.
     """
     best = None
     tries = 5
@@ -249,16 +251,19 @@ def _modular_factors(f):
             continue
         inv = pow(f[-1], -1, p)
         fp = _mod(tuple(c * inv for c in f), p)
-        basis = _berlekamp_kernel(fp, p)
-        if basis is None:
+        m = _berlekamp_matrix(fp, p)
+        if m is None:
             continue
-        if best is None or len(basis) < len(best[2]):
-            best = p, fp, basis
-        if len(basis) == 1:
+        k = _berlekamp_nullity(m, p)
+        if best is None or k < best[0]:
+            best = k, p, fp, m
+        if k == 1:
             break
         tries -= 1
-    p, fp, basis = best
-    return p, _berlekamp_split(fp, basis, p)
+    k, p, fp, m = best
+    if k == 1:
+        return p, [fp]
+    return p, _berlekamp_split(fp, _berlekamp_kernel(m, p), p)
 
 
 def _hensel_lift(f, factors, p, bound):

@@ -23,7 +23,6 @@ O(m deg g) integer operations per power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -33,7 +32,6 @@ from .errors import (EnumerationBudgetExceeded, InvalidPrime, NotHomogeneous,
 from .ffield import DEFAULT_BUDGET, _ppowmod, is_prime, make_field
 
 
-@dataclass(frozen=True)
 class MultiPoly:
     """Sparse polynomial: (monomial, coefficient) pairs.
 
@@ -42,8 +40,19 @@ class MultiPoly:
     (e_0, ..., e_{nvars-1}) would.
     """
 
-    nvars: int
-    terms: tuple  # ((((v, e), ...), c), ...) with 0 < c < p
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms):
+        self.nvars = nvars
+        self.terms = terms  # ((((v, e), ...), c), ...) with 0 < c < p
+
+    def __eq__(self, other):
+        if other.__class__ is not MultiPoly:
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, self.terms))
 
     @classmethod
     def from_dict(cls, nvars, coeffs, p):
@@ -72,25 +81,25 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
 class VarietySpec:
     """Polynomial system over F_p with its ambient space and dimension."""
 
-    p: int
-    ambient: str  # "projective" or "affine"
-    ambient_dim: int
-    vardim: int
-    polys: tuple
+    __slots__ = ("p", "ambient", "ambient_dim", "vardim", "polys")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvalidPrime(f"field characteristic {self.p} is not prime")
-        if self.ambient not in ("projective", "affine"):
-            raise ParseError(f"unknown ambient {self.ambient!r}")
-        if self.ambient_dim < 0 or self.vardim < 0:
+    def __init__(self, p, ambient, ambient_dim, vardim, polys):
+        self.p = p
+        self.ambient = ambient  # "projective" or "affine"
+        self.ambient_dim = ambient_dim
+        self.vardim = vardim
+        self.polys = polys
+        if not is_prime(p):
+            raise InvalidPrime(f"field characteristic {p} is not prime")
+        if ambient not in ("projective", "affine"):
+            raise ParseError(f"unknown ambient {ambient!r}")
+        if ambient_dim < 0 or vardim < 0:
             raise ParseError("dim and vardim must be non-negative")
-        if self.ambient == "projective":
-            for poly in self.polys:
+        if ambient == "projective":
+            for poly in polys:
                 if not poly.is_homogeneous():
                     raise NotHomogeneous(
                         f"projective ambient requires homogeneous polynomials, "
@@ -101,15 +110,15 @@ class VarietySpec:
         return self.ambient_dim + 1 if self.ambient == "projective" else self.ambient_dim
 
 
-@dataclass(frozen=True)
 class PointCountSeries:
     """Counts N_1..N_{m_max} of rational points over F_{q^m}."""
 
-    q: int
-    counts: tuple
+    __slots__ = ("q", "counts")
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+    def __init__(self, q, counts):
+        self.q = q
+        self.counts = counts
+        if any(c < 0 for c in counts):
             raise ValueError("point counts must be non-negative")
 
 

@@ -18,7 +18,6 @@ root, not an error bound, since clustered roots defeat it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import cos, frexp, isfinite, isqrt, ldexp, log, pi, sin
 
@@ -35,25 +34,36 @@ RH_TOL = 1e-9
 WEIGHT_TOL = 0.25
 
 
-@dataclass(frozen=True)
 class PowerSeriesQ:
     """Truncated power series with exact rational coefficients c_0..c_M."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
 
 
-@dataclass(frozen=True)
 class RationalFunctionQ:
     """num/den with integer coefficients, num(0) = den(0) = 1, gcd 1."""
 
-    num: tuple
-    den: tuple
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if other.__class__ is not RationalFunctionQ:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __str__(self):
         return f"({qpoly.poly_str(self.num)}) / ({qpoly.poly_str(self.den)})"
 
 
-@dataclass(frozen=True)
 class WeilFactorization:
     """Weight decomposition of a zeta function.
 
@@ -65,32 +75,44 @@ class WeilFactorization:
     from the P_i.
     """
 
-    q: int
-    n: int
-    factors: tuple
-    chi: int
-    sign: int | None = None
-    misplaced: tuple = ()
+    __slots__ = ("q", "n", "factors", "chi", "sign", "misplaced")
 
-    def __post_init__(self):
-        if len(self.factors) != 2 * self.n + 1:
+    def __init__(self, q, n, factors, chi, sign=None, misplaced=()):
+        self.q = q
+        self.n = n
+        self.factors = factors
+        self.chi = chi
+        self.sign = sign
+        self.misplaced = misplaced
+        if len(factors) != 2 * n + 1:
             raise InternalError("factorization must list every weight 0..2n")
-        for i, poly in self.factors:
+        for i, poly in factors:
             coeffs = qpoly.trim(poly)
             if coeffs and coeffs[0] != 1:
                 raise NotNormalized(f"P_{i} must have constant term 1")
-        lead = dict(self.factors)
+        lead = dict(factors)
         if lead[0] not in ((1,), (1, -1)):
             raise WeightOutOfRange(
                 f"weight-0 factor must be 1 - t, got {qpoly.poly_str(lead[0])}")
-        top = 2 * self.n
-        if lead[top] not in ((1,), (1, -self.q ** self.n)):
+        top = 2 * n
+        if lead[top] not in ((1,), (1, -q ** n)):
             raise WeightOutOfRange(
-                f"weight-{top} factor must be 1 - {self.q ** self.n}*t, "
+                f"weight-{top} factor must be 1 - {q ** n}*t, "
                 f"got {qpoly.poly_str(lead[top])}")
-        total = sum((-1) ** i * qpoly.degree(p) for i, p in self.factors)
-        if total != self.chi:
+        total = sum((-1) ** i * qpoly.degree(p) for i, p in factors)
+        if total != chi:
             raise InternalError("chi does not match factor degrees")
+
+    def _key(self):
+        return self.q, self.n, self.factors, self.chi, self.sign, self.misplaced
+
+    def __eq__(self, other):
+        if other.__class__ is not WeilFactorization:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def parity_ok(self):
@@ -481,17 +503,20 @@ def weight_split(z, q, n):
 
 
 def with_sign(fact, sign):
-    """Copy of the factorization with the functional-equation sign filled."""
-    return replace(fact, sign=sign)
+    """Copy of the factorization with the functional-equation sign filled,
+    built and checked by the constructor."""
+    return WeilFactorization(fact.q, fact.n, fact.factors, fact.chi, sign, fact.misplaced)
 
 
-@dataclass(frozen=True)
 class RHReport:
     """Root-modulus check result for one weight-i factor."""
 
-    max_modulus_deviation: float
-    reciprocal_ok: bool | None
-    passed: bool
+    __slots__ = ("max_modulus_deviation", "reciprocal_ok", "passed")
+
+    def __init__(self, max_modulus_deviation, reciprocal_ok, passed):
+        self.max_modulus_deviation = max_modulus_deviation  # float
+        self.reciprocal_ok = reciprocal_ok  # bool, or None when i*d is odd
+        self.passed = passed
 
 
 def rh_check(P, q, i):

@@ -395,6 +395,29 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
         assert not {m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")}, argv[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", str(SAMPLES / "p1_f3.variety")),
+    ("cm", "5", "13"),
+    ("lattice", str(SAMPLES / "sqrt2.lattice")),
+    ("dimgroup", str(SAMPLES / "hecke_3111.matrix")),
+    ("weil", str(SAMPLES / "ell_f3.variety"), "--mmax", "4"),
+], ids=lambda argv: argv[0])
+def test_no_command_loads_dataclasses(tmp_path, argv):
+    # the records are plain __slots__ classes; dataclasses would bring
+    # inspect, ast, dis and tokenize into every job's start-up
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "weilzeta.cli", *argv,
+         "--out", str(tmp_path / "report.txt")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "weilzeta.variety" in loaded
+    assert "dataclasses" not in loaded
+
+
 def test_weil_over_a_prime_beyond_doubles_fails_without_traceback(tmp_path):
     # P^0 over the least prime above 2^1100: Z(t) = 1/(1 - t), and the
     # root-modulus deviation would need q as a double

@@ -160,3 +160,17 @@ def test_count_via_character_rejects_hasse_violations():
         count_via_character(6, 5)
     with pytest.raises(HasseViolation):
         count_via_character(1, 0)
+
+
+def test_frobenius_data_messages():
+    with pytest.raises(InternalError, match="^eigenvalues must sum to the trace$"):
+        FrobeniusData(-2, 5, -16, Fraction(1), Fraction(1, 2))
+    with pytest.raises(InternalError, match="^eigenvalues must multiply to q$"):
+        FrobeniusData(-2, 5, -15, Fraction(-1), Fraction(1, 2))
+
+
+def test_gaussian_int_equality_and_hash_follow_the_fields():
+    a, b = GaussianInt(3, -4), GaussianInt(3, -4)
+    assert a == b and hash(a) == hash(b) and len({a, b, GaussianInt(-4, 3)}) == 2
+    assert a != GaussianInt(3, 4)
+    assert a != (3, -4)

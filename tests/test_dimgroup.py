@@ -263,3 +263,19 @@ def test_adjugate_eigenvector_matches_kernel_over_q_lambda():
             continue
         assert G.w == _kernel_eigenvector(G), rows
         accepted += 1
+
+
+def test_hecke_like_matrix_constructor_messages():
+    assert HeckeLikeMatrix(2, ((1, 1), (1, 0))).ell is None
+    cases = (
+        ((3, ((1, 1), (1, 1))), DimensionMismatch, "expected 3 rows"),
+        ((2, ((1, 1), (1,))), DimensionMismatch, "matrix must be square"),
+        ((2, ((1, -1), (1, 1))), InvalidInput, "entries must be non-negative integers, got -1"),
+        ((2, ((1, 0), (0, 1))), NotPrimitive, "no power up to 2 has all entries positive"),
+        ((2, ((3, 1), (2, 1)), 1), InvalidInput, "determinant-tagged matrix must be symmetric"),
+        ((2, ((3, 1), (1, 1)), 3), InvalidInput, "determinant is 2, expected 3"),
+    )
+    for args, error, message in cases:
+        with pytest.raises(error) as info:
+            HeckeLikeMatrix(*args)
+        assert str(info.value) == message

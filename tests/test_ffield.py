@@ -8,6 +8,8 @@ import pytest
 from weilzeta.errors import InvalidDegree, InvalidPrime
 from weilzeta.ffield import (
     _berlekamp_kernel,
+    _berlekamp_matrix,
+    _berlekamp_nullity,
     _berlekamp_split,
     _is_irreducible,
     is_prime,
@@ -87,9 +89,12 @@ def test_berlekamp_splits_square_free_products():
         f = (1,)
         for g in chosen:
             f = _mul_mod(f, g, p)
-        basis = _berlekamp_kernel(f, p)
+        m = _berlekamp_matrix(f, p)
+        k = _berlekamp_nullity(m, p)
+        basis = _berlekamp_kernel(m, p)
         factors = _berlekamp_split(f, basis, p)
-        assert len(factors) == len(basis) == len(chosen)
+        assert len(factors) == len(basis) == k == len(chosen)
+        assert basis == _berlekamp_kernel(_berlekamp_matrix(f, p), p)
         assert all(_is_irreducible(g, p) for g in factors)
         prod = (1,)
         for g in factors:

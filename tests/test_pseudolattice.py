@@ -193,3 +193,19 @@ def test_parse_lattice_errors():
         parse_lattice("root in [1, 2]\ngen 1 0\n")
     with pytest.raises(ParseError):
         parse_lattice("field minpoly=-2 0 1\ngen 1 0\ngen 0 1\n")
+
+
+def test_constructor_messages():
+    K = RealNumberField.quadratic(2)
+    cases = (
+        ((), InvalidInput, "a pseudo-lattice needs at least one generator"),
+        ((K.one(), RealNumberField.quadratic(3).gen()), FieldMismatch,
+         "generators must live in the lattice's field"),
+        ((K.gen(), K.one()), NotNormalized, "first generator must be 1"),
+        ((K.one(), K.gen(), K.gen() + 1), DependentGenerators,
+         "generators are linearly dependent over the rationals"),
+    )
+    for generators, error, message in cases:
+        with pytest.raises(error) as info:
+            PseudoLattice(K, generators)
+        assert str(info.value) == message

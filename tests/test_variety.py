@@ -1,6 +1,7 @@
 """Tests for variety files, point counting, and elliptic curve counts."""
 
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 
 from weilzeta.errors import (
     EnumerationBudgetExceeded,
+    InvalidPrime,
     NotHomogeneous,
     ParseError,
     SingularCurve,
@@ -18,6 +20,7 @@ from weilzeta.errors import (
 from weilzeta.ffield import _pmod, _pmul, _ppowmod, _psub, make_field, primes_in_range
 from weilzeta.variety import (
     MultiPoly,
+    PointCountSeries,
     VarietySpec,
     _IndexedField,
     count_points,
@@ -298,6 +301,31 @@ def test_variety_spec_rejects_negative_dimensions():
     for dims in ((-1, 0), (1, -1)):
         with pytest.raises(ParseError, match="dim and vardim must be non-negative"):
             VarietySpec(5, "projective", *dims, ())
+
+
+def test_variety_spec_and_count_series_constructors_check_their_fields():
+    # the constructors called directly, not through the parser's own checks
+    mixed = MultiPoly.from_dict(2, {((0, 2),): 1, ((1, 1),): 1}, 5)
+    with pytest.raises(InvalidPrime, match="^field characteristic 4 is not prime$"):
+        VarietySpec(4, "affine", 1, 0, ())
+    with pytest.raises(ParseError, match="^unknown ambient 'weighted'$"):
+        VarietySpec(5, "weighted", 1, 0, ())
+    with pytest.raises(NotHomogeneous, match=re.escape(
+            "projective ambient requires homogeneous polynomials, "
+            "got degrees [1, 2] in X1 + X0^2")):
+        VarietySpec(5, "projective", 1, 0, (mixed,))
+    assert VarietySpec(5, "affine", 2, 1, (mixed,)).nvars == 2
+    with pytest.raises(ValueError, match="^point counts must be non-negative$"):
+        PointCountSeries(5, (6, -1))
+
+
+def test_multipoly_equality_and_hash_follow_the_fields():
+    a = MultiPoly.from_dict(2, {((0, 2),): 1, ((1, 1),): 3}, 5)
+    b = MultiPoly(2, a.terms)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != MultiPoly(3, a.terms)
+    assert a != MultiPoly.from_dict(2, {((0, 2),): 1, ((1, 1),): 2}, 5)
+    assert a != a.terms
 
 
 def _prime_powers(limit):

@@ -18,12 +18,14 @@ from weilzeta.errors import (
     MixedWeightFactor,
     NoRationalFit,
     NotIntegral,
+    NotNormalized,
     WeightOutOfRange,
     WeilZetaError,
 )
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import (
     RationalFunctionQ,
+    WeilFactorization,
     _numeric_roots,
     betti_check,
     curve_numerator,
@@ -168,6 +170,47 @@ def test_weight_split_elliptic_curve():
     signed = with_sign(fact, 1)
     assert signed.sign == 1
     assert signed.factors == fact.factors
+
+
+def test_with_sign_copies_every_other_field():
+    fact = weight_split(RationalFunctionQ((1,), (1, -3, 2)), 4, 1)
+    assert fact.misplaced and fact.sign is None
+    signed = with_sign(fact, -1)
+    assert signed.sign == -1 and fact.sign is None
+    for name in ("q", "n", "factors", "chi", "misplaced"):
+        assert getattr(signed, name) == getattr(fact, name), name
+    assert signed != fact and with_sign(signed, None) == fact
+    assert hash(with_sign(signed, None)) == hash(fact)
+    # the copy goes through the constructor, so its checks run again
+    signed.chi += 1
+    with pytest.raises(InternalError, match="^chi does not match factor degrees$"):
+        with_sign(signed, 1)
+
+
+def test_weil_factorization_constructor_messages():
+    line = ((0, (1, -1)), (1, (1,)), (2, (1, -5)))
+    assert WeilFactorization(5, 1, line, 2).misplaced == ()
+    cases = (
+        ((5, 1, line[::2], 2), InternalError, "factorization must list every weight 0..2n"),
+        ((5, 1, ((0, (1, -1)), (1, (2, 1)), (2, (1, -5))), 1), NotNormalized,
+         "P_1 must have constant term 1"),
+        ((5, 1, ((0, (1, -2)),) + line[1:], 2), WeightOutOfRange,
+         "weight-0 factor must be 1 - t, got 1 - 2*t"),
+        ((5, 1, line[:2] + ((2, (1, -4)),), 2), WeightOutOfRange,
+         "weight-2 factor must be 1 - 5*t, got 1 - 4*t"),
+        ((5, 1, line, 0), InternalError, "chi does not match factor degrees"),
+    )
+    for args, error, message in cases:
+        with pytest.raises(error) as info:
+            WeilFactorization(*args)
+        assert str(info.value) == message
+
+
+def test_rational_function_equality_and_hash_follow_the_fields():
+    a, b = RationalFunctionQ((1, 2), (1, -5)), RationalFunctionQ((1, 2), (1, -5))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != RationalFunctionQ((1, -5), (1, 2))
+    assert a != ((1, 2), (1, -5))
 
 
 def test_weight_split_projective_plane():
