@@ -385,12 +385,29 @@ def sturm_chain(p):
     return [c for c in chain if c]
 
 
+def _sign_at(p, x):
+    """Sign of p(x) for rational coefficients and rational x = a/d.
+
+    It is the sign of the integer L * d^n * p(a/d) = sum of C_i a^i d^(n-i),
+    with C_i = L*c_i for L the lcm of the coefficient denominators, taken
+    by homogeneous Horner; no gcd is computed.
+    """
+    L = lcm(*(c.denominator for c in p))
+    a, d = x.numerator, x.denominator
+    acc = 0
+    dpow = 1
+    for c in reversed(p):
+        acc = acc * a + c.numerator * (L // c.denominator) * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
+
+
 def _variations(chain, x):
     signs = []
     for p in chain:
-        v = eval_at(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+        v = _sign_at(p, x)
+        if v:
+            signs.append(v)
     count = 0
     for a, b in zip(signs, signs[1:]):
         if a != b:
@@ -438,14 +455,14 @@ def largest_real_root(p):
     k = count_roots(p, lo, hi, chain)
     if k == 0:
         return None
-    while k > 1 or eval_at(p, lo) == 0:
+    while k > 1 or _sign_at(p, lo) == 0:
         mid = (lo + hi) / 2
         right = count_roots(p, mid, hi, chain)
         if right:
             lo, k = mid, right
         else:
             hi = mid
-    if eval_at(p, hi) == 0:
+    if _sign_at(p, hi) == 0:
         return hi, hi
     return lo, hi
 
@@ -453,11 +470,11 @@ def largest_real_root(p):
 def refine_bracket(p, lo, hi):
     """Halve a sign-change bracket around the single root of p in (lo, hi)."""
     mid = (lo + hi) / 2
-    flo = eval_at(p, lo)
-    fmid = eval_at(p, mid)
-    if fmid == 0:
+    slo = _sign_at(p, lo)
+    smid = _sign_at(p, mid)
+    if smid == 0:
         # rational root hit exactly; collapse
         return mid, mid
-    if (flo < 0) != (fmid < 0):
+    if (slo < 0) != (smid < 0):
         return lo, mid
     return mid, hi

@@ -16,7 +16,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering
-from math import floor as _floor
+from math import floor as _floor, lcm
 
 from . import qpoly
 from .errors import (DivisionByZero, FieldMismatch, InvalidInterval,
@@ -25,19 +25,40 @@ from .qlinalg import nullspace
 
 
 def _interval_eval(p, lo, hi):
-    """Enclosure of p over [lo, hi] by monomial interval arithmetic."""
-    plo, phi = Fraction(1), Fraction(1)
-    acc_lo, acc_hi = Fraction(0), Fraction(0)
+    """Enclosure of p over [lo, hi] by monomial interval arithmetic, computed
+    on integer numerators.
+
+    With the coordinates c_i = C_i/D and the endpoints a/d, b/d over common
+    denominators, x^i ranges over [P_i, Q_i]/d^i, where P_i and Q_i come
+    from the min/max recurrence on the integers a and b, and term i lies
+    between the ends of C_i*[P_i, Q_i]/(D*d^i). Horner in d sums the terms
+    over D*d^n, so the enclosure is the rational pair that the same
+    arithmetic on Fractions gives.
+    """
+    if not p:
+        return Fraction(0), Fraction(0)
+    den = lcm(*(c.denominator for c in p))
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    plo = phi = 1
+    acc_lo = acc_hi = 0
     for c in p:
+        acc_lo *= d
+        acc_hi *= d
         if c:
-            c = Fraction(c)
-            term_lo = min(c * plo, c * phi)
-            term_hi = max(c * plo, c * phi)
-            acc_lo += term_lo
-            acc_hi += term_hi
-        cands = (plo * lo, plo * hi, phi * lo, phi * hi)
+            c = c.numerator * (den // c.denominator)
+            # plo <= phi, so the sign of c orders the two products
+            if c > 0:
+                acc_lo += c * plo
+                acc_hi += c * phi
+            else:
+                acc_lo += c * phi
+                acc_hi += c * plo
+        cands = (plo * a, plo * b, phi * a, phi * b)
         plo, phi = min(cands), max(cands)
-    return acc_lo, acc_hi
+    scale = den * d ** (len(p) - 1)
+    return Fraction(acc_lo, scale), Fraction(acc_hi, scale)
 
 
 class RealNumberField:
@@ -62,7 +83,7 @@ class RealNumberField:
                 raise NotIrreducible(f"{qpoly.poly_str(minpoly, 'x')} is reducible over Q")
             if lo >= hi:
                 raise InvalidInterval("interval must satisfy lo < hi")
-            if qpoly.eval_at(minpoly, lo) == 0 or qpoly.eval_at(minpoly, hi) == 0:
+            if qpoly._sign_at(minpoly, lo) == 0 or qpoly._sign_at(minpoly, hi) == 0:
                 raise InvalidInterval("interval endpoints must not be roots")
             if qpoly.count_roots(minpoly, lo, hi) != 1:
                 raise InvalidInterval("interval must isolate exactly one real root")

@@ -10,6 +10,7 @@ from weilzeta import qpoly
 from weilzeta.errors import DivisionByZero, InvalidInterval, NotIrreducible
 from weilzeta.realalg import (
     RealNumberField,
+    _interval_eval,
     minimal_polynomial,
 )
 
@@ -191,3 +192,75 @@ def test_cube_root_of_two_reduces_modulo_its_minimal_polynomial():
     assert x * x.inverse() == K.one()
     assert x.inverse() == K.element((F(1, 3), F(-1, 3), F(1, 3)))
     assert theta ** -1 == K.element((0, 0, F(1, 2)))
+
+
+def _interval_eval_on_fractions(p, lo, hi):
+    """The enclosure as monomial interval arithmetic on Fractions computes it."""
+    plo, phi = F(1), F(1)
+    acc_lo, acc_hi = F(0), F(0)
+    for c in p:
+        if c:
+            c = F(c)
+            acc_lo += min(c * plo, c * phi)
+            acc_hi += max(c * plo, c * phi)
+        cands = (plo * lo, plo * hi, phi * lo, phi * hi)
+        plo, phi = min(cands), max(cands)
+    return acc_lo, acc_hi
+
+
+def _random_rational(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-30, 30)
+    return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+
+
+def _random_endpoints(rng):
+    """[lo, hi] with lo == hi, both ends negative, 0 inside, or anywhere."""
+    a, b = sorted(F(rng.randint(1, 10**5), rng.randint(1, 999)) for _ in range(2))
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = rng.choice((a, -a))
+        return x, x  # the interval of a degree-one field
+    if kind == 1:
+        return -b, -a
+    if kind == 2:
+        return -a, b
+    return rng.choice((a, -b)), rng.choice((b, b + a))
+
+
+def test_interval_eval_on_integers_matches_fraction_arithmetic():
+    rng = random.Random(20260418)
+    for _ in range(3000):
+        degree = rng.randint(1, 6)
+        coords = tuple(_random_rational(rng) for _ in range(degree))
+        lo, hi = _random_endpoints(rng)
+        assert lo <= hi
+        got = _interval_eval(coords, lo, hi)
+        assert got == _interval_eval_on_fractions(coords, lo, hi), (coords, lo, hi)
+        assert all(type(v) is F for v in got)
+
+
+def test_interval_eval_of_zero_is_zero():
+    assert _interval_eval((), F(1), F(2)) == (0, 0)
+    assert _interval_eval((0, F(0), 0), F(-3, 2), F(5, 7)) == (0, 0)
+    assert _interval_eval((0,), F(4, 3), F(4, 3)) == (0, 0)
+
+
+def test_sign_at_matches_exact_evaluation():
+    rng = random.Random(20260419)
+    for _ in range(3000):
+        degree = rng.randint(0, 6)
+        if rng.randrange(2):
+            p = tuple(rng.randint(-20, 20) for _ in range(degree + 1))
+        else:
+            p = tuple(_random_rational(rng) for _ in range(degree + 1))
+        x = rng.choice((0, rng.randint(-9, 9), F(rng.randint(-10**4, 10**4), rng.randint(1, 999))))
+        v = qpoly.eval_at(p, x)
+        assert qpoly._sign_at(p, x) == (v > 0) - (v < 0), (p, x)
+    # exact roots, from a factor (x - r) with rational r
+    for r in (F(3, 7), F(-5, 2), 0, 4):
+        p = qpoly.mul((-r, 1), (1, F(2, 3), 5))
+        assert qpoly._sign_at(p, r) == 0
