@@ -2,7 +2,7 @@
 
 For y^2 = x^3 + Ax + B over F_p the Frobenius trace a = p + 1 - |E(F_p)|
 determines the eigenvalue pair as roots of lambda^2 - a*lambda + q, stored
-exactly as rational part plus rational multiple of sqrt(|a^2 - 4q|). For
+exactly as the integers a and q with the discriminant a^2 - 4q. For
 the curve y^2 = x^3 - x, which has complex multiplication by the Gaussian
 integers, the trace is also computable without counting points: write
 p = a^2 + b^2 with a odd and a + b = 1 (mod 4), then the trace is 2a.
@@ -11,7 +11,6 @@ Both routes are kept separate so one can cross-check the other.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .errors import HasseViolation, InternalError, InvalidInput, InvalidPrime
@@ -62,23 +61,16 @@ class GaussianInt:
 
 
 class FrobeniusData:
-    """Eigenvalue pair rat +- rad*sqrt(|disc|) (times i when disc < 0).
-
-    Exact invariants: the pair sums to a and multiplies to q.
+    """Eigenvalue pair (a +- sqrt(disc)) / 2 of lambda^2 - a*lambda + q,
+    with disc = a^2 - 4q; it sums to a and multiplies to q.
     """
 
-    __slots__ = ("a", "q", "disc", "rat", "rad")
+    __slots__ = ("a", "q", "disc")
 
-    def __init__(self, a, q, disc, rat, rad):
+    def __init__(self, a, q):
         self.a = a
         self.q = q
-        self.disc = disc
-        self.rat = rat  # Fraction
-        self.rad = rad  # Fraction
-        if 2 * rat != a:
-            raise InternalError("eigenvalues must sum to the trace")
-        if rat ** 2 - rad ** 2 * disc != q:
-            raise InternalError("eigenvalues must multiply to q")
+        self.disc = a * a - 4 * q
 
     def power_sum(self, m):
         """s_m = lambda1^m + lambda2^m by the integer recurrence."""
@@ -96,13 +88,13 @@ class FrobeniusData:
         return self.q ** m + 1 - self.power_sum(m)
 
     def eigenvalue_str(self):
-        rat, rad = self.rat, self.rad
-        if self.disc == 0 or rad == 0:
+        """'a/2 +- 1/2*sqrt(|disc|)', with i*sqrt when disc < 0 and a/2 in
+        lowest terms."""
+        rat = str(self.a // 2) if self.a % 2 == 0 else f"{self.a}/2"
+        if self.disc == 0:
             return f"{rat} (double)"
         unit = f"sqrt({abs(self.disc)})" if self.disc > 0 else f"i*sqrt({abs(self.disc)})"
-        mag = abs(rad)
-        coef = unit if mag == 1 else f"{mag}*{unit}"
-        return f"{rat} +- {coef}"
+        return f"{rat} +- 1/2*{unit}"
 
 
 def frobenius_trace(A, B, p):
@@ -112,8 +104,7 @@ def frobenius_trace(A, B, p):
 
 def frobenius_eigenvalues(a, q):
     """Roots of lambda^2 - a*lambda + q as exact FrobeniusData."""
-    return FrobeniusData(a=a, q=q, disc=a * a - 4 * q,
-                         rat=Fraction(a, 2), rad=Fraction(1, 2))
+    return FrobeniusData(a=a, q=q)
 
 
 def cornacchia_two_squares(p):

@@ -18,6 +18,8 @@ characteristic polynomial's own loop. No floating point enters any trusted value
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
@@ -48,15 +50,15 @@ class HeckeLikeMatrix:
             for v in row:
                 if not isinstance(v, int) or v < 0:
                     raise InvalidInput(f"entries must be non-negative integers, got {v!r}")
+        # Once a power of A is positive, so is every higher one, so A^bound
+        # is positive exactly when A^(2^k) is for the least 2^k >= bound;
+        # k squarings of the positivity pattern, rows as bitmasks, reach it.
         bound = (b - 1) ** 2 + 1
-        positive = [[v > 0 for v in row] for row in rows]
-        power = positive
-        for _ in range(bound):
-            if all(all(row) for row in power):
-                break
-            power = [[any(power[i][k] and positive[k][j] for k in range(b))
-                      for j in range(b)] for i in range(b)]
-        else:
+        power = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
+        for _ in range((bound - 1).bit_length()):
+            power = [reduce(or_, (row for k, row in enumerate(power) if mask >> k & 1), 0)
+                     for mask in power]
+        if any(mask != (1 << b) - 1 for mask in power):
             raise NotPrimitive(
                 f"no power up to {bound} has all entries positive")
         if ell is not None:
@@ -87,21 +89,22 @@ def _largest_real_root(charpoly):
     for fac, _ in qpoly.factor_int(charpoly)[1]:
         bracket = qpoly.largest_real_root(fac)
         if bracket is not None:
-            candidates.append((fac, bracket))
+            # the sign at the lower end, which refinement keeps
+            candidates.append((fac, bracket, qpoly._sign_at(fac, bracket[0])))
     if not candidates:
         raise InternalError("characteristic polynomial has no real root")
-    best_poly, best = candidates[0]
-    for other_poly, other in candidates[1:]:
+    best_poly, best, best_sign = candidates[0]
+    for other_poly, other, other_sign in candidates[1:]:
         lo, hi = best
         olo, ohi = other
         # distinct irreducibles never share a root, so refinement separates
         while not (hi < olo or ohi < lo):
             if lo != hi:
-                lo, hi = qpoly.refine_bracket(best_poly, lo, hi)
+                lo, hi = qpoly.refine_bracket(best_poly, lo, hi, best_sign)
             if olo != ohi:
-                olo, ohi = qpoly.refine_bracket(other_poly, olo, ohi)
+                olo, ohi = qpoly.refine_bracket(other_poly, olo, ohi, other_sign)
         if olo > hi:
-            best_poly, best = other_poly, (olo, ohi)
+            best_poly, best, best_sign = other_poly, (olo, ohi), other_sign
         else:
             best = (lo, hi)
     return best_poly, best

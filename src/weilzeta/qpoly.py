@@ -65,14 +65,6 @@ def mul(p, q):
     return tuple(out)
 
 
-def eval_at(p, x):
-    """Horner evaluation; exact for rational x."""
-    acc = 0
-    for c in reversed(trim(p)):
-        acc = acc * x + c
-    return acc
-
-
 def deriv(p):
     return trim(tuple(k * p[k] for k in range(1, len(p))))
 
@@ -102,8 +94,11 @@ def divmod_poly(num, den):
 
 
 def _pseudo_rem(a, b):
-    """lc(b)^k * (a mod b) for integer a and b and some k >= 0, computed in
-    integers: each elimination step first scales the remainder by lc(b)."""
+    """|lc(b)|^k * (a mod b) for integer a and b and some k >= 0, computed in
+    integers: each elimination step first scales the remainder by |lc(b)|,
+    reducing by -b when lc(b) < 0, so the result is a positive multiple."""
+    if b[-1] < 0:
+        b = neg(b)
     r = list(a)
     lead, low, db = b[-1], b[:-1], len(b) - 1
     while len(r) - 1 >= db:
@@ -134,23 +129,10 @@ def gcd_poly(p, q):
     return tuple(Fraction(c) / lead for c in a)
 
 
-def ext_gcd_poly(p, q):
-    """Extended Euclid: returns (g, u, v) with u*p + v*q = g, g monic."""
-    a, b = trim(p), trim(q)
-    ua, va = (Fraction(1),), ()
-    ub, vb = (), (Fraction(1),)
-    while b:
-        quo, rem = divmod_poly(a, b)
-        a, b = b, rem
-        ua, ub = ub, sub(ua, mul(quo, ub))
-        va, vb = vb, sub(va, mul(quo, vb))
-    if not a:
-        return (), ua, va
-    lead = Fraction(a[-1])
-    inv = 1 / lead
-    return (tuple(Fraction(c) * inv for c in a),
-            tuple(Fraction(c) * inv for c in ua),
-            tuple(Fraction(c) * inv for c in va))
+def _content_free(p):
+    """p divided by the positive gcd of its integer coefficients."""
+    g = gcd(*p)
+    return tuple(c // g for c in p) if g > 1 else p
 
 
 def primitive_int(p):
@@ -162,12 +144,8 @@ def primitive_int(p):
     if not p:
         return ()
     den = lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(Fraction(c) * den) for c in p]
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    ints = _content_free(tuple(int(Fraction(c) * den) for c in p))
+    return ints if ints[-1] > 0 else neg(ints)
 
 
 def factor_int(p):
@@ -374,30 +352,34 @@ def cauchy_root_bound(p):
 
 
 def sturm_chain(p):
-    """Sturm sequence of p; expects p square-free for exact root counts."""
+    """Sturm sequence of an integer polynomial p; expects p square-free for
+    exact root counts.
+
+    Members are integer pseudo-remainders over their positive content, so
+    each is a positive multiple of the classical member (p, p', then minus
+    the remainder of the two before) and gives the same signs.
+    """
     p = trim(p)
-    chain = [p, deriv(p)]
+    chain = [_content_free(p), _content_free(deriv(p))]
     while chain[-1]:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append(neg(rem))
+        chain.append(_content_free(neg(rem)))
     return [c for c in chain if c]
 
 
 def _sign_at(p, x):
-    """Sign of p(x) for rational coefficients and rational x = a/d.
+    """Sign of p(x) for integer coefficients and rational x = a/d.
 
-    It is the sign of the integer L * d^n * p(a/d) = sum of C_i a^i d^(n-i),
-    with C_i = L*c_i for L the lcm of the coefficient denominators, taken
-    by homogeneous Horner; no gcd is computed.
+    It is the sign of the integer d^n * p(a/d) = sum of c_i a^i d^(n-i),
+    taken by homogeneous Horner; no gcd is computed.
     """
-    L = lcm(*(c.denominator for c in p))
     a, d = x.numerator, x.denominator
     acc = 0
     dpow = 1
     for c in reversed(p):
-        acc = acc * a + c.numerator * (L // c.denominator) * dpow
+        acc = acc * a + c * dpow
         dpow *= d
     return (acc > 0) - (acc < 0)
 
@@ -455,26 +437,29 @@ def largest_real_root(p):
     k = count_roots(p, lo, hi, chain)
     if k == 0:
         return None
-    while k > 1 or _sign_at(p, lo) == 0:
+    while k > 1 or _sign_at(chain[0], lo) == 0:
         mid = (lo + hi) / 2
         right = count_roots(p, mid, hi, chain)
         if right:
             lo, k = mid, right
         else:
             hi = mid
-    if _sign_at(p, hi) == 0:
+    if _sign_at(chain[0], hi) == 0:
         return hi, hi
     return lo, hi
 
 
-def refine_bracket(p, lo, hi):
-    """Halve a sign-change bracket around the single root of p in (lo, hi)."""
+def refine_bracket(p, lo, hi, sign_lo):
+    """Halve a sign-change bracket around the single root of p in (lo, hi).
+
+    sign_lo is the sign of p at lo. Halving keeps it: lo moves only to a
+    midpoint of that same sign, so callers compute it once per bracket.
+    """
     mid = (lo + hi) / 2
-    slo = _sign_at(p, lo)
     smid = _sign_at(p, mid)
     if smid == 0:
         # rational root hit exactly; collapse
         return mid, mid
-    if (slo < 0) != (smid < 0):
+    if smid != sign_lo:
         return lo, mid
     return mid, hi

@@ -21,7 +21,7 @@ from math import floor as _floor, lcm
 from . import qpoly
 from .errors import (DivisionByZero, FieldMismatch, InvalidInterval,
                      NotIrreducible)
-from .qlinalg import nullspace
+from .qlinalg import nullspace, solve_right
 
 
 def _interval_eval(p, lo, hi):
@@ -76,6 +76,7 @@ class RealNumberField:
             if not lo <= root <= hi:
                 raise InvalidInterval(f"interval does not contain the root {root}")
             lo = hi = root
+            self._lo_sign = 0
         else:
             # a monic primitive polynomial is irreducible when it is its own
             # only factor
@@ -83,7 +84,9 @@ class RealNumberField:
                 raise NotIrreducible(f"{qpoly.poly_str(minpoly, 'x')} is reducible over Q")
             if lo >= hi:
                 raise InvalidInterval("interval must satisfy lo < hi")
-            if qpoly._sign_at(minpoly, lo) == 0 or qpoly._sign_at(minpoly, hi) == 0:
+            # sign of the minpoly at the lower end, which refine() keeps
+            self._lo_sign = qpoly._sign_at(minpoly, lo)
+            if self._lo_sign == 0 or qpoly._sign_at(minpoly, hi) == 0:
                 raise InvalidInterval("interval endpoints must not be roots")
             if qpoly.count_roots(minpoly, lo, hi) != 1:
                 raise InvalidInterval("interval must isolate exactly one real root")
@@ -133,7 +136,7 @@ class RealNumberField:
         lo, hi = self._interval
         if lo == hi:
             return
-        lo2, hi2 = qpoly.refine_bracket(self.minpoly, lo, hi)
+        lo2, hi2 = qpoly.refine_bracket(self.minpoly, lo, hi, self._lo_sign)
         self._interval = [lo2, hi2]
 
     def interval(self):
@@ -234,10 +237,17 @@ class RealAlgebraic:
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        # y = 1/x solves M y = e_0, where column j of M holds the coordinates
+        # of x*theta^j; each column shifts the last up one power and folds
+        # theta^D back through the monic minimal polynomial
         f = self.field
-        g, u, _ = qpoly.ext_gcd_poly(qpoly.trim(self.coords), f.minpoly)
-        assert qpoly.degree(g) == 0
-        return f._residue(u)
+        cols = [self.coords]
+        for _ in range(f.degree - 1):
+            col = cols[-1]
+            # zip stops before the minpoly's leading 1
+            cols.append(tuple(a - col[-1] * m for a, m in zip((0,) + col[:-1], f.minpoly)))
+        y = solve_right(list(zip(*cols)), [1] + [0] * (f.degree - 1))
+        return RealAlgebraic(f, tuple(y))
 
     def __truediv__(self, other):
         o = self._coerce(other)

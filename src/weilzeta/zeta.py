@@ -158,7 +158,7 @@ def _series_div(num, den, order):
         raise NotNormalized("series inverse needs constant term 1")
     out = []
     for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        acc = num[k] if k < len(num) else 0
         for j in range(1, min(k, len(den) - 1) + 1):
             acc -= den[j] * out[k - j]
         out.append(acc)
@@ -198,8 +198,9 @@ def pade_reconstruct(s, num_deg, den_deg):
     """Rational function matching the series through order num_deg+den_deg.
 
     Solves the linear system for the denominator, reads off the numerator,
-    then verifies by dividing num by den as power series and comparing
-    against every available series term.
+    then verifies den * s = num at every available order. With den(0) = 1,
+    the first order where that fails is the first where num/den re-expanded
+    as a power series differs from the series.
     """
     coeffs = s.coeffs if isinstance(s, PowerSeriesQ) else tuple(s)
     order = len(coeffs) - 1
@@ -222,15 +223,15 @@ def pade_reconstruct(s, num_deg, den_deg):
         den = (Fraction(1),) + tuple(sol)
     else:
         den = (Fraction(1),)
-    num = tuple(sum(den[j] * c(k - j) for j in range(min(k, den_deg) + 1))
-                for k in range(num_deg + 1))
 
-    expanded = _series_div(num, den, order)
-    for k in range(order + 1):
-        if expanded[k] != c(k):
+    def prod(k):  # coefficient k of den * s
+        return sum(den[j] * c(k - j) for j in range(min(k, den_deg) + 1))
+
+    for k in range(num_deg + 1, order + 1):
+        if prod(k):
             raise NoRationalFit(
                 f"re-expansion differs from the series at order {k}")
-    return rational_function(num, den)
+    return rational_function(tuple(prod(k) for k in range(num_deg + 1)), den)
 
 
 def curve_numerator(counts, g, mode="full"):

@@ -132,6 +132,24 @@ def test_hostile_inputs_fail_fast_in_a_fresh_process(tmp_path, text, argv, code,
     assert elapsed < seconds
 
 
+def test_large_imprimitive_matrix_is_refused_fast_in_a_fresh_process(tmp_path):
+    # a 60 x 60 cyclic permutation: no power is positive, and deciding that
+    # takes 12 squarings of the positivity pattern, not 3,482 products
+    b = 60
+    path = tmp_path / "cycle.matrix"
+    path.write_text("".join(" ".join("1" if j == (i + 1) % b else "0" for j in range(b)) + "\n"
+                            for i in range(b)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", "dimgroup", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "NotPrimitive: no power up to 3482 has all entries positive" in done.stderr
+    assert elapsed < 2.0
+
+
 def test_field_tables_to_2_16_build_fast_in_a_fresh_process(tmp_path):
     # no point of P^0 over F_2 satisfies X0 = 0, so the run is the Zech
     # tables of F_2^m for m = 1..16, 2^17 entries in all
@@ -393,9 +411,10 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
                   if line.startswith("import time:")}
         assert {m for m in loaded if m.split(".")[0] == "weilzeta"} == ours, argv[0]
         assert not {m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")}, argv[0]
+        if argv[0] in ("count", "cm"):
+            # Fraction is only in the algebra modules
+            assert not loaded & {"fractions", "decimal", "numbers"}, argv[0]
         if argv[0] == "count":
-            # Fraction is only in cmcurve's records and the algebra modules
-            assert "fractions" not in loaded
             assert "weilzeta.cmcurve" not in loaded
 
 

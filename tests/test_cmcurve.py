@@ -1,7 +1,5 @@
 """Tests for Gaussian integers, Cornacchia, and the CM trace formula."""
 
-from fractions import Fraction
-
 import pytest
 
 from weilzeta.cmcurve import (
@@ -14,7 +12,7 @@ from weilzeta.cmcurve import (
     grossencharacter_psi,
     grossencharacter_trace_d1,
 )
-from weilzeta.errors import HasseViolation, InternalError, InvalidInput, InvalidPrime
+from weilzeta.errors import HasseViolation, InvalidInput, InvalidPrime
 from weilzeta.ffield import primes_in_range
 from weilzeta.variety import count_points, ec_count, weierstrass_variety
 
@@ -118,16 +116,20 @@ def test_frobenius_eigenvalues_invariants():
     fd = frobenius_eigenvalues(-2, 5)
     assert fd.a == -2 and fd.q == 5
     assert fd.disc == -16
-    assert fd.rat == Fraction(-1)
-    assert fd.rad == Fraction(1, 2)
-    assert "sqrt" in fd.eigenvalue_str()
+    assert FrobeniusData(-2, 5).disc == -16
 
 
-def test_frobenius_data_validates_eigenvalue_identities():
-    with pytest.raises(InternalError):
-        FrobeniusData(-2, 5, -15, Fraction(-1), Fraction(1, 2))
-    with pytest.raises(InternalError):
-        FrobeniusData(-2, 5, -16, Fraction(-1), Fraction(1, 3))
+@pytest.mark.parametrize("a, q, text", [
+    (-2, 5, "-1 +- 1/2*i*sqrt(16)"),
+    (3, 5, "3/2 +- 1/2*i*sqrt(11)"),
+    (-3, 2, "-3/2 +- 1/2*sqrt(1)"),
+    (0, 7, "0 +- 1/2*i*sqrt(28)"),
+    (5, 1, "5/2 +- 1/2*sqrt(21)"),
+    (4, 4, "2 (double)"),
+    (-6, 9, "-3 (double)"),
+])
+def test_eigenvalue_str_prints_half_the_trace_and_half_the_root(a, q, text):
+    assert frobenius_eigenvalues(a, q).eigenvalue_str() == text
 
 
 def test_power_sums_and_extension_counts():
@@ -160,13 +162,6 @@ def test_count_via_character_rejects_hasse_violations():
         count_via_character(6, 5)
     with pytest.raises(HasseViolation):
         count_via_character(1, 0)
-
-
-def test_frobenius_data_messages():
-    with pytest.raises(InternalError, match="^eigenvalues must sum to the trace$"):
-        FrobeniusData(-2, 5, -16, Fraction(1), Fraction(1, 2))
-    with pytest.raises(InternalError, match="^eigenvalues must multiply to q$"):
-        FrobeniusData(-2, 5, -15, Fraction(-1), Fraction(1, 2))
 
 
 def test_gaussian_int_equality_and_hash_follow_the_fields():

@@ -61,6 +61,60 @@ def test_primitivity_allows_zero_entries():
     assert T.rows == ((0, 1), (1, 1))
 
 
+def _first_positive_power(rows):
+    """Least k <= (b-1)^2 + 1 with A^k positive, by boolean products, or None."""
+    b = len(rows)
+    positive = [[v > 0 for v in row] for row in rows]
+    power = positive
+    for k in range(1, (b - 1) ** 2 + 2):
+        if all(all(row) for row in power):
+            return k
+        power = [[any(power[i][j] and positive[j][m] for j in range(b))
+                  for m in range(b)] for i in range(b)]
+    return None
+
+
+def _is_accepted(rows):
+    try:
+        make_matrix(rows)
+    except NotPrimitive:
+        return False
+    return True
+
+
+def _wielandt(b):
+    """The cycle 0 -> 1 -> ... -> b-1 -> 0 with the chord b-1 -> 1: its first
+    positive power is exactly (b-1)^2 + 1 (Wielandt's extremal matrix)."""
+    rows = [[0] * b for _ in range(b)]
+    for i in range(b):
+        rows[i][(i + 1) % b] = 1
+    rows[b - 1][1] = 1
+    return rows
+
+
+def test_primitivity_by_squaring_matches_successive_powers():
+    rng = random.Random(20261019)
+    verdicts = set()
+    for _ in range(400):
+        b = rng.randint(1, 6)
+        density = rng.choice((0.15, 0.3, 0.5))
+        rows = [[rng.randint(1, 3) if rng.random() < density else 0 for _ in range(b)]
+                for _ in range(b)]
+        verdict = _first_positive_power(rows) is not None
+        assert _is_accepted(rows) == verdict, rows
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # the bound is reached: no lower power of Wielandt's matrix is positive
+    for b in range(2, 8):
+        assert _first_positive_power(_wielandt(b)) == (b - 1) ** 2 + 1
+        assert _is_accepted(_wielandt(b))
+    for b in (40, 60):
+        assert _is_accepted(_wielandt(b))
+        cycle = _wielandt(b)
+        cycle[b - 1][1] = 0
+        assert not _is_accepted(cycle)
+
+
 def test_build_certifies_perron_eigenvalue():
     G = _hecke_group()
     assert minimal_polynomial(G.lam) == (2, -4, 1)

@@ -37,10 +37,18 @@ def test_mul_known_products():
     assert qp.mul((), (1, 2)) == ()
 
 
+def _eval_at(p, x):
+    """Horner evaluation, the reference for sign tests; exact for rational x."""
+    acc = 0
+    for c in reversed(qp.trim(p)):
+        acc = acc * x + c
+    return acc
+
+
 def test_eval_at():
-    assert qp.eval_at((1, -6, 5), Fraction(1)) == 0
-    assert qp.eval_at((1, 2, 5), Fraction(1, 2)) == Fraction(13, 4)
-    assert qp.eval_at((), Fraction(7)) == 0
+    assert _eval_at((1, -6, 5), Fraction(1)) == 0
+    assert _eval_at((1, 2, 5), Fraction(1, 2)) == Fraction(13, 4)
+    assert _eval_at((), Fraction(7)) == 0
 
 
 def test_deriv():
@@ -76,13 +84,6 @@ def test_gcd_is_monic_common_factor():
     b = qp.mul((-1, 1), (1, 3))
     assert qp.gcd_poly(a, b) == (Fraction(-1), Fraction(1))
     assert qp.gcd_poly((1, 2, 5), (1, -1)) == (Fraction(1),)
-
-
-def test_ext_gcd_bezout_identity():
-    p, q = (-1, 0, 1), (-1, 1)
-    g, u, v = qp.ext_gcd_poly(p, q)
-    assert g == (Fraction(-1), Fraction(1))
-    assert qp.add(qp.mul(u, p), qp.mul(v, q)) == g
 
 
 def test_primitive_int_normalizes():
@@ -257,12 +258,13 @@ def test_largest_real_root_with_rational_roots():
     lo, hi = qp.largest_real_root(p)
     assert lo < hi
     assert qp.count_roots(p, lo, hi) == 1
-    assert (qp.eval_at(p, lo) < 0) != (qp.eval_at(p, hi) < 0)
+    assert (_eval_at(p, lo) < 0) != (_eval_at(p, hi) < 0)
     assert qp.count_roots(p, hi, qp.cauchy_root_bound(p)) == 0
 
 
 def test_refine_bracket_halves_and_keeps_root():
-    lo, hi = qp.refine_bracket((-2, 0, 1), Fraction(1), Fraction(2))
+    # x^2 - 2 is negative at 1
+    lo, hi = qp.refine_bracket((-2, 0, 1), Fraction(1), Fraction(2), -1)
     assert Fraction(1) <= lo < hi <= Fraction(2)
     assert hi - lo <= Fraction(1, 2)
     assert qp.count_roots((-2, 0, 1), lo, hi) == 1
@@ -270,7 +272,94 @@ def test_refine_bracket_halves_and_keeps_root():
 
 def test_sturm_chain_signs_count_roots():
     chain = qp.sturm_chain((-2, 0, 1))
-    # chain starts with p and p'
-    assert chain[0] == (Fraction(-2), Fraction(0), Fraction(1))
-    assert chain[1] == (Fraction(0), Fraction(2))
+    # chain starts with p and p' = 2x, each divided by its content
+    assert chain == [(-2, 0, 1), (0, 1), (1,)]
+    assert all(type(c) is int for member in chain for c in member)
     assert qp.count_roots((-2, 0, 1), Fraction(1), Fraction(2), chain=chain) == 1
+    # x^3 - 3x + 1 has three real roots, in (-2, -1), (0, 1) and (1, 2)
+    chain = qp.sturm_chain((1, -3, 0, 1))
+    assert chain == [(1, -3, 0, 1), (-1, 0, 1), (-1, 2), (1,)]
+    assert [qp.count_roots((1, -3, 0, 1), Fraction(a), Fraction(a + 1), chain=chain)
+            for a in range(-3, 3)] == [0, 1, 0, 1, 1, 0]
+
+
+def _fraction_sturm_chain(p):
+    """The classical chain on Fractions: p, p', then minus the remainder of
+    the two before, by division over Q."""
+    p = qp.trim(p)
+    chain = [tuple(Fraction(c) for c in p), qp.deriv(p)]
+    while chain[-1]:
+        rem = qp.divmod_poly(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(qp.neg(rem))
+    return [c for c in chain if c]
+
+
+def _random_int_poly(rng):
+    degree = rng.randint(0, 9)
+    coeffs = [rng.choice((0, rng.randint(-9, 9), rng.randint(-10**6, 10**6)))
+              for _ in range(degree)]
+    lead = rng.choice((1, -1, rng.randint(-50, 50) or 3))
+    if rng.randrange(3) == 0:
+        # a square factor, so the chain ends in a nonconstant gcd
+        return qp.mul(qp.mul((rng.randint(-5, 5), 1), (rng.randint(-5, 5), 1)), coeffs + [lead])
+    return tuple(coeffs + [lead])
+
+
+def test_integer_sturm_chain_is_a_positive_multiple_of_the_fraction_chain():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        p = _random_int_poly(rng)
+        chain, reference = qp.sturm_chain(p), _fraction_sturm_chain(p)
+        assert len(chain) == len(reference), p
+        for member, classical in zip(chain, reference):
+            assert all(type(c) is int for c in member), p
+            assert len(member) == len(classical), p
+            ratio = Fraction(member[-1]) / classical[-1]
+            assert ratio > 0, p
+            assert tuple(ratio * c for c in classical) == member, p
+        ends = sorted({Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 300))
+                       for _ in range(4)})
+        for lo, hi in zip(ends, ends[1:]):
+            assert (qp.count_roots(p, lo, hi, chain)
+                    == qp.count_roots(p, lo, hi, reference)), (p, lo, hi)
+
+
+def test_pseudo_rem_is_a_positive_multiple_of_the_remainder():
+    rng = random.Random(4099)
+    for _ in range(300):
+        a, b = _random_int_poly(rng), _random_int_poly(rng)
+        rem, reference = qp._pseudo_rem(a, b), qp.divmod_poly(a, b)[1]
+        assert len(rem) == len(reference), (a, b)
+        if rem:
+            ratio = Fraction(rem[-1]) / reference[-1]
+            assert ratio > 0 and tuple(ratio * c for c in reference) == rem, (a, b)
+
+
+def _refine_recomputing_sign(p, lo, hi):
+    """Halving that evaluates the sign at lo on every step."""
+    mid = (lo + hi) / 2
+    slo, smid = _eval_at(p, lo), _eval_at(p, mid)
+    if smid == 0:
+        return mid, mid
+    if (slo < 0) != (smid < 0):
+        return lo, mid
+    return mid, hi
+
+
+def test_refine_bracket_with_a_carried_sign_matches_signs_recomputed():
+    # the sign at lo survives every halving, so refining with the first
+    # sign gives the brackets that recomputing it at each step gives
+    for p, lo, hi in [((-2, 0, 1), 1, 2), ((-2, 0, 0, 1), 1, 2), ((1, -3, 0, 1), 0, 1),
+                      ((-1, -1, 1), 1, 2), ((-3, 0, 1), -2, -1), ((-6, 11, -6, 1), 2, 4),
+                      ((7, 0, -13, 0, 3), -2, -1)]:
+        lo, hi = Fraction(lo), Fraction(hi)
+        sign_lo = qp._sign_at(p, lo)
+        for _ in range(60):
+            if lo == hi:
+                break
+            expected = _refine_recomputing_sign(p, lo, hi)
+            lo, hi = qp.refine_bracket(p, lo, hi, sign_lo)
+            assert (lo, hi) == expected, p
+        assert qp.count_roots(p, lo - Fraction(1, 10**30), hi) == 1, p

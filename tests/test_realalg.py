@@ -249,18 +249,63 @@ def test_interval_eval_of_zero_is_zero():
     assert _interval_eval((0,), F(4, 3), F(4, 3)) == (0, 0)
 
 
+def _eval_at(p, x):
+    """Horner evaluation; exact for rational x."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def test_sign_at_matches_exact_evaluation():
+    # _sign_at takes integer coefficients; every caller passes integers
     rng = random.Random(20260419)
     for _ in range(3000):
         degree = rng.randint(0, 6)
-        if rng.randrange(2):
-            p = tuple(rng.randint(-20, 20) for _ in range(degree + 1))
-        else:
-            p = tuple(_random_rational(rng) for _ in range(degree + 1))
+        p = tuple(rng.choice((rng.randint(-20, 20), rng.randint(-10**9, 10**9)))
+                  for _ in range(degree + 1))
         x = rng.choice((0, rng.randint(-9, 9), F(rng.randint(-10**4, 10**4), rng.randint(1, 999))))
-        v = qpoly.eval_at(p, x)
+        v = _eval_at(p, x)
         assert qpoly._sign_at(p, x) == (v > 0) - (v < 0), (p, x)
-    # exact roots, from a factor (x - r) with rational r
+    # exact roots, from a factor (q*x - r) with rational r = a/q
     for r in (F(3, 7), F(-5, 2), 0, 4):
-        p = qpoly.mul((-r, 1), (1, F(2, 3), 5))
+        p = qpoly.mul((-r.numerator, r.denominator), (1, 2, 5))
         assert qpoly._sign_at(p, r) == 0
+
+
+def _ext_gcd_inverse(x):
+    """1/x by the extended Euclid on Fractions: u with u*x + v*minpoly = 1."""
+    a, b = qpoly.trim(x.coords), x.field.minpoly
+    ua, ub = (F(1),), ()
+    while b:
+        quo, rem = qpoly.divmod_poly(a, b)
+        a, b = b, rem
+        ua, ub = ub, qpoly.sub(ua, qpoly.mul(quo, ub))
+    assert len(a) == 1
+    u = qpoly.divmod_poly(qpoly.scale(ua, 1 / F(a[0])), x.field.minpoly)[1]
+    return x.field.element(u + (0,) * (x.field.degree - len(u)))
+
+
+@pytest.mark.parametrize("minpoly, interval", [
+    ((-5, 1), (4, 6)),
+    ((-2, 0, 1), (1, 2)),
+    ((-1, -1, 1), (-1, 0)),
+    ((-2, 0, 0, 1), (1, 2)),
+    ((1, -3, 0, 1), (0, 1)),
+    ((-2, 0, 0, 0, 1), (1, 2)),
+    ((1, 0, -10, 0, 1), (3, 4)),
+    ((-3, 1, 0, 2, 1), (0, 2)),
+])
+def test_inverse_by_elimination_matches_the_extended_euclid(minpoly, interval):
+    rng = random.Random(repr(minpoly))
+    K = RealNumberField(minpoly, interval)
+    for _ in range(60):
+        coords = [F(rng.randint(-50, 50), rng.randint(1, 12)) if rng.random() < 0.7 else F(0)
+                  for _ in range(K.degree)]
+        x = K.element(coords)
+        if x.is_zero():
+            continue
+        inv = x.inverse()
+        assert inv == _ext_gcd_inverse(x), (minpoly, coords)
+        assert all(type(c) is F for c in inv.coords)
+        assert x * inv == K.one() and inv * x == 1, (minpoly, coords)

@@ -22,6 +22,7 @@ from weilzeta.errors import (
     WeightOutOfRange,
     WeilZetaError,
 )
+from weilzeta.qlinalg import solve_right
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import (
     RationalFunctionQ,
@@ -354,6 +355,88 @@ def test_pade_no_rational_fit_names_the_first_differing_order(k):
     coeffs[k] += 1
     with pytest.raises(NoRationalFit, match=f"at order {k}$"):
         pade_reconstruct(coeffs, 0, 1)
+
+
+def _pade_by_re_expansion(coeffs, num_deg, den_deg):
+    """The Pade fit verified the classical way: num/den re-expanded as a
+    power series on Fractions and compared with every series term."""
+    order = len(coeffs) - 1
+
+    def c(k):
+        return Fraction(coeffs[k]) if 0 <= k <= order else Fraction(0)
+
+    den = [Fraction(1)]
+    if den_deg:
+        sol = solve_right([[c(k - j) for j in range(1, den_deg + 1)]
+                           for k in range(num_deg + 1, num_deg + den_deg + 1)],
+                          [-c(k) for k in range(num_deg + 1, num_deg + den_deg + 1)])
+        if sol is None:
+            raise NoRationalFit("no denominator matches the series")
+        den += sol
+    num = [sum(den[j] * c(k - j) for j in range(min(k, den_deg) + 1))
+           for k in range(num_deg + 1)]
+    expanded = []
+    for k in range(order + 1):
+        acc = num[k] if k <= num_deg else Fraction(0)
+        for j in range(1, min(k, den_deg) + 1):
+            acc -= den[j] * expanded[k - j]
+        expanded.append(acc)
+        if acc != c(k):
+            raise NoRationalFit(f"re-expansion differs from the series at order {k}")
+    return rational_function(num, den)
+
+
+def _outcome(fit, coeffs, num_deg, den_deg):
+    try:
+        z = fit(coeffs, num_deg, den_deg)
+    except WeilZetaError as exc:
+        return type(exc).__name__, str(exc)
+    return z.num, z.den
+
+
+def _random_series(rng):
+    """Coefficients of a zeta series, of a rational function (sometimes with
+    one coefficient off), or of a geometric series, whose wide splits give
+    singular, under-determined denominator systems."""
+    order = rng.randint(1, 8)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return zeta_series([rng.randint(-3, 40) for _ in range(order)]).coeffs
+    if kind == 1:
+        num = [1] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        den = [1] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        coeffs = _pade_series(num, den, order)
+        if rng.randrange(3) == 0:
+            coeffs[rng.randrange(order + 1)] += Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        return coeffs
+    a = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
+    return [a ** k for k in range(order + 1)]
+
+
+def _pade_series(num, den, order):
+    out = []
+    for k in range(order + 1):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        acc -= sum(den[j] * out[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+        out.append(acc)
+    return out
+
+
+def test_pade_check_by_multiplication_matches_re_expansion():
+    rng = random.Random(20261019)
+    failures = fits = 0
+    for _ in range(200):
+        coeffs = _random_series(rng)
+        order = len(coeffs) - 1
+        for den_deg in range(order + 1):
+            for num_deg in range(order - den_deg + 1):
+                got = _outcome(pade_reconstruct, coeffs, num_deg, den_deg)
+                assert got == _outcome(_pade_by_re_expansion, coeffs, num_deg, den_deg), (
+                    coeffs, num_deg, den_deg)
+                failures += "re-expansion" in got[1] if isinstance(got[0], str) else 0
+                fits += not isinstance(got[0], str)
+    # both branches are exercised many times
+    assert failures > 500 and fits > 300, (failures, fits)
 
 
 def test_tiny_root_moduli_keep_relative_precision():
