@@ -12,11 +12,9 @@ clock measurements and are excluded from golden comparisons. Exit codes:
 3 enumeration budget exceeded.
 """
 
-from __future__ import annotations
-
-import argparse
 import sys
 import time
+from types import SimpleNamespace
 
 from .errors import (EnumerationBudgetExceeded, InvalidInput, MathCheckError,
                      WeilZetaError)
@@ -360,51 +358,162 @@ def cmd_dimgroup(args):
 
 # --- driver ---
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="weilzeta",
-        description="Exact zeta functions, Weil checks, pseudo-lattices and "
-                    "dimension groups over finite fields.")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write the report to this path")
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = ("Exact zeta functions, Weil checks, pseudo-lattices and "
+                "dimension groups over finite fields.")
 
-    def command(name, run, text):
-        p = sub.add_parser(name, parents=[out], help=text)
-        p.set_defaults(run=run)
-        return p
 
-    def counting(name, run, text, mmax_default):
-        p = command(name, run, text)
-        p.add_argument("path")
-        p.add_argument("--mmax", type=int, default=mmax_default,
-                       help="number of extension degrees to count")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="cap on the number of ambient representatives and "
-                            "on each field size p^m")
-        return p
+def _counting(mmax):
+    return {"--mmax": ("mmax", int, mmax, "number of extension degrees to count"),
+            "--budget": ("budget", int, DEFAULT_BUDGET,
+                         "cap on the number of ambient representatives and on "
+                         "each field size p^m")}
 
-    counting("count", cmd_count, "point counts of a variety file", 2)
-    p_weil = counting("weil", cmd_weil, "full zeta pipeline on a variety file", 4)
-    p_weil.add_argument("--betti", help="comma-separated expected Betti numbers")
 
-    p_cm = command("cm", cmd_cm, "Grossencharacter sweep for y^2 = x^3 - x")
-    p_cm.add_argument("pmin", type=int, nargs="?", default=5)
-    p_cm.add_argument("pmax", type=int, nargs="?", default=97)
+_PATH = (("path", str, None),)
 
-    p_lat = command("lattice", cmd_lattice, "endomorphism ring of a lattice file")
-    p_lat.add_argument("path")
+# name -> (handler, help, positionals, options). A positional is
+# (dest, type, default) and is required when its default is None; options
+# map a flag to (dest, type, default, help), --out first in every command.
+_COMMANDS = {
+    name: (run, text, positionals,
+           {"--out": ("out", str, None, "write the report to this path"), **options})
+    for name, run, text, positionals, options in (
+        ("count", cmd_count, "point counts of a variety file", _PATH, _counting(2)),
+        ("weil", cmd_weil, "full zeta pipeline on a variety file", _PATH,
+         {**_counting(4),
+          "--betti": ("betti", str, None, "comma-separated expected Betti numbers")}),
+        ("cm", cmd_cm, "Grossencharacter sweep for y^2 = x^3 - x",
+         (("pmin", int, 5), ("pmax", int, 97)), {}),
+        ("lattice", cmd_lattice, "endomorphism ring of a lattice file", _PATH, {}),
+        ("dimgroup", cmd_dimgroup, "dimension group of a matrix file", _PATH,
+         {"--det-check": ("det_check", int, None,
+                          "require symmetry and this determinant")}),
+    )
+}
 
-    p_dim = command("dimgroup", cmd_dimgroup, "dimension group of a matrix file")
-    p_dim.add_argument("path")
-    p_dim.add_argument("--det-check", type=int,
-                       help="require symmetry and this determinant")
 
-    return parser
+def _is_flag(arg):
+    """argparse's rule: a leading dash, unless arg is '-', a negative number
+    or a word with a space in it."""
+    whole, dot, frac = arg[1:].partition(".")
+    number = ((whole.isdecimal() and not dot)
+              or ((whole.isdecimal() or not whole) and frac.isdecimal()))
+    return arg.startswith("-") and arg != "-" and " " not in arg and not number
+
+
+def _prog(name):
+    return "weilzeta" if name is None else f"weilzeta {name}"
+
+
+def _usage(name):
+    if name is None:
+        return f"usage: weilzeta [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, _, positionals, options = _COMMANDS[name]
+    words = [f"[{flag} {dest.upper()}]" for flag, (dest, *_) in options.items()]
+    words += [dest if default is None else f"[{dest}]"
+              for dest, _, default in positionals]
+    return f"usage: {_prog(name)} [-h] " + " ".join(words)
+
+
+def _fail(name, message):
+    """Report a usage error as argparse did, and exit 2."""
+    sys.stderr.write(f"{_usage(name)}\n{_prog(name)}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(name):
+    """Print the help of the top level (name None) or of one command; exit 0."""
+    def section(title, rows):
+        width = max(len(left) for left, _ in rows) + 4
+        return [f"{title}:"] + [f"  {left:<{width - 2}}{right}".rstrip()
+                                for left, right in rows]
+
+    rows = [("-h, --help", "show this help message and exit")]
+    if name is None:
+        lines = [_DESCRIPTION, ""]
+        lines += section("commands", [(cmd, text) for cmd, (_, text, _, _)
+                                      in _COMMANDS.items()])
+    else:
+        _, text, positionals, options = _COMMANDS[name]
+        lines = [text, ""]
+        lines += section("positional arguments", [
+            (dest, "" if default is None else f"(default: {default})")
+            for dest, _, default in positionals])
+        rows += [(f"{flag} {dest.upper()}",
+                  about if default is None else f"{about} (default: {default})")
+                 for flag, (dest, _, default, about) in options.items()]
+    lines += ["", *section("options", rows)]
+    sys.stdout.write(_usage(name) + "\n\n" + "\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def parse_args(argv):
+    """Read argv against _COMMANDS into the namespace main runs.
+
+    It has command, run, and every dest of the command's table entry.
+    Options may come before or after positionals, as `--flag value` or
+    `--flag=value`, and a value may be a negative number; after `--` every
+    word is positional. Flags are matched whole, not by prefix.
+    """
+    name, positionals, options = None, (), {}
+    values, extras = {}, []
+    filled = 0
+    only_positional = False
+    k = 0
+    while k < len(argv):
+        arg = argv[k]
+        k += 1
+        if arg == "--" and not only_positional:
+            only_positional = True
+        elif _is_flag(arg) and not only_positional:
+            if arg in ("-h", "--help"):
+                _help(name)
+            flag, eq, value = arg.partition("=")
+            if flag not in options:
+                extras.append(arg)
+                continue
+            dest, kind, _, _ = options[flag]
+            if not eq:
+                if k == len(argv) or _is_flag(argv[k]):
+                    _fail(name, f"argument {flag}: expected one argument")
+                value = argv[k]
+                k += 1
+            values[dest] = _convert(name, flag, kind, value)
+        elif name is None:
+            if arg not in _COMMANDS:
+                choices = ", ".join(repr(cmd) for cmd in _COMMANDS)
+                _fail(None, f"argument command: invalid choice: {arg!r} "
+                            f"(choose from {choices})")
+            name = arg
+            run, _, positionals, options = _COMMANDS[name]
+            values = {"command": name, "run": run}
+            values.update((dest, default) for dest, _, default, _ in options.values())
+            values.update((dest, default) for dest, _, default in positionals)
+        elif filled < len(positionals):
+            dest, kind, _ = positionals[filled]
+            values[dest] = _convert(name, dest, kind, arg)
+            filled += 1
+        else:
+            extras.append(arg)
+    if name is None:
+        _fail(None, "the following arguments are required: command")
+    missing = [dest for dest, _, default in positionals[filled:] if default is None]
+    if missing:
+        _fail(name, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
+
+
+def _convert(name, label, kind, value):
+    try:
+        return kind(value)
+    except ValueError:
+        _fail(name, f"argument {label}: invalid {kind.__name__} value: {value!r}")
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # flag values are checked before any work; only weil has --betti,
         # and cm has neither --budget nor --mmax

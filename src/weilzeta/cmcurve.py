@@ -9,8 +9,6 @@ p = a^2 + b^2 with a odd and a + b = 1 (mod 4), then the trace is 2a.
 Both routes are kept separate so one can cross-check the other.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 from .errors import HasseViolation, InternalError, InvalidInput, InvalidPrime

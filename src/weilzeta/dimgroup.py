@@ -15,8 +15,6 @@ polynomial in lambda whose integer matrix coefficients come from the
 characteristic polynomial's own loop. No floating point enters any trusted value.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import reduce
 from operator import or_

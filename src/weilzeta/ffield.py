@@ -7,8 +7,6 @@ identical inputs always give identical fields. Arithmetic in F_{p^m}
 itself lives in the Zech-logarithm tables of variety._IndexedField.
 """
 
-from __future__ import annotations
-
 from itertools import product
 
 from .errors import InternalError, InvalidDegree, InvalidPrime

@@ -11,8 +11,6 @@ alpha*g_i turns End(L) into the projection of an integer kernel lattice,
 and a Hermite normal form gives its canonical Z-basis.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import floor, lcm
 

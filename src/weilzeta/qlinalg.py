@@ -5,8 +5,6 @@ and det; integer routines add the characteristic polynomial with its
 adjugate, Hermite normal form and integer kernels.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 

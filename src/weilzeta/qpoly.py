@@ -9,8 +9,6 @@ factors come from Berlekamp's algorithm in ``ffield``, and are lifted and
 recombined here.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm

@@ -11,8 +11,6 @@ floating point. The isolating interval narrows monotonically as a shared
 cache; the numeric identity of every value is immutable.
 """
 
-from __future__ import annotations
-
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import total_ordering

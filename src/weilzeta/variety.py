@@ -21,8 +21,6 @@ once per field by walking the powers of g as vectors of base-p digits,
 O(m deg g) integer operations per power.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import product
 from operator import mul

@@ -16,8 +16,6 @@ nearest doubles; a relative residual below 1e-10 is a sanity check on each
 root, not an error bound, since clustered roots defeat it.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import cos, frexp, isfinite, isqrt, ldexp, log, pi, sin
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from weilzeta import qpoly
-from weilzeta.cli import _pipeline_candidate, build_parser, main
+from weilzeta.cli import _COMMANDS, _pipeline_candidate, main, parse_args
 from weilzeta.errors import FunctionalEquationViolated
 from weilzeta.ffield import DEFAULT_BUDGET, is_prime, primes_in_range
 from weilzeta.variety import PointCountSeries
@@ -354,6 +354,8 @@ def test_out_flag_writes_report_file(capsys, tmp_path):
     (["weil", "ELL", "--mmax", "0"], "mmax must be at least 1"),
     (["weil", "ELL", "--betti", "1,x"], "--betti expects comma-separated integers"),
     (["cm", "9", "5"], "pmin must not exceed pmax"),
+    # a negative number after a flag is its value, so main's check sees it
+    (["count", "ELL", "--mmax", "-3"], "mmax must be at least 1"),
 ])
 def test_invalid_flag_values_exit_2_before_any_work(capsys, argv, message):
     argv = [str(SAMPLES / "ell_f5.variety") if a == "ELL" else a for a in argv]
@@ -370,10 +372,116 @@ def test_cli_flag_validation_exits_2(capsys):
     assert "InvalidInput" in err
 
 
-def test_parser_rejects_unknown_subcommand():
+_TOP = "usage: weilzeta [-h] {count,weil,cm,lattice,dimgroup} ..."
+
+
+def test_parser_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as info:
-        build_parser().parse_args(["frobnicate"])
+        main(["frobnicate"])
     assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"{_TOP}\nweilzeta: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'count', 'weil', 'cm', 'lattice', 'dimgroup')\n")
+
+
+_COUNT = {"command": "count", "run": "cmd_count", "out": None, "path": "P",
+          "mmax": 2, "budget": DEFAULT_BUDGET}
+_CM = {"command": "cm", "run": "cmd_cm", "out": None, "pmin": 5, "pmax": 97}
+
+
+# each namespace is the one argparse returned for the same argv
+_ACCEPTED = [
+    (["count", "P", "--mmax", "3"], {**_COUNT, "mmax": 3}),
+    (["count", "--mmax=3", "P"], {**_COUNT, "mmax": 3}),
+    (["count", "--mmax", "3", "P", "--budget=9"], {**_COUNT, "mmax": 3, "budget": 9}),
+    (["count", "P", "--mmax", "1", "--mmax", "4"], {**_COUNT, "mmax": 4}),
+    (["count", "P", "--mmax", "-3"], {**_COUNT, "mmax": -3}),
+    (["count", "P", "--out", "-1"], {**_COUNT, "out": "-1"}),
+    (["count", "P", "--out="], {**_COUNT, "out": ""}),
+    (["count", "-1.5"], {**_COUNT, "path": "-1.5"}),
+    (["count", "--", "-P"], {**_COUNT, "path": "-P"}),
+    (["count", "-a b", "--out", "-c d"], {**_COUNT, "path": "-a b", "out": "-c d"}),
+    (["weil", "P", "--betti", "1,2,1", "--out", "o"],
+     {**_COUNT, "command": "weil", "run": "cmd_weil", "mmax": 4, "betti": "1,2,1",
+      "out": "o"}),
+    (["cm"], _CM),
+    (["cm", "-5", "10"], {**_CM, "pmin": -5, "pmax": 10}),
+    (["cm", "--out", "f", "5", "7"], {**_CM, "out": "f", "pmin": 5, "pmax": 7}),
+    (["cm", "5", "7", "--out", "f"], {**_CM, "out": "f", "pmin": 5, "pmax": 7}),
+    (["lattice", "P"], {"command": "lattice", "run": "cmd_lattice", "out": None,
+                        "path": "P"}),
+    (["dimgroup", "P"], {"command": "dimgroup", "run": "cmd_dimgroup", "out": None,
+                         "path": "P", "det_check": None}),
+    (["dimgroup", "--det-check", "2", "P"],
+     {"command": "dimgroup", "run": "cmd_dimgroup", "out": None, "path": "P",
+      "det_check": 2}),
+]
+
+
+def _ids(cases):
+    return [" ".join(case[0]) or "no-arguments" for case in cases]
+
+
+@pytest.mark.parametrize("argv, expected", _ACCEPTED, ids=_ids(_ACCEPTED))
+def test_parser_accepted_forms(argv, expected):
+    args = vars(parse_args(argv))
+    assert {**args, "run": args["run"].__name__} == expected
+
+
+_COUNT_USAGE = "usage: weilzeta count [-h] [--out OUT] [--mmax MMAX] [--budget BUDGET] path"
+_REJECTED = [
+    (["--out", "x", "count", "P"], _TOP,
+     "weilzeta: error: argument command: invalid choice: 'x' "
+     "(choose from 'count', 'weil', 'cm', 'lattice', 'dimgroup')"),
+    ([], _TOP, "weilzeta: error: the following arguments are required: command"),
+    (["count"], _COUNT_USAGE,
+     "weilzeta count: error: the following arguments are required: path"),
+    (["count", "P", "--mmax"], _COUNT_USAGE,
+     "weilzeta count: error: argument --mmax: expected one argument"),
+    (["count", "P", "--mmax", "--budget", "3"], _COUNT_USAGE,
+     "weilzeta count: error: argument --mmax: expected one argument"),
+    (["count", "P", "--mmax", "q"], _COUNT_USAGE,
+     "weilzeta count: error: argument --mmax: invalid int value: 'q'"),
+    (["count", "P", "--mmax="], _COUNT_USAGE,
+     "weilzeta count: error: argument --mmax: invalid int value: ''"),
+    (["dimgroup", "P", "--det-check", "x"],
+     "usage: weilzeta dimgroup [-h] [--out OUT] [--det-check DET_CHECK] path",
+     "weilzeta dimgroup: error: argument --det-check: invalid int value: 'x'"),
+    (["cm", "x"], "usage: weilzeta cm [-h] [--out OUT] [pmin] [pmax]",
+     "weilzeta cm: error: argument pmin: invalid int value: 'x'"),
+    (["weil", "P", "--rh-tol", "0.1"], _TOP,
+     "weilzeta: error: unrecognized arguments: --rh-tol 0.1"),
+    (["count", "P", "extra"], _TOP, "weilzeta: error: unrecognized arguments: extra"),
+    (["cm", "5", "7", "9"], _TOP, "weilzeta: error: unrecognized arguments: 9"),
+    (["count", "P", "--foo=bar", "baz", "-x"], _TOP,
+     "weilzeta: error: unrecognized arguments: --foo=bar baz -x"),
+    # flags are matched whole: argparse's prefix abbreviations are gone
+    (["count", "P", "--mm", "3"], _TOP, "weilzeta: error: unrecognized arguments: --mm 3"),
+]
+
+
+@pytest.mark.parametrize("argv, usage, message", _REJECTED, ids=_ids(_REJECTED))
+def test_parser_rejections_exit_2(capsys, argv, usage, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"{usage}\n{message}\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["count", "P", "--help", "extra"],
+                                  *([name, "-h"] for name in _COMMANDS)], ids=" ".join)
+def test_parser_help_names_the_table_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    name = argv[0] if argv[0] in _COMMANDS else None
+    assert out.startswith(f"usage: weilzeta {name or ''}".rstrip() + " [-h] ")
+    words = [*_COMMANDS] if name is None else [
+        *(dest for dest, _, _ in _COMMANDS[name][2]), *_COMMANDS[name][3]]
+    assert words and all(f"\n  {word}" in out for word in words)
+    assert "-h, --help" in out
 
 
 def test_timing_lines_are_marked(capsys):
@@ -411,6 +519,8 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
                   if line.startswith("import time:")}
         assert {m for m in loaded if m.split(".")[0] == "weilzeta"} == ours, argv[0]
         assert not {m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")}, argv[0]
+        # cli reads argv against its own command table
+        assert not loaded & {"argparse", "gettext", "locale"}, argv[0]
         if argv[0] in ("count", "cm"):
             # Fraction is only in the algebra modules
             assert not loaded & {"fractions", "decimal", "numbers"}, argv[0]
