@@ -1,11 +1,12 @@
 """Exact linear algebra over Q and Z, in arbitrary precision.
 
 One fraction-free Gauss-Jordan elimination serves solve, nullspace, rank
-and det; integer routines add the characteristic polynomial with its
-adjugate, Hermite normal form and integer kernels.
+and det; it takes ints or Fractions and works on ints. Only solve_right
+and nullspace return Fractions, and import them where they build them.
+Integer routines add the characteristic polynomial with its adjugate,
+Hermite normal form and integer kernels.
 """
 
-from fractions import Fraction
 from math import lcm
 
 
@@ -61,6 +62,8 @@ def solve_right(A, b):
     A is a list of rows. Underdetermined systems get free variables set to
     zero, so the result is deterministic.
     """
+    from fractions import Fraction
+
     n = len(A[0]) if A else 0
     M, pivots, _ = echelon([list(row) + [rhs] for row, rhs in zip(A, b)], n)
     if any(row[n] for row in M[len(pivots):]):
@@ -73,6 +76,8 @@ def solve_right(A, b):
 
 def nullspace(A):
     """Basis of the right kernel of A over Q, as a list of vectors."""
+    from fractions import Fraction
+
     n = len(A[0]) if A else 0
     M, pivots, _ = echelon(A, n)
     basis = []

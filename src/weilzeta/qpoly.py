@@ -1,15 +1,15 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the integers and the rationals.
 
 Coefficients are stored low degree first in plain tuples, so the zero
 polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
-Everything here is exact: entries are ints or Fractions, never floats.
-Includes Sturm chains, a bracket of the largest real root of a square-free
-input, and factorization of integer polynomials in pure Python: modular
-factors come from Berlekamp's algorithm in ``ffield``, and are lifted and
-recombined here.
+Everything here is exact, never floats. The gcd, the exact quotient,
+factorization and Sturm chains run on ints alone; ``divmod_poly`` and the
+root bracketing, which only the real-algebraic code calls, take or return
+Fractions and import them where they are used. Factorization of integer
+polynomials is pure Python: modular factors come from Berlekamp's
+algorithm in ``ffield``, and are lifted and recombined here.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
@@ -69,6 +69,8 @@ def deriv(p):
 
 def divmod_poly(num, den):
     """Exact division with remainder over the rationals."""
+    from fractions import Fraction
+
     num, den = trim(num), trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
@@ -89,6 +91,28 @@ def divmod_poly(num, den):
             if b:
                 r[k + j] -= c * b
     return trim(q), trim(r)
+
+
+def exact_quo(a, b):
+    """a / b for integer polynomials when b divides a over Z, else None.
+
+    By Gauss's lemma a primitive b that divides an integer a over the
+    rationals leaves an integral quotient, so for primitive b the answer is
+    None exactly when b does not divide a: some step's leading coefficient
+    is not a multiple of lc(b), or a remainder is left.
+    """
+    r = list(trim(a))
+    lead, low, db = b[-1], b[:-1], len(b) - 1
+    quo = [0] * max(len(r) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c, m = divmod(r.pop(), lead)
+        if m:
+            return None
+        quo[k] = c
+        if c:
+            for j, bj in enumerate(low):
+                r[k + j] -= c * bj
+    return None if any(r) else tuple(quo)
 
 
 def _pseudo_rem(a, b):
@@ -113,7 +137,8 @@ def _pseudo_rem(a, b):
 
 
 def gcd_poly(p, q):
-    """Monic gcd over the rationals.
+    """gcd over the rationals as a primitive integer polynomial with
+    positive leading coefficient (the primitive_int convention).
 
     Euclid runs on primitive integer remainders, which stay far smaller
     than the rational remainders of plain division on inputs of high degree.
@@ -121,10 +146,7 @@ def gcd_poly(p, q):
     a, b = primitive_int(p), primitive_int(q)
     while b:
         a, b = b, primitive_int(_pseudo_rem(a, b))
-    if not a:
-        return ()
-    lead = Fraction(a[-1])
-    return tuple(Fraction(c) / lead for c in a)
+    return a
 
 
 def _content_free(p):
@@ -141,8 +163,8 @@ def primitive_int(p):
     p = trim(p)
     if not p:
         return ()
-    den = lcm(*(Fraction(c).denominator for c in p))
-    ints = _content_free(tuple(int(Fraction(c) * den) for c in p))
+    den = lcm(*(c.denominator for c in p))
+    ints = _content_free(tuple(c.numerator * (den // c.denominator) for c in p))
     return ints if ints[-1] > 0 else neg(ints)
 
 
@@ -176,17 +198,19 @@ def factor_int(p):
         factors.append(((0, 1), j))
         f = f[j:]
     # Yun's square-free decomposition: pass i splits off d, the product of
-    # the irreducible factors of multiplicity exactly i
+    # the irreducible factors of multiplicity exactly i. Each gcd is
+    # primitive, so by Gauss's lemma every quotient is integral, and w and
+    # y, divided by the same gcds, keep a common scale
     df = deriv(f)
     c = gcd_poly(f, df)
-    w, y = divmod_poly(f, c)[0], divmod_poly(df, c)[0]
+    w, y = exact_quo(f, c), exact_quo(df, c)
     mult = 1
     while len(w) > 1:
         z = sub(y, deriv(w))
         d = gcd_poly(w, z)
         if len(d) > 1:
-            factors += [(g, mult) for g in _square_free_factors(primitive_int(d))]
-        w, y = divmod_poly(w, d)[0], divmod_poly(z, d)[0]
+            factors += [(g, mult) for g in _square_free_factors(d)]
+        w, y = exact_quo(w, d), exact_quo(z, d)
         mult += 1
     return content, sorted(factors, key=lambda fm: (len(fm[0]), fm[1], fm[0][::-1]))
 
@@ -202,7 +226,7 @@ def _square_free_factors(f):
     # lc(f)/lc(g) * g, the candidate recombination builds, is bounded by this
     n = len(f) - 1
     bound = f[-1] * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
-    return _recombine(f, *_hensel_lift(f, modular, p, 2 * bound))
+    return _recombine(f, *_hensel_lift(f, modular, p, 2 * bound), bound)
 
 
 def _mod(f, m):
@@ -274,28 +298,40 @@ def _hensel_lift(f, factors, p, bound):
     return [tuple(g) for g in lifted], pk
 
 
-def _recombine(f, lifted, pk):
+def _recombine(f, lifted, pk, bound):
     """True factors from lifted modular factors (Zassenhaus).
 
     Subsets are tried smallest first. lc(f) times the subset's product,
     in symmetric residues mod pk, is a true factor exactly when it divides
     lc(f) * f; a found factor's modular factors leave the pool. When no
     subset of at most half the pool divides, the rest is one factor.
+    A candidate with a coefficient above the Landau-Mignotte bound of the
+    input is no factor of it, nor of the part of it still unfactored, and
+    is rejected before any division. The trial itself is an integer
+    quotient: a true candidate g has lc(g) = lc(f) and lc(f) * f / g is
+    the integer lc(h) * f / h for its primitive part h.
     """
     factors = []
     s = 1
     while 2 * s <= len(lifted):
         lead = f[-1]
         for subset in combinations(range(len(lifted)), s):
+            # a true factor's constant term divides lead * f(0); it is
+            # tested before the product is built
+            g0 = lead
+            for i in subset:
+                g0 = g0 * lifted[i][0] % pk
+            g0 = g0 - pk if 2 * g0 > pk else g0
+            if g0 == 0 or lead * f[0] % g0:
+                continue
             g = (lead,)
             for i in subset:
                 g = _pmul(g, lifted[i], pk)
             g = tuple(c - pk if 2 * c > pk else c for c in g)
-            # a true factor's constant term divides lead * f(0)
-            if g[0] == 0 or lead * f[0] % g[0]:
+            if any(abs(c) > bound for c in g):
                 continue
-            quo, rem = divmod_poly(scale(f, lead), g)
-            if rem:
+            quo = exact_quo(scale(f, lead), g)
+            if quo is None:
                 continue
             factors.append(primitive_int(g))
             f = primitive_int(quo)
@@ -342,6 +378,8 @@ def poly_str(p, var="t"):
 
 def cauchy_root_bound(p):
     """All real roots of p lie in (-B, B) for the returned B."""
+    from fractions import Fraction
+
     p = trim(p)
     if len(p) <= 1:
         return Fraction(1)
@@ -423,7 +461,9 @@ def largest_real_root(p):
     if d <= 0:
         return None
     if d == 1:
-        r = -Fraction(p[0], 1) / Fraction(p[1], 1)
+        from fractions import Fraction
+
+        r = Fraction(-p[0], p[1])
         return r, r
     chain = sturm_chain(p)
     # the chain ends in gcd(p, p'), a constant exactly when p is square-free;

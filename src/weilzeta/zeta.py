@@ -1,30 +1,33 @@
 """Zeta functions of varieties over finite fields.
 
 The pipeline starts from exact point counts N_1..N_M, forms the truncated
-series exp(sum N_m t^m / m) over the rationals, reconstructs a rational
-function by Pade approximation with re-expansion verification, and then
-checks the classical properties one by one: integrality of coefficients,
-the functional equation as an exact polynomial identity, the splitting of
+series exp(sum N_m t^m / m), reconstructs a rational function by Pade
+approximation with re-expansion verification, and then checks the
+classical properties one by one: integrality of coefficients, the
+functional equation as an exact polynomial identity, the splitting of
 factors by root modulus into weights, the root-modulus bound, and the
 comparison of factor degrees against expected Betti numbers.
 
-Floats appear only where unavoidable: assigning weights from root moduli
-and measuring modulus deviations. Everything else is exact. Roots are
-seeded by Aberth-Ehrlich iteration in doubles and polished by Newton
-steps on Python ints to far beyond double precision, then rounded to the
-nearest doubles; a relative residual below 1e-10 is a sanity check on each
-root, not an error bound, since clustered roots defeat it.
+From the counts of a variety to the verdict every exact step runs on
+ints: the series of a variety's counts is integral, and the Pade solve,
+the gcd and the exact quotients keep it so. Fractions are imported only
+for library callers that pass rational data. Floats appear only where
+unavoidable: assigning weights from root moduli and measuring modulus
+deviations. Roots are seeded by Aberth-Ehrlich iteration in doubles and
+polished by Newton steps on Python ints to far beyond double precision,
+then rounded to the nearest doubles; a relative residual below 1e-10 is a
+sanity check on each root, not an error bound, since clustered roots
+defeat it.
 """
 
-from fractions import Fraction
-from math import cos, frexp, isfinite, isqrt, ldexp, log, pi, sin
+from math import cos, frexp, gcd, isfinite, isqrt, lcm, ldexp, log, pi, sin
 
 from . import qpoly
 from .errors import (DimensionMismatch, EmptySeries, FunctionalEquationViolated,
                      InsufficientPrecision, InternalError, InvalidInput,
                      MixedWeightFactor, NoRationalFit, NotIntegral,
                      NotNormalized, WeightOutOfRange)
-from .qlinalg import solve_right
+from .qlinalg import echelon
 
 # Fixed, not settable: roots of a zeta function sit on their circles to
 # about 1e-16 in double precision, and the weil report prints both values.
@@ -33,7 +36,8 @@ WEIGHT_TOL = 0.25
 
 
 class PowerSeriesQ:
-    """Truncated power series with exact rational coefficients c_0..c_M."""
+    """Truncated power series with exact coefficients c_0..c_M: ints, with
+    Fractions only where the series is not integral."""
 
     __slots__ = ("coeffs",)
 
@@ -131,19 +135,47 @@ def zeta_series(counts):
     """exp(sum N_m t^m / m) truncated at order m_max, exactly.
 
     Uses the recurrence k*c_k = sum_{m=1}^{k} N_m c_{k-m} that the series
-    satisfies term by term (differentiate the exponential).
+    satisfies term by term (differentiate the exponential). The series of
+    a variety's counts is integral (an Euler product of geometric series),
+    and each division stays in ints while it is exact; other counts, which
+    library callers may pass, get Fractions from the first inexact one.
     """
     n_list = _as_counts(counts)
     if not n_list:
         raise EmptySeries("need at least one point count")
-    m_max = len(n_list)
-    cs = [Fraction(1)]
-    for k in range(1, m_max + 1):
-        acc = Fraction(0)
-        for m in range(1, k + 1):
-            acc += Fraction(n_list[m - 1]) * cs[k - m]
-        cs.append(acc / k)
+    if not all(isinstance(n, int) for n in n_list):
+        from fractions import Fraction
+        n_list = [Fraction(n) for n in n_list]
+    cs = [1]
+    for k in range(1, len(n_list) + 1):
+        acc = sum(n_list[m] * cs[k - 1 - m] for m in range(k))
+        if acc % k:
+            from fractions import Fraction
+            cs.append(Fraction(acc, k))
+        else:
+            cs.append(acc // k)
     return PowerSeriesQ(coeffs=tuple(cs))
+
+
+def _to_ints(values):
+    """(values times L, L) for the lcm L of their denominators.
+
+    Ints pass through with L = 1; Fractions are built only for other values.
+    """
+    values = tuple(values)
+    if all(isinstance(v, int) for v in values):
+        return values, 1
+    from fractions import Fraction
+    values = [Fraction(v) for v in values]
+    L = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (L // v.denominator) for v in values), L
+
+
+def _ratio_str(a, b):
+    """str(Fraction(a, b)) for ints a and b != 0, without building one."""
+    g = gcd(a, b) if b > 0 else -gcd(a, b)
+    a, b = a // g, b // g
+    return str(a) if b == 1 else f"{a}/{b}"
 
 
 def _series_div(num, den, order):
@@ -169,27 +201,30 @@ def rational_function(num, den):
     Scales so den(0) = 1, cancels the polynomial gcd, and clears to
     integer coefficients; non-integer results after normalization signal
     that the input is not a zeta function of the expected shape.
+
+    Works on ints: rational input is first scaled by one common
+    denominator, the primitive gcd leaves integral quotients (Gauss's
+    lemma), and the scaling by den(0) is a test of divisibility.
     """
-    num = qpoly.trim(tuple(Fraction(c) for c in num))
-    den = qpoly.trim(tuple(Fraction(c) for c in den))
+    num, den = tuple(num), tuple(den)
+    ints, _ = _to_ints(num + den)
+    num, den = qpoly.trim(ints[:len(num)]), qpoly.trim(ints[len(num):])
     if not den or den[0] == 0:
         raise NotNormalized("denominator must have nonzero constant term")
     if not num:
         raise NotNormalized("zero is not a valid zeta function")
     g = qpoly.gcd_poly(num, den)
-    if qpoly.degree(g) > 0:
-        num, _ = qpoly.divmod_poly(num, g)
-        den, _ = qpoly.divmod_poly(den, g)
+    if len(g) > 1:
+        num, den = qpoly.exact_quo(num, g), qpoly.exact_quo(den, g)
     scale = den[0]
-    num = tuple(c / scale for c in num)
-    den = tuple(c / scale for c in den)
-    if num[0] != 1:
-        raise NotIntegral(f"numerator constant term {num[0]} != 1")
+    if num[0] != scale:
+        raise NotIntegral(f"numerator constant term {_ratio_str(num[0], scale)} != 1")
     for c in num + den:
-        if Fraction(c).denominator != 1:
-            raise NotIntegral(f"non-integer coefficient {c} after normalization")
-    return RationalFunctionQ(num=tuple(int(c) for c in num),
-                             den=tuple(int(c) for c in den))
+        if c % scale:
+            raise NotIntegral(
+                f"non-integer coefficient {_ratio_str(c, scale)} after normalization")
+    return RationalFunctionQ(num=tuple(c // scale for c in num),
+                             den=tuple(c // scale for c in den))
 
 
 def pade_reconstruct(s, num_deg, den_deg):
@@ -199,28 +234,35 @@ def pade_reconstruct(s, num_deg, den_deg):
     then verifies den * s = num at every available order. With den(0) = 1,
     the first order where that fails is the first where num/den re-expanded
     as a power series differs from the series.
+
+    Works on ints: a rational series is scaled by the lcm L of its
+    denominators, which leaves the denominator system's solution as it is
+    and scales num by L, so den is scaled by L too. The system goes to
+    qlinalg.echelon as integer rows; every pivot row there ends in the same
+    last pivot d, so the solution (free unknowns zero, as solve_right sets
+    them) over d is an integer den with den(0) = d.
     """
     coeffs = s.coeffs if isinstance(s, PowerSeriesQ) else tuple(s)
     order = len(coeffs) - 1
     if order < num_deg + den_deg:
         raise InsufficientPrecision(
             f"series order {order} < num_deg + den_deg = {num_deg + den_deg}")
+    coeffs, L = _to_ints(coeffs)
 
     def c(k):
-        return Fraction(coeffs[k]) if 0 <= k <= order else Fraction(0)
+        return coeffs[k] if k >= 0 else 0
 
+    den = [1] + [0] * den_deg
     if den_deg:
-        rows = []
-        rhs = []
-        for k in range(num_deg + 1, num_deg + den_deg + 1):
-            rows.append([c(k - j) for j in range(1, den_deg + 1)])
-            rhs.append(-c(k))
-        sol = solve_right(rows, rhs)
-        if sol is None:
+        rows = [[c(k - j) for j in range(1, den_deg + 1)] + [-c(k)]
+                for k in range(num_deg + 1, num_deg + den_deg + 1)]
+        M, pivots, _ = echelon(rows, den_deg)
+        if any(row[den_deg] for row in M[len(pivots):]):
             raise NoRationalFit("no denominator matches the series")
-        den = (Fraction(1),) + tuple(sol)
-    else:
-        den = (Fraction(1),)
+        if pivots:
+            den[0] = M[0][pivots[0]]
+        for row, col in zip(M, pivots):
+            den[col + 1] = row[den_deg]
 
     def prod(k):  # coefficient k of den * s
         return sum(den[j] * c(k - j) for j in range(min(k, den_deg) + 1))
@@ -229,7 +271,8 @@ def pade_reconstruct(s, num_deg, den_deg):
         if prod(k):
             raise NoRationalFit(
                 f"re-expansion differs from the series at order {k}")
-    return rational_function(tuple(prod(k) for k in range(num_deg + 1)), den)
+    return rational_function(tuple(prod(k) for k in range(num_deg + 1)),
+                             tuple(L * v for v in den))
 
 
 def curve_numerator(counts, g, mode="full"):
@@ -255,7 +298,7 @@ def curve_numerator(counts, g, mode="full"):
             f"{mode} mode needs {need} counts, got {len(n_list)}")
     a = list(zeta_series([n_list[m - 1] - q ** m - 1 for m in range(1, need + 1)]).coeffs)
     if mode == "symmetric":
-        a += [Fraction(0)] * g
+        a += [0] * g
         for k in range(g + 1, 2 * g + 1):
             a[k] = q ** (k - g) * a[2 * g - k]
     else:
@@ -274,10 +317,11 @@ def curve_numerator(counts, g, mode="full"):
 def functional_equation_check(z, q, n, chi):
     """Exact check of Z(1/(q^n t)) = sign * q^{n*chi/2} * t^chi * Z(t).
 
-    Cross-multiplied, the identity says q^{n*chi} * rev_num(q^n t) * den(t)
-    equals sign * q^{n*chi/2} * num(t) * rev_den(q^n t). When n*chi is even
-    both sides are rational polynomials and the sign is read off; when odd,
-    the squared identity is verified and the sign stays undetermined (None).
+    Cross-multiplied, the identity says q^{n*chi/2} * rev_num(q^n t) * den(t)
+    equals sign * num(t) * rev_den(q^n t). When n*chi is even both sides
+    are integer polynomials and the sign is read off; when odd, the squared
+    identity is verified and the sign stays undetermined (None). A negative
+    power of q moves to the other side, so the residuals are integral too.
     """
     num, den = z.num, z.den
     qn = q ** n
@@ -285,24 +329,29 @@ def functional_equation_check(z, q, n, chi):
     rhs = qpoly.mul(num, qpoly.compose_linear(qpoly.reverse(den), qn))
     e = n * chi
     if e % 2 == 0:
-        factor = Fraction(q) ** (e // 2)
-        scaled = qpoly.scale(lhs, factor)
-        res_plus = qpoly.sub(scaled, rhs)
+        lhs, rhs = _times_q_power(lhs, rhs, q, e // 2)
+        res_plus = qpoly.sub(lhs, rhs)
         if not res_plus:
             return 1
-        res_minus = qpoly.add(scaled, rhs)
+        res_minus = qpoly.add(lhs, rhs)
         if not res_minus:
             return -1
         raise FunctionalEquationViolated(
             f"functional equation fails for chi={chi}, n={n}, q={q}",
             residual_plus=res_plus, residual_minus=res_minus)
-    sq = qpoly.sub(qpoly.scale(qpoly.mul(lhs, lhs), Fraction(q) ** e),
-                   qpoly.mul(rhs, rhs))
+    sq = qpoly.sub(*_times_q_power(qpoly.mul(lhs, lhs), qpoly.mul(rhs, rhs), q, e))
     if not sq:
         return None
     raise FunctionalEquationViolated(
         f"squared functional equation fails for odd n*chi = {e}",
         residual_plus=sq, residual_minus=None)
+
+
+def _times_q_power(lhs, rhs, q, k):
+    """q^k * lhs and rhs, both multiplied by q^-k when k < 0."""
+    if k >= 0:
+        return qpoly.scale(lhs, q ** k), rhs
+    return lhs, qpoly.scale(rhs, q ** -k)
 
 
 # Bits of each polished root relative to its modulus, in the first pass
@@ -376,8 +425,7 @@ def _polish(a, x, k, bits):
     n = len(a) - 1
     f = max(bits - (frexp(max(abs(x.real), abs(x.imag)))[1] + k), 0)
     hom = [c << (f * (n - j)) for j, c in enumerate(a)]
-    scale = Fraction(2) ** (f + k)
-    zx, zy = round(Fraction(x.real) * scale), round(Fraction(x.imag) * scale)
+    zx, zy = _round_scaled(x.real, f + k), _round_scaled(x.imag, f + k)
     for _ in range(MAX_STEPS):
         px, py, qx, qy = a[n], 0, 0, 0
         for c in reversed(hom[:n]):
@@ -398,6 +446,19 @@ def _polish(a, x, k, bits):
             return zx, zy, 1 << f
         zx, zy = zx - dx, zy - dy
     return None
+
+
+def _round_scaled(x, e):
+    """round(x * 2**e) for a double x, exact, ties to even as round() does."""
+    a, b = x.as_integer_ratio()
+    if e >= 0:
+        a <<= e
+    else:
+        b <<= -e
+    quo, rem = divmod(a, b)
+    if 2 * rem > b or (2 * rem == b and quo % 2):
+        quo += 1
+    return quo
 
 
 def _distinct(roots, bits):
@@ -535,8 +596,8 @@ def rh_check(P, q, i):
     # same roots, and square-free input passes through unchanged
     radical = coeffs
     g = qpoly.gcd_poly(coeffs, qpoly.deriv(coeffs))
-    if qpoly.degree(g) > 0:
-        radical = qpoly.primitive_int(qpoly.divmod_poly(coeffs, g)[0])
+    if len(g) > 1:
+        radical = qpoly.primitive_int(qpoly.exact_quo(coeffs, g))
     roots = _numeric_roots(radical)
     try:
         deviation = max((abs(abs(rho) * q ** (i / 2) - 1) for rho in roots), default=0.0)

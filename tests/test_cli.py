@@ -521,8 +521,9 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
         assert not {m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")}, argv[0]
         # cli reads argv against its own command table
         assert not loaded & {"argparse", "gettext", "locale"}, argv[0]
-        if argv[0] in ("count", "cm"):
-            # Fraction is only in the algebra modules
+        if argv[0] in ("count", "cm", "weil"):
+            # weil runs on ints from the counts to the verdict; Fraction is
+            # only in the trace-object code that lattice and dimgroup run
             assert not loaded & {"fractions", "decimal", "numbers"}, argv[0]
         if argv[0] == "count":
             assert "weilzeta.cmcurve" not in loaded

@@ -79,11 +79,35 @@ def test_divmod_random_division_law():
         assert qp.degree(r) < qp.degree(den)
 
 
-def test_gcd_is_monic_common_factor():
+def test_gcd_is_primitive_common_factor():
     a = qp.mul((-1, 1), (2, 1))
     b = qp.mul((-1, 1), (1, 3))
-    assert qp.gcd_poly(a, b) == (Fraction(-1), Fraction(1))
-    assert qp.gcd_poly((1, 2, 5), (1, -1)) == (Fraction(1),)
+    assert qp.gcd_poly(a, b) == (-1, 1)
+    assert qp.gcd_poly((1, 2, 5), (1, -1)) == (1,)
+    # integers with positive leading coefficient, not the monic (1/2, 1)
+    a = qp.mul((-1, -2), (2, 1))
+    b = qp.mul((1, 2), (1, 3))
+    assert qp.gcd_poly(a, b) == (1, 2)
+    assert qp.gcd_poly(qp.scale(a, Fraction(1, 3)), b) == (1, 2)
+    assert all(type(c) is int for c in qp.gcd_poly(a, b))
+
+
+def test_exact_quo_divides_in_integers_or_returns_none():
+    rng = random.Random(5)
+    for _ in range(200):
+        b = qp.primitive_int(qp.trim(tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 5)))))
+        if not b:
+            continue
+        c = qp.trim(tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 6))))
+        a = qp.mul(b, c)
+        assert qp.exact_quo(a, b) == c
+        if len(b) > 1:
+            # one more unit in the constant term leaves a remainder
+            assert qp.exact_quo(qp.add(a, (1,)), b) is None
+    # not integral over Z, though b divides a over Q
+    assert qp.exact_quo((1, 3), (2, 6)) is None
+    assert qp.exact_quo((), (1, 1)) == ()
+    assert qp.exact_quo((1,), (1, 1)) is None
 
 
 def test_primitive_int_normalizes():
@@ -194,6 +218,17 @@ def test_factor_int_recombination_is_bounded():
         assert content == 1
         assert sorted(fac for fac, _ in factors) == expected
         assert all(mult == 1 for _, mult in factors)
+
+
+def test_factor_int_keeps_phi_252_whole():
+    # Phi_252 (degree 72) is irreducible, yet splits into 12 factors mod 5:
+    # recombination tries every subset of up to six of them, and rejects
+    # almost all by constant term and coefficient bound before dividing
+    phi = _cyclotomic(252)
+    assert qp.degree(phi) == 72
+    start = time.perf_counter()
+    assert qp.factor_int(phi) == (1, [(phi, 1)])
+    assert time.perf_counter() - start < 5.0
 
 
 def test_reverse():

@@ -383,7 +383,56 @@ def _pade_by_re_expansion(coeffs, num_deg, den_deg):
         expanded.append(acc)
         if acc != c(k):
             raise NoRationalFit(f"re-expansion differs from the series at order {k}")
-    return rational_function(num, den)
+    return _ref_rational_function(num, den)
+
+
+def _ref_divmod(num, den):
+    """Long division on Fractions."""
+    num, den = qpoly.trim(num), qpoly.trim(den)
+    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    rem = [Fraction(c) for c in num]
+    for k in range(len(num) - len(den), -1, -1):
+        quo[k] = rem[k + len(den) - 1] / den[-1]
+        for j, b in enumerate(den):
+            rem[k + j] -= quo[k] * b
+    return qpoly.trim(quo), qpoly.trim(rem)
+
+
+def _ref_gcd(p, q):
+    """Monic gcd by Euclid on Fractions."""
+    a, b = qpoly.trim(p), qpoly.trim(q)
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return tuple(Fraction(c) / a[-1] for c in a)
+
+
+def _ref_zeta_series(counts):
+    """The series recurrence k * c_k = sum N_m c_(k-m) on Fractions."""
+    cs = [Fraction(1)]
+    for k in range(1, len(counts) + 1):
+        cs.append(sum(Fraction(counts[m - 1]) * cs[k - m] for m in range(1, k + 1)) / k)
+    return tuple(cs)
+
+
+def _ref_rational_function(num, den):
+    """rational_function on Fractions: the monic gcd cancelled by long
+    division, then everything divided by den(0)."""
+    num = qpoly.trim(tuple(Fraction(c) for c in num))
+    den = qpoly.trim(tuple(Fraction(c) for c in den))
+    if not den or den[0] == 0:
+        raise NotNormalized("denominator must have nonzero constant term")
+    if not num:
+        raise NotNormalized("zero is not a valid zeta function")
+    g = _ref_gcd(num, den)
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    scale = den[0]
+    num, den = tuple(c / scale for c in num), tuple(c / scale for c in den)
+    if num[0] != 1:
+        raise NotIntegral(f"numerator constant term {num[0]} != 1")
+    for c in num + den:
+        if c.denominator != 1:
+            raise NotIntegral(f"non-integer coefficient {c} after normalization")
+    return RationalFunctionQ(tuple(int(c) for c in num), tuple(int(c) for c in den))
 
 
 def _outcome(fit, coeffs, num_deg, den_deg):
@@ -526,8 +575,9 @@ def _differential_cases():
 
 
 def _radical(P):
-    g = qpoly.gcd_poly(P, qpoly.deriv(P))
-    return qpoly.primitive_int(qpoly.divmod_poly(P, g)[0]) if qpoly.degree(g) > 0 else P
+    """P / gcd(P, P') in primitive form, on Fractions; P when square-free."""
+    g = _ref_gcd(P, qpoly.deriv(P))
+    return qpoly.primitive_int(_ref_divmod(P, g)[0]) if len(g) > 1 else P
 
 
 def _weil_outcome(P, q, i):
@@ -558,3 +608,146 @@ def test_numeric_roots_match_mpmath_on_weil_shaped_polynomials(monkeypatch):
         assert _weil_outcome(*case) == outcome, case
     kinds = {split[0] for split, _, _ in ours if isinstance(split, tuple)}
     assert "MixedWeightFactor" in kinds
+
+
+# --- the integer Weil path against its Fraction reference ---
+
+def _ref_functional_equation(z, q, n, chi):
+    """functional_equation_check with the power of q as a Fraction;
+    'violated' in place of the exception."""
+    qn = q ** n
+    lhs = qpoly.mul(qpoly.compose_linear(qpoly.reverse(z.num), qn), z.den)
+    rhs = qpoly.mul(z.num, qpoly.compose_linear(qpoly.reverse(z.den), qn))
+    e = n * chi
+    if e % 2:
+        sq = qpoly.sub(qpoly.scale(qpoly.mul(lhs, lhs), Fraction(q) ** e), qpoly.mul(rhs, rhs))
+        return "violated" if sq else None
+    scaled = qpoly.scale(lhs, Fraction(q) ** (e // 2))
+    if not qpoly.sub(scaled, rhs):
+        return 1
+    return -1 if not qpoly.add(scaled, rhs) else "violated"
+
+
+def _fe_outcome(z, q, n, chi):
+    try:
+        return functional_equation_check(z, q, n, chi)
+    except FunctionalEquationViolated as exc:
+        assert all(type(c) is int for c in exc.residual_plus + (exc.residual_minus or ()))
+        return "violated"
+
+
+def _weil_style_zeta(rng):
+    """(z, q, n): a curve of genus 1-3 (chi <= 0), some traces repeated or
+    outside the Hasse range, or a variety whose even factors repeat."""
+    q = rng.choice((2, 3, 4, 5, 7, 8, 9, 25, 27))
+    bound = isqrt(4 * q)
+    if rng.randrange(3):
+        traces = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 3))]
+        if rng.randrange(3) == 0:
+            traces[-1] = traces[0]
+        if rng.randrange(4) == 0:
+            traces[0] = rng.choice((-1, 1)) * (bound + rng.randint(1, 3))
+        return RationalFunctionQ(_weil_numerator(q, traces), (1, -(q + 1), q)), q, 1
+    n = rng.randint(1, 3)
+    den = (1,)
+    for i in range(2 * n + 1):
+        for _ in range(rng.randint(1, 2) if 0 < i < 2 * n else 1):
+            den = qpoly.mul(den, (1, -q ** i) if i % 2 == 0 else (1,))
+    return RationalFunctionQ((1,), den), q, n
+
+
+def test_integer_weil_path_matches_the_fraction_reference():
+    # seeded Weil-style count series through every Pade split, then the
+    # functional equation of each fit, against the Fraction reference
+    rng = random.Random(20261021)
+    negative_chi = fits = 0
+    for _ in range(120):
+        z, q, n = _weil_style_zeta(rng)
+        m_max = len(z.num) + len(z.den) - 1
+        counts = [point_count_from_zeta(z, m) for m in range(1, m_max + 1)]
+        coeffs = zeta_series(counts).coeffs
+        assert coeffs == _ref_zeta_series(counts)
+        assert all(type(c) is int for c in coeffs)
+        for den_deg in range(m_max + 1):
+            num_deg = m_max - den_deg
+            got = _outcome(pade_reconstruct, coeffs, num_deg, den_deg)
+            assert got == _outcome(_pade_by_re_expansion, coeffs, num_deg, den_deg), (
+                counts, num_deg, den_deg)
+            if isinstance(got[0], str):
+                continue
+            fits += 1
+            fit = RationalFunctionQ(*got)
+            chi = len(fit.den) - len(fit.num)
+            negative_chi += chi < 0
+            assert _fe_outcome(fit, q, n, chi) == _ref_functional_equation(fit, q, n, chi)
+            assert _fe_outcome(fit, q, n, chi + 1) == _ref_functional_equation(
+                fit, q, n, chi + 1)
+    assert fits > 400 and negative_chi > 200, (fits, negative_chi)
+
+
+def test_gcd_and_radical_match_the_fraction_reference(monkeypatch):
+    rng = random.Random(20261022)
+    radicals = []
+    monkeypatch.setattr(zeta, "_numeric_roots",
+                        lambda coeffs: radicals.append(coeffs) or [])
+    for _ in range(150):
+        common = qpoly.trim(tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))))
+        a = qpoly.mul(common or (1,), tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))))
+        b = qpoly.mul(common or (1,), tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))))
+        if rng.randrange(3) == 0:
+            a = qpoly.scale(a, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        g = qpoly.gcd_poly(a, b)
+        if not qpoly.trim(a) and not qpoly.trim(b):
+            assert g == ()
+            continue
+        assert all(type(c) is int for c in g) and g[-1] > 0 and qpoly.primitive_int(g) == g
+        assert tuple(Fraction(c, g[-1]) for c in g) == _ref_gcd(a, b)
+        # P(0) = 1, often with repeated factors; rh_check hands the root
+        # finder P / gcd(P, P') in primitive form, or P itself
+        q = rng.choice((2, 3, 5, 9))
+        traces = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
+        P = _weil_numerator(q, traces + rng.sample(traces, rng.randint(0, len(traces))))
+        rh_check(P, q, 1)
+        assert radicals.pop() == _radical(P), P
+
+
+def test_rational_library_inputs_keep_their_values_and_messages():
+    assert zeta_series([1, 0]).coeffs == (1, 1, Fraction(1, 2))
+    assert zeta_series([Fraction(1, 2)]).coeffs == (1, Fraction(1, 2))
+    with pytest.raises(NotIntegral, match=r"^numerator constant term 1/2 != 1$"):
+        rational_function((1, 1), (2, 1))
+    with pytest.raises(NotIntegral, match=r"^numerator constant term -1/2 != 1$"):
+        rational_function((1, 1), (-2, 1))
+    with pytest.raises(NotIntegral, match=r"^non-integer coefficient 5/3 after normalization$"):
+        rational_function((3, 5), (3, 1))
+    with pytest.raises(NotIntegral, match=r"^non-integer coefficient -1/4 after normalization$"):
+        rational_function((Fraction(1, 2), 0, 1), (Fraction(1, 2), Fraction(-1, 8)))
+    rng = random.Random(20261023)
+    for _ in range(300):
+        counts = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.randrange(3) == 0
+                  else rng.randint(-3, 30) for _ in range(rng.randint(1, 6))]
+        assert zeta_series(counts).coeffs == _ref_zeta_series(counts)
+        num, den = ([Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                     for _ in range(rng.randint(0, 4))] for _ in range(2))
+        common = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        if rng.randrange(2):
+            num, den = qpoly.mul(num, common), qpoly.mul(den, common)
+        try:
+            got = rational_function(num, den)
+        except WeilZetaError as exc:
+            got = type(exc).__name__, str(exc)
+        try:
+            ref = _ref_rational_function(num, den)
+        except WeilZetaError as exc:
+            ref = type(exc).__name__, str(exc)
+        assert got == ref, (num, den)
+
+
+def test_round_scaled_rounds_like_round_of_a_fraction():
+    rng = random.Random(20261024)
+    cases = [(2.5, 0), (3.5, 0), (-2.5, 0), (0.75, 1), (-0.75, 1), (5.0, -1), (7.0, -1)]
+    for _ in range(500):
+        x = rng.choice((-1, 1)) * rng.random() * 2.0 ** rng.randint(-60, 60)
+        cases.append((x, rng.randint(-80, 300)))
+    for x, e in cases:
+        assert zeta._round_scaled(x, e) == round(Fraction(x) * Fraction(2) ** e), (x, e)
