@@ -71,13 +71,36 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
+def _num(a, b=1):
+    """str(Fraction(a, b)) for ints, or InvalidInput when a or b is longer
+    than the interpreter's int-to-str limit lets str() print."""
+    from .qpoly import ratio_str
+
+    try:
+        return ratio_str(a, b)
+    except ValueError:
+        raise InvalidInput("a number in the report is too long to print") from None
+
+
+def _poly_str(p):
+    """poly_str in x; _num refuses the largest coefficient if too long."""
+    _num(max(p, key=abs))
+    from .qpoly import poly_str
+    return poly_str(p, "x")
+
+
+def _interval_str(field):
+    lo, hi, d = field.bracket
+    return f"[{_num(lo, d)}, {_num(hi, d)}]"
+
+
 def _algebraic_str(x):
-    coords = "(" + ", ".join(str(c) for c in x.coords) + ")"
+    coords = "(" + ", ".join(_num(c, x.den) for c in x.nums) + ")"
     return f"{coords} ~ {x.decimal_str(30)}"
 
 
 def _matrix_str(rows):
-    return "[" + ", ".join("[" + ", ".join(str(v) for v in row) + "]"
+    return "[" + ", ".join("[" + ", ".join(_num(v) for v in row) + "]"
                            for row in rows) + "]"
 
 
@@ -264,15 +287,13 @@ def cmd_cm(args):
 
 def cmd_lattice(args):
     from . import pseudolattice as pl
-    from . import qpoly
     from .qlinalg import mat_mul_int
 
     L = pl.load_lattice(args.path)
     report = Report("weilzeta lattice")
     report.kv("input", args.path)
-    report.kv("field minpoly", qpoly.poly_str(L.field.minpoly, "x"))
-    lo, hi = L.field.interval()
-    report.kv("field root in", f"[{lo}, {hi}]")
+    report.kv("field minpoly", _poly_str(L.field.minpoly))
+    report.kv("field root in", _interval_str(L.field))
     report.kv("field degree", L.field.degree)
     report.kv("rank", L.rank)
     report.add("generators:")
@@ -296,7 +317,7 @@ def cmd_lattice(args):
     if L.rank >= 2:
         witness = pl.density_witness(L)
         report.add("density witness (0 < x < 1/1000):")
-        report.add(f"  x = {witness.c0}*g_1 + {witness.c1}*g_2 "
+        report.add(f"  x = {_num(witness.c0)}*g_1 + {_num(witness.c1)}*g_2 "
                    f"= {_algebraic_str(witness.value)}")
     ok = commutes
     report.kv("verdict", "PASS" if ok else "FAIL")
@@ -307,19 +328,17 @@ def cmd_lattice(args):
 
 def cmd_dimgroup(args):
     from . import dimgroup as dg
-    from . import qpoly
 
     T = dg.load_matrix(args.path, ell=args.det_check)
     G = dg.build(T)
     report = Report("weilzeta dimgroup")
     report.kv("input", args.path)
     report.kv("matrix", _matrix_str(T.rows))
-    report.kv("determinant", T.det())
+    report.kv("determinant", _num(T.det()))
     if args.det_check is not None:
         report.kv("det check", f"symmetric with determinant {args.det_check}: ok")
-    report.kv("lambda minpoly", qpoly.poly_str(G.field.minpoly, "x"))
-    lo, hi = G.field.interval()
-    report.kv("lambda isolated in", f"[{lo}, {hi}]")
+    report.kv("lambda minpoly", _poly_str(G.field.minpoly))
+    report.kv("lambda isolated in", _interval_str(G.field))
     report.kv("lambda", G.lam.decimal_str(30))
     report.add("left eigenvector (w_1 = 1, coords in powers of lambda):")
     for k, entry in enumerate(G.w, start=1):
@@ -349,7 +368,7 @@ def cmd_dimgroup(args):
         unit = dg.unit_decomposition(G, ell)
         report.add(f"unit decomposition (ell = {ell}):")
         report.add(f"  lambda/ell = {_algebraic_str(unit.lam_unit)}")
-        report.add(f"  minimal polynomial: {qpoly.poly_str(unit.minpoly, 'x')}")
+        report.add(f"  minimal polynomial: {_poly_str(unit.minpoly)}")
         report.add(f"  verified algebraic unit: {'true' if unit.verified else 'false'}")
     ok = coherent and scaling
     report.kv("verdict", "PASS" if ok else "FAIL")

@@ -15,7 +15,6 @@ polynomial in lambda whose integer matrix coefficients come from the
 characteristic polynomial's own loop. No floating point enters any trusted value.
 """
 
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 
@@ -23,7 +22,7 @@ from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError)
 from .qlinalg import charpoly_int, det_int, mat_vec_int
-from .realalg import RealAlgebraic, RealNumberField, minimal_polynomial
+from .realalg import RealAlgebraic, RealNumberField
 
 class HeckeLikeMatrix:
     """Primitive non-negative integer matrix, optionally det/symmetry tagged.
@@ -82,29 +81,30 @@ def make_matrix(rows, ell=None):
 
 
 def _largest_real_root(charpoly):
-    """(irreducible factor, isolating interval) of the largest real root."""
+    """(irreducible factor, isolating interval (lo, hi, d)) of the largest
+    real root, which lies in [lo/d, hi/d]."""
     candidates = []
     for fac, _ in qpoly.factor_int(charpoly)[1]:
         bracket = qpoly.largest_real_root(fac)
         if bracket is not None:
             # the sign at the lower end, which refinement keeps
-            candidates.append((fac, bracket, qpoly._sign_at(fac, bracket[0])))
+            candidates.append((fac, bracket, qpoly._sign_at(fac, bracket[0], bracket[2])))
     if not candidates:
         raise InternalError("characteristic polynomial has no real root")
     best_poly, best, best_sign = candidates[0]
     for other_poly, other, other_sign in candidates[1:]:
-        lo, hi = best
-        olo, ohi = other
+        lo, hi, d = best
+        olo, ohi, od = other
         # distinct irreducibles never share a root, so refinement separates
-        while not (hi < olo or ohi < lo):
+        while not (hi * od < olo * d or ohi * d < lo * od):
             if lo != hi:
-                lo, hi = qpoly.refine_bracket(best_poly, lo, hi, best_sign)
+                lo, hi, d = qpoly.refine_bracket(best_poly, lo, hi, d, best_sign)
             if olo != ohi:
-                olo, ohi = qpoly.refine_bracket(other_poly, olo, ohi, other_sign)
-        if olo > hi:
-            best_poly, best, best_sign = other_poly, (olo, ohi), other_sign
+                olo, ohi, od = qpoly.refine_bracket(other_poly, olo, ohi, od, other_sign)
+        if olo * d > hi * od:
+            best_poly, best, best_sign = other_poly, (olo, ohi, od), other_sign
         else:
-            best = (lo, hi)
+            best = (lo, hi, d)
     return best_poly, best
 
 
@@ -135,8 +135,8 @@ def build(T):
     if not isinstance(T, HeckeLikeMatrix):
         T = make_matrix(T)
     chi, adjugate = charpoly_int(T.rows)
-    minpoly, interval = _largest_real_root(chi)
-    field = RealNumberField(minpoly, interval)
+    minpoly, (lo, hi, d) = _largest_real_root(chi)
+    field = RealNumberField(minpoly, (lo, hi), d)
     lam = field.gen()
     if not lam > 1:
         raise DegenerateSpectrum(
@@ -242,8 +242,10 @@ def unit_decomposition(G, ell):
     """
     if ell < 2:
         raise InvalidInput("ell must be at least 2")
-    lam_unit = G.lam * Fraction(1, ell)
-    minpoly = minimal_polynomial(lam_unit)
+    lam_unit = G.lam * G.field.from_rational(1, ell)
+    # x |-> ell*x keeps lambda's minimal polynomial f irreducible, so that
+    # of lambda/ell is the primitive part of sum f_i ell^i x^i
+    minpoly = qpoly.primitive_int(qpoly.compose_linear(G.field.minpoly, ell))
     verified = minpoly[-1] == 1 and abs(minpoly[0]) == 1
     return UnitDecomposition(lam_unit=lam_unit, minpoly=minpoly, verified=verified)
 
@@ -287,7 +289,7 @@ def frobenius_shift_matches_eigenvalue(G, a, ell):
     has no real root to match, and one with a repeated root is reducible,
     so both fail the comparison.
     """
-    return minimal_polynomial(G.lam) == qpoly.primitive_int((ell, -a, 1))
+    return G.field.minpoly == qpoly.primitive_int((ell, -a, 1))
 
 
 def parse_matrix(text, path="<string>"):

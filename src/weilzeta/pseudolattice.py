@@ -11,13 +11,12 @@ alpha*g_i turns End(L) into the projection of an integer kernel lattice,
 and a Hermite normal form gives its canonical Z-basis.
 """
 
-from fractions import Fraction
 from math import floor, lcm
 
 from .errors import (DependentGenerators, DimensionMismatch, FieldMismatch,
                      InternalError, InvalidInput, NotEndomorphism,
                      NotNormalized, ParseError)
-from .qlinalg import hnf_rows, kernel_int, rank_rational, solve_right
+from .qlinalg import echelon, hnf_rows, kernel_int, rank_rational
 from .realalg import RealAlgebraic, RealNumberField
 
 
@@ -36,8 +35,8 @@ class PseudoLattice:
                 raise FieldMismatch("generators must live in the lattice's field")
         if generators[0] != 1:
             raise NotNormalized("first generator must be 1")
-        coords = [g.coords for g in generators]
-        if rank_rational(coords) != len(generators):
+        # scaling a row by its denominator keeps the rank
+        if rank_rational([g.nums for g in generators]) != len(generators):
             raise DependentGenerators(
                 "generators are linearly dependent over the rationals")
 
@@ -49,17 +48,28 @@ class PseudoLattice:
         return f"PseudoLattice(rank {self.rank} in {self.field!r})"
 
 
+def _scaled(elements):
+    """Numerators of the elements over their one common denominator."""
+    den = lcm(*(x.den for x in elements))
+    return [[c * (den // x.den) for c in x.nums] for x in elements]
+
+
 def _int_coords(L, x):
     """Integer coordinates of x in the generator basis, or None if x is not
     in L."""
     if x.field != L.field:
         raise FieldMismatch("element lives in a different field")
-    deg = L.field.degree
-    rows = [[L.generators[j].coords[r] for j in range(L.rank)] for r in range(deg)]
-    sol = solve_right(rows, list(x.coords))
-    if sol is None or any(c.denominator != 1 for c in sol):
+    b = L.rank
+    # columns: the generators, then x, all over one denominator; the
+    # generators are independent, so each pivot row gives one coordinate
+    # as its last entry over its pivot
+    M, _, _ = echelon(list(zip(*_scaled((*L.generators, x)))), b)
+    if any(row[b] for row in M[b:]):
         return None
-    return tuple(int(c) for c in sol)
+    coords = [divmod(row[b], row[i]) for i, row in enumerate(M[:b])]
+    if any(r for _, r in coords):
+        return None
+    return tuple(q for q, _ in coords)
 
 
 def coordinates(L, x):
@@ -109,22 +119,13 @@ def endo_ring_basis(L):
     basis.
     """
     b = L.rank
-    deg = L.field.degree
-    gen_coords = [g.coords for g in L.generators]
-    prod_coords = [[(L.generators[j] * L.generators[i]).coords for j in range(b)]
-                   for i in range(b)]
+    gens = L.generators
+    # x_j * (g_j * g_i) - sum_k y_{i,k} * g_k = 0, all over one denominator
+    cols = _scaled([g * h for h in gens for g in gens] + list(gens))
     # unknowns: x_1..x_b, then y_{i,k} for i,k = 1..b
-    ncols = b + b * b
-    rows = []
-    for i in range(b):
-        for t in range(deg):
-            row = [Fraction(0)] * ncols
-            for j in range(b):
-                row[j] = Fraction(prod_coords[i][j][t])
-            for k in range(b):
-                row[b + i * b + k] = -Fraction(gen_coords[k][t])
-            den = lcm(*(v.denominator for v in row))
-            rows.append([int(v * den) for v in row])
+    rows = [[cols[i * b + j][t] for j in range(b)] + [0] * (i * b)
+            + [-cols[b * b + k][t] for k in range(b)] + [0] * ((b - 1 - i) * b)
+            for i in range(b) for t in range(L.field.degree)]
     kernel = kernel_int(rows)
     projected = [vec[:b] for vec in kernel]
     basis_rows = hnf_rows(projected)
@@ -193,8 +194,9 @@ class DensityWitness:
         self.value = value  # RealAlgebraic
 
 
-def density_witness(L, eps=Fraction(1, 1000)):
-    """Element of L in (0, eps), from continued fractions of g_2.
+def density_witness(L, eps=None):
+    """Element of L in (0, eps), from continued fractions of g_2; eps is an
+    int or a Fraction, 1/1000 when None.
 
     Exists for rank >= 2 because g_2 is irrational, so the convergents
     h/k of its continued fraction satisfy |k g_2 - h| < 1/k, which drops
@@ -202,11 +204,10 @@ def density_witness(L, eps=Fraction(1, 1000)):
     """
     if L.rank < 2:
         raise InvalidInput("rank 1 lattices are discrete; no witness exists")
-    eps = Fraction(eps)
-    if eps <= 0:
+    eps_elt = L.field.from_rational(1, 1000) if eps is None else L.field.from_rational(eps)
+    if eps_elt.sign() <= 0:
         raise InvalidInput("eps must be positive")
     theta = L.generators[1]
-    eps_elt = L.field.from_rational(eps)
     x = theta
     a = floor(x)
     h_prev, h_cur = 1, a
@@ -228,6 +229,26 @@ def density_witness(L, eps=Fraction(1, 1000)):
 
 
 # --- text format ---
+
+# The most digits a numerator or denominator in a lattice file may have
+LITERAL_DIGITS = 1000
+_LITERAL_BOUND = 10 ** LITERAL_DIGITS
+
+
+def _rational(text, no):
+    """A plain integer literal as an int, a/b or a decimal as a Fraction;
+    ParseError past LITERAL_DIGITS digits."""
+    try:
+        value = int(text)
+    except ValueError:
+        from fractions import Fraction
+        # the exponent is checked before Fraction builds 10**exponent
+        _, e, exponent = text.lower().partition("e")
+        value = _LITERAL_BOUND if e and abs(int(exponent)) > LITERAL_DIGITS else Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= _LITERAL_BOUND:
+        raise ParseError(f"line {no}: a number has more than {LITERAL_DIGITS} digits")
+    return value
+
 
 def parse_lattice(text, path="<string>"):
     """Parse the lattice text format.
@@ -262,13 +283,13 @@ def parse_lattice(text, path="<string>"):
             if len(parts) != 2:
                 raise ParseError(f"line {no}: interval needs two endpoints")
             try:
-                interval = (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+                interval = (_rational(parts[0], no), _rational(parts[1], no))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"line {no}: endpoints must be rationals") from None
         elif line.startswith("gen"):
             rest = line[len("gen"):].strip()
             try:
-                gens_raw.append((no, tuple(Fraction(v) for v in rest.split())))
+                gens_raw.append((no, tuple(_rational(v, no) for v in rest.split())))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"line {no}: coordinates must be rationals") from None
         else:

@@ -2,12 +2,12 @@
 
 Coefficients are stored low degree first in plain tuples, so the zero
 polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
-Everything here is exact, never floats. The gcd, the exact quotient,
-factorization and Sturm chains run on ints alone; ``divmod_poly`` and the
-root bracketing, which only the real-algebraic code calls, take or return
-Fractions and import them where they are used. Factorization of integer
-polynomials is pure Python: modular factors come from Berlekamp's
-algorithm in ``ffield``, and are lifted and recombined here.
+Everything here is exact, never floats, and runs on ints alone: the gcd,
+the exact quotient, factorization, Sturm chains and the root bracketing,
+whose endpoints are integer numerators over one positive denominator.
+Factorization of integer polynomials is pure Python: modular factors come
+from Berlekamp's algorithm in ``ffield``, and are lifted and recombined
+here.
 """
 
 from itertools import combinations
@@ -65,32 +65,6 @@ def mul(p, q):
 
 def deriv(p):
     return trim(tuple(k * p[k] for k in range(1, len(p))))
-
-
-def divmod_poly(num, den):
-    """Exact division with remainder over the rationals."""
-    from fractions import Fraction
-
-    num, den = trim(num), trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    r = [Fraction(c) for c in num]
-    dlead = den[-1]
-    dd = len(den) - 1
-    while len(r) - 1 >= dd and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dd:
-            break
-        k = len(r) - 1 - dd
-        c = r[-1] if dlead == 1 else r[-1] / dlead
-        q[k] = c
-        r.pop()
-        for j, b in enumerate(den[:-1]):
-            if b:
-                r[k + j] -= c * b
-    return trim(q), trim(r)
 
 
 def exact_quo(a, b):
@@ -376,15 +350,20 @@ def poly_str(p, var="t"):
     return " ".join(parts)
 
 
-def cauchy_root_bound(p):
-    """All real roots of p lie in (-B, B) for the returned B."""
-    from fractions import Fraction
+def ratio_str(a, b):
+    """str(Fraction(a, b)) for ints a and b != 0, without building one."""
+    g = gcd(a, b) if b > 0 else -gcd(a, b)
+    a, b = a // g, b // g
+    return str(a) if b == 1 else f"{a}/{b}"
 
+
+def cauchy_root_bound(p):
+    """(B, d): all real roots of p lie in (-B/d, B/d)."""
     p = trim(p)
     if len(p) <= 1:
-        return Fraction(1)
-    lead = Fraction(p[-1])
-    return 1 + max(abs(Fraction(c) / lead) for c in p[:-1])
+        return 1, 1
+    lead = abs(p[-1])
+    return lead + max(abs(c) for c in p[:-1]), lead
 
 
 def sturm_chain(p):
@@ -405,13 +384,14 @@ def sturm_chain(p):
     return [c for c in chain if c]
 
 
-def _sign_at(p, x):
-    """Sign of p(x) for integer coefficients and rational x = a/d.
+def _sign_at(p, x, d=1):
+    """Sign of p(x/d) for integer coefficients, x an int or a rational a/e
+    and d a positive int.
 
-    It is the sign of the integer d^n * p(a/d) = sum of c_i a^i d^(n-i),
-    taken by homogeneous Horner; no gcd is computed.
+    It is the sign of the integer (e*d)^n * p(a/(e*d)) = sum of
+    c_i a^i (e*d)^(n-i), taken by homogeneous Horner; no gcd is computed.
     """
-    a, d = x.numerator, x.denominator
+    a, d = x.numerator, x.denominator * d
     acc = 0
     dpow = 1
     for c in reversed(p):
@@ -420,84 +400,77 @@ def _sign_at(p, x):
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = _sign_at(p, x)
-        if v:
-            signs.append(v)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
+def _variations(chain, x, d):
+    signs = [v for v in (_sign_at(p, x, d) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def count_roots(p, lo, hi, chain=None):
-    """Number of distinct real roots of square-free p in (lo, hi].
+def count_roots(p, lo, hi, chain=None, d=1):
+    """Number of distinct real roots of square-free p in (lo/d, hi/d].
 
-    Endpoints are exact rationals; p(lo) may be zero (the root at lo is
-    then excluded by the half-open convention of Sturm's theorem).
+    Endpoints are exact rationals over the positive int d; p(lo/d) may be
+    zero (the root at lo is then excluded by the half-open convention of
+    Sturm's theorem).
     """
     if chain is None:
         chain = sturm_chain(p)
     if lo >= hi:
         return 0
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _variations(chain, lo, d) - _variations(chain, hi, d)
 
 
 def largest_real_root(p):
-    """Bracket (lo, hi) of the largest real root of a square-free polynomial,
-    or None when it has no real root; a multiple root raises ValueError.
+    """Bracket (lo, hi, d) of the largest real root of a square-free
+    polynomial, the root in (lo/d, hi/d], or None when it has no real root;
+    a multiple root raises ValueError.
 
     (-B, B] is halved, keeping the upper half while it still holds a root,
-    until (lo, hi] holds exactly one root and p(lo) != 0. Then lo < hi and
-    p changes sign on the bracket, as refine_bracket expects, unless the
-    root is hi itself: a rational root hit exactly, like the root of a
-    degree-one input, comes back as the degenerate bracket (r, r).
+    until the bracket holds exactly one root and p(lo/d) != 0. Each halving
+    doubles d. Then lo < hi and p changes sign on the bracket, as
+    refine_bracket expects, unless the root is hi/d itself: a rational root
+    hit exactly, like the root of a degree-one input, comes back as the
+    degenerate bracket (r, r, d).
     """
     p = trim(p)
-    d = len(p) - 1
-    if d <= 0:
+    n = len(p) - 1
+    if n <= 0:
         return None
-    if d == 1:
-        from fractions import Fraction
-
-        r = Fraction(-p[0], p[1])
-        return r, r
+    if n == 1:
+        return (-p[0], -p[0], p[1]) if p[1] > 0 else (p[0], p[0], -p[1])
     chain = sturm_chain(p)
     # the chain ends in gcd(p, p'), a constant exactly when p is square-free;
     # at a multiple root the counts go wrong and the bisection would not stop
     if len(chain[-1]) > 1:
         raise ValueError("polynomial must be square-free")
-    hi = cauchy_root_bound(p)
+    hi, d = cauchy_root_bound(p)
     lo = -hi
-    k = count_roots(p, lo, hi, chain)
+    k = count_roots(p, lo, hi, chain, d)
     if k == 0:
         return None
-    while k > 1 or _sign_at(chain[0], lo) == 0:
-        mid = (lo + hi) / 2
-        right = count_roots(p, mid, hi, chain)
+    while k > 1 or _sign_at(chain[0], lo, d) == 0:
+        lo, mid, hi, d = 2 * lo, lo + hi, 2 * hi, 2 * d
+        right = count_roots(p, mid, hi, chain, d)
         if right:
             lo, k = mid, right
         else:
             hi = mid
-    if _sign_at(chain[0], hi) == 0:
-        return hi, hi
-    return lo, hi
+    if _sign_at(chain[0], hi, d) == 0:
+        return hi, hi, d
+    return lo, hi, d
 
 
-def refine_bracket(p, lo, hi, sign_lo):
-    """Halve a sign-change bracket around the single root of p in (lo, hi).
+def refine_bracket(p, lo, hi, d, sign_lo):
+    """Halve a sign-change bracket around the single root of p in
+    (lo/d, hi/d); returns the half (lo', hi', 2d) that holds it.
 
-    sign_lo is the sign of p at lo. Halving keeps it: lo moves only to a
+    sign_lo is the sign of p at lo/d. Halving keeps it: lo moves only to a
     midpoint of that same sign, so callers compute it once per bracket.
     """
-    mid = (lo + hi) / 2
-    smid = _sign_at(p, mid)
+    mid = lo + hi
+    smid = _sign_at(p, mid, 2 * d)
     if smid == 0:
         # rational root hit exactly; collapse
-        return mid, mid
+        return mid, mid, 2 * d
     if smid != sign_lo:
-        return lo, mid
-    return mid, hi
+        return 2 * lo, mid, 2 * d
+    return mid, 2 * hi, 2 * d

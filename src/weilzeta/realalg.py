@@ -2,78 +2,113 @@
 
 A RealNumberField is Q(theta) for theta the unique real root of a monic
 irreducible integer polynomial inside a rational isolating interval,
-certified by a Sturm count at construction. Elements are rational
-coordinate vectors in the power basis 1, theta, ..., theta^(D-1).
+certified by a Sturm count at construction. Elements are integer
+numerators over one positive denominator in the power basis 1, theta,
+..., theta^(D-1) (Cohen, GTM 138, 4.2), and the interval is integer
+endpoints over one common denominator.
 
-Arithmetic is exact. Comparisons are decided by an exact zero test on the
-coordinates followed by interval refinement, never by fixed-precision
+Arithmetic is exact and runs on ints; only the accessors that hand out
+Fractions import them. Comparisons are decided by an exact zero test on
+the coordinates followed by interval refinement, never by fixed-precision
 floating point. The isolating interval narrows monotonically as a shared
 cache; the numeric identity of every value is immutable.
 """
 
-from decimal import Decimal, localcontext
-from fractions import Fraction
+import sys
 from functools import total_ordering
-from math import floor as _floor, lcm
+from math import gcd, lcm
 
 from . import qpoly
 from .errors import (DivisionByZero, FieldMismatch, InvalidInterval,
                      NotIrreducible)
-from .qlinalg import nullspace, solve_right
+from .qlinalg import echelon, nullspace
 
 
-def _interval_eval(p, lo, hi):
-    """Enclosure of p over [lo, hi] by monomial interval arithmetic, computed
-    on integer numerators.
+def _interval_eval(nums, den, lo, hi, d):
+    """Enclosure (low, high, s) of sum nums_i/den * x^i over x in
+    [lo/d, hi/d]: the value lies in [low/s, high/s], s = den * d^(n-1).
 
-    With the coordinates c_i = C_i/D and the endpoints a/d, b/d over common
-    denominators, x^i ranges over [P_i, Q_i]/d^i, where P_i and Q_i come
-    from the min/max recurrence on the integers a and b, and term i lies
-    between the ends of C_i*[P_i, Q_i]/(D*d^i). Horner in d sums the terms
-    over D*d^n, so the enclosure is the rational pair that the same
-    arithmetic on Fractions gives.
+    Monomial interval arithmetic on integers: x^i ranges over [P_i, Q_i]/d^i,
+    where P_i and Q_i come from the min/max recurrence on lo and hi, and
+    term i lies between the ends of nums_i*[P_i, Q_i]/(den*d^i). Horner in d
+    sums the terms over s, so the enclosure is the rational pair that the
+    same arithmetic on Fractions gives.
     """
-    if not p:
-        return Fraction(0), Fraction(0)
-    den = lcm(*(c.denominator for c in p))
-    d = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
     plo = phi = 1
     acc_lo = acc_hi = 0
-    for c in p:
+    for c in nums:
         acc_lo *= d
         acc_hi *= d
-        if c:
-            c = c.numerator * (den // c.denominator)
-            # plo <= phi, so the sign of c orders the two products
-            if c > 0:
-                acc_lo += c * plo
-                acc_hi += c * phi
-            else:
-                acc_lo += c * phi
-                acc_hi += c * plo
-        cands = (plo * a, plo * b, phi * a, phi * b)
-        plo, phi = min(cands), max(cands)
-    scale = den * d ** (len(p) - 1)
-    return Fraction(acc_lo, scale), Fraction(acc_hi, scale)
+        # plo <= phi, so the sign of c orders the two products
+        if c > 0:
+            acc_lo += c * plo
+            acc_hi += c * phi
+        elif c < 0:
+            acc_lo += c * phi
+            acc_hi += c * plo
+        if lo >= 0:
+            plo, phi = plo * lo, phi * hi
+        else:
+            cands = (plo * lo, plo * hi, phi * lo, phi * hi)
+            plo, phi = min(cands), max(cands)
+    return acc_lo, acc_hi, den * d ** (len(nums) - 1)
+
+
+def _decimal(n, d, prec):
+    """str(Decimal(n) / Decimal(d)) at precision prec, for ints n, d > 0.
+
+    The quotient is rounded half-even to prec significant digits; an exact
+    one drops its trailing zeros down to the units digit, as Decimal keeps
+    the exponent nearest 0 (1.5, 2, 100); exponent notation appears where
+    Decimal's to-scientific-string rule puts it.
+    """
+    # e = floor(log10(n/d)), counted up from an estimate by bit lengths
+    # that never exceeds it
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000 - 1
+    while n * 10 ** max(-e - 1, 0) >= d * 10 ** max(e + 1, 0):
+        e += 1
+    exp = e - prec + 1
+    num, div = (n, d * 10 ** exp) if exp >= 0 else (n * 10 ** -exp, d)
+    q, r = divmod(num, div)
+    if 2 * r > div or (2 * r == div and q & 1):
+        q += 1
+    if q == 10 ** prec:
+        q, exp = q // 10, exp + 1
+    while not r and exp < 0 and q % 10 == 0:
+        q, exp = q // 10, exp + 1
+    digits = str(q)
+    left = exp + len(digits)
+    # exp > 0 always takes exponent notation, so dot never passes the digits
+    dot = left if exp <= 0 and left > -6 else 1
+    text = ("0." + "0" * -dot + digits if dot <= 0
+            else (digits[:dot] + "." + digits[dot:]).rstrip("."))
+    return text if left == dot else f"{text}E{left - dot:+d}"
 
 
 class RealNumberField:
-    """Q(theta) with theta pinned by minpoly plus an isolating interval."""
+    """Q(theta) with theta pinned by minpoly plus an isolating interval.
 
-    def __init__(self, minpoly, interval):
+    bracket holds that interval as ints (lo, hi, d): theta lies in
+    [lo/d, hi/d], d > 0. Each refine() halves it and doubles d.
+    """
+
+    def __init__(self, minpoly, interval, den=1):
+        # interval: ints or Fractions lo and hi, each divided by den > 0
         minpoly = tuple(int(c) for c in qpoly.trim(minpoly))
         if not minpoly or minpoly[-1] != 1:
             raise NotIrreducible("minimal polynomial must be monic with integer coefficients")
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
-        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        lo, hi = interval
+        d = lcm(lo.denominator, hi.denominator)
+        lo, hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        d *= den
         if self.degree == 1:
-            root = Fraction(-minpoly[0])
-            if not lo <= root <= hi:
+            root = -minpoly[0]
+            if not lo <= root * d <= hi:
                 raise InvalidInterval(f"interval does not contain the root {root}")
             lo = hi = root
+            d = 1
             self._lo_sign = 0
         else:
             # a monic primitive polynomial is irreducible when it is its own
@@ -83,12 +118,12 @@ class RealNumberField:
             if lo >= hi:
                 raise InvalidInterval("interval must satisfy lo < hi")
             # sign of the minpoly at the lower end, which refine() keeps
-            self._lo_sign = qpoly._sign_at(minpoly, lo)
-            if self._lo_sign == 0 or qpoly._sign_at(minpoly, hi) == 0:
+            self._lo_sign = qpoly._sign_at(minpoly, lo, d)
+            if self._lo_sign == 0 or qpoly._sign_at(minpoly, hi, d) == 0:
                 raise InvalidInterval("interval endpoints must not be roots")
-            if qpoly.count_roots(minpoly, lo, hi) != 1:
+            if qpoly.count_roots(minpoly, lo, hi, d=d) != 1:
                 raise InvalidInterval("interval must isolate exactly one real root")
-        self._interval = [lo, hi]
+        self.bracket = (lo, hi, d)
 
     def __eq__(self, other):
         if self is other:
@@ -102,18 +137,20 @@ class RealNumberField:
         # same polynomial: equal iff both intervals select the same root,
         # i.e. the overlap contains a root (each interval holds exactly one,
         # and construction forbids roots at endpoints)
-        lo = max(self._interval[0], other._interval[0])
-        hi = min(self._interval[1], other._interval[1])
+        lo1, hi1, d1 = self.bracket
+        lo2, hi2, d2 = other.bracket
+        lo, hi = max(lo1 * d2, lo2 * d1), min(hi1 * d2, hi2 * d1)
         if lo >= hi:
             return False
-        return qpoly.count_roots(self.minpoly, lo, hi) == 1
+        return qpoly.count_roots(self.minpoly, lo, hi, d=d1 * d2) == 1
 
     def __hash__(self):
         return hash(self.minpoly)
 
     def __repr__(self):
-        lo, hi = self._interval
-        return f"RealNumberField({qpoly.poly_str(self.minpoly, 'x')}, root in [{lo}, {hi}])"
+        lo, hi, d = self.bracket
+        return (f"RealNumberField({qpoly.poly_str(self.minpoly, 'x')}, "
+                f"root in [{qpoly.ratio_str(lo, d)}, {qpoly.ratio_str(hi, d)}])")
 
     @classmethod
     def rationals(cls):
@@ -131,62 +168,83 @@ class RealNumberField:
 
     def refine(self):
         """Halve the isolating interval of theta (monotone cache update)."""
-        lo, hi = self._interval
-        if lo == hi:
-            return
-        lo2, hi2 = qpoly.refine_bracket(self.minpoly, lo, hi, self._lo_sign)
-        self._interval = [lo2, hi2]
+        lo, hi, d = self.bracket
+        if lo != hi:
+            self.bracket = qpoly.refine_bracket(self.minpoly, lo, hi, d, self._lo_sign)
 
     def interval(self):
-        return tuple(self._interval)
+        """The isolating interval as a pair of Fractions."""
+        from fractions import Fraction
+        lo, hi, d = self.bracket
+        return Fraction(lo, d), Fraction(hi, d)
 
     def zero(self):
-        return RealAlgebraic(self, (Fraction(0),) * self.degree)
+        return RealAlgebraic(self, (0,) * self.degree)
 
     def one(self):
-        return RealAlgebraic(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
+        return RealAlgebraic(self, (1,) + (0,) * (self.degree - 1))
 
     def gen(self):
         """theta itself."""
         if self.degree == 1:
-            return self.from_rational(self._interval[0])
-        cs = [Fraction(0)] * self.degree
-        cs[1] = Fraction(1)
-        return RealAlgebraic(self, tuple(cs))
+            return self.from_rational(self.bracket[0])
+        return RealAlgebraic(self, (0, 1) + (0,) * (self.degree - 2))
 
-    def from_rational(self, r):
-        cs = [Fraction(0)] * self.degree
-        cs[0] = Fraction(r)
-        return RealAlgebraic(self, tuple(cs))
+    def from_rational(self, r, den=1):
+        """The rational r/den, for r an int or a Fraction and den > 0."""
+        return RealAlgebraic(self, (r.numerator,) + (0,) * (self.degree - 1),
+                             r.denominator * den)
 
     def element(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        """The element with the given int or Fraction coordinates."""
+        coords = tuple(coords)
         if len(coords) != self.degree:
             raise FieldMismatch(f"expected {self.degree} coordinates, got {len(coords)}")
-        return RealAlgebraic(self, coords)
+        den = lcm(*(c.denominator for c in coords))
+        return RealAlgebraic(self, tuple(c.numerator * (den // c.denominator) for c in coords),
+                             den)
 
-    def _residue(self, poly):
-        """The element poly(theta): poly reduced modulo the minimal polynomial."""
-        rem = qpoly.divmod_poly(poly, self.minpoly)[1]
-        return RealAlgebraic(self, rem + (Fraction(0),) * (self.degree - len(rem)))
+    def _columns(self, nums, count):
+        """The numerators of x*theta^j for j < count, x with numerators nums:
+        each shifts the last up one power and folds theta^D back through the
+        monic minimal polynomial."""
+        cols = [nums]
+        for _ in range(count - 1):
+            col = cols[-1]
+            # zip stops before the minpoly's leading 1
+            cols.append(tuple(a - col[-1] * m for a, m in zip((0,) + col[:-1], self.minpoly)))
+        return cols
 
 
 @total_ordering
 class RealAlgebraic:
     """Immutable exact real number inside a RealNumberField.
 
+    The value is the sum of nums[i]/den * theta^i, reduced: den > 0 and
+    gcd(den, *nums) = 1, so equal values have equal numerators.
     <=, > and >= are derived from __lt__ and __eq__, so each comparison
     makes exactly one exact sign computation.
     """
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, nums, den=1):
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RealAlgebraic is immutable")
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions."""
+        from fractions import Fraction
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # --- coercion helpers ---
 
@@ -195,7 +253,10 @@ class RealAlgebraic:
             if other.field != self.field:
                 raise FieldMismatch("elements of different real number fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        # a Fraction exists only once fractions is loaded, so this test
+        # loads nothing
+        fractions = sys.modules.get("fractions")
+        if isinstance(other, int) or fractions and isinstance(other, fractions.Fraction):
             return self.field.from_rational(other)
         return None
 
@@ -205,12 +266,15 @@ class RealAlgebraic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RealAlgebraic(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        den = lcm(self.den, o.den)
+        s, t = den // self.den, den // o.den
+        return RealAlgebraic(self.field, tuple(a * s + b * t for a, b in zip(self.nums, o.nums)),
+                             den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RealAlgebraic(self.field, tuple(-a for a in self.coords))
+        return RealAlgebraic(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -228,24 +292,31 @@ class RealAlgebraic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field._residue(qpoly.mul(self.coords, o.coords))
+        # x*y is the sum of y_j * x*theta^j, up to y's last nonzero coordinate
+        ys = qpoly.trim(o.nums)
+        acc = [0] * self.field.degree
+        for col, y in zip(self.field._columns(self.nums, len(ys)), ys):
+            if y:
+                acc = [a + y * c for a, c in zip(acc, col)]
+        return RealAlgebraic(self.field, tuple(acc), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        # y = 1/x solves M y = e_0, where column j of M holds the coordinates
-        # of x*theta^j; each column shifts the last up one power and folds
-        # theta^D back through the monic minimal polynomial
+        # y = 1/x solves M y = den*e_0, where column j of M holds the
+        # numerators of x*theta^j. M is invertible, so every pivot row of
+        # the fraction-free elimination holds the same last pivot p, and
+        # y is the right-hand column over p
         f = self.field
-        cols = [self.coords]
-        for _ in range(f.degree - 1):
-            col = cols[-1]
-            # zip stops before the minpoly's leading 1
-            cols.append(tuple(a - col[-1] * m for a, m in zip((0,) + col[:-1], f.minpoly)))
-        y = solve_right(list(zip(*cols)), [1] + [0] * (f.degree - 1))
-        return RealAlgebraic(f, tuple(y))
+        D = f.degree
+        rows = [list(row) + [self.den if i == 0 else 0]
+                for i, row in enumerate(zip(*f._columns(self.nums, D)))]
+        M, _, _ = echelon(rows, D)
+        p = M[0][0]
+        nums = tuple(row[D] if p > 0 else -row[D] for row in M)
+        return RealAlgebraic(f, nums, abs(p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -274,48 +345,52 @@ class RealAlgebraic:
     # --- exact predicates and comparisons ---
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coords[0]
+        from fractions import Fraction
+        return Fraction(self.nums[0], self.den)
 
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
-        if self.is_zero():
-            return 0
         if self.is_rational():
-            return 1 if self.coords[0] > 0 else -1
-        lo, _ = self._refine_until(lambda lo, hi: lo > 0 or hi < 0)
+            c = self.nums[0]
+            return (c > 0) - (c < 0)
+        lo, _, _ = self._refine_until(lambda lo, hi, s: lo > 0 or hi < 0)
         return 1 if lo > 0 else -1
 
     def interval(self):
-        """Current rational enclosure of the value (refinable)."""
-        lo, hi = self.field._interval
-        return _interval_eval(self.coords, lo, hi)
+        """Current rational enclosure of the value (refinable), as Fractions."""
+        from fractions import Fraction
+        lo, hi, s = _interval_eval(self.nums, self.den, *self.field.bracket)
+        return Fraction(lo, s), Fraction(hi, s)
 
     def _refine_until(self, done):
-        """Refine the field's interval until done(lo, hi) holds for the
-        enclosure of the value; returns that enclosure."""
-        lo, hi = self.interval()
-        while not done(lo, hi):
+        """Refine the field's interval until done(lo, hi, s) holds for the
+        enclosure [lo/s, hi/s] of the value; returns that enclosure."""
+        while True:
+            lo, hi, s = _interval_eval(self.nums, self.den, *self.field.bracket)
+            if done(lo, hi, s):
+                return lo, hi, s
             self.field.refine()
-            lo, hi = self.interval()
-        return lo, hi
 
     def refine_to_width(self, width):
-        """Shrink the enclosure below the given rational width."""
-        return self._refine_until(lambda lo, hi: hi - lo < width)
+        """Shrink the enclosure below the given int or Fraction width;
+        returns it as Fractions."""
+        w, v = width.numerator, width.denominator
+        self._refine_until(lambda lo, hi, s: (hi - lo) * v < w * s)
+        return self.interval()
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.nums == o.nums and self.den == o.den
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -331,27 +406,25 @@ class RealAlgebraic:
 
     def __floor__(self):
         if self.is_rational():
-            return _floor(self.coords[0])
-        lo, _ = self._refine_until(lambda lo, hi: _floor(lo) == _floor(hi))
-        return _floor(lo)
+            return self.nums[0] // self.den
+        lo, _, s = self._refine_until(lambda lo, hi, s: lo // s == hi // s)
+        return lo // s
 
     def decimal_str(self, digits=30):
-        """Deterministic decimal rendering with the given significant digits."""
+        """Deterministic decimal rendering with the given significant digits:
+        the midpoint of an enclosure narrower than 10^-(digits+3) times its
+        lower end, as Decimal prints it at that precision."""
         if self.is_zero():
             return "0"
         if self.sign() < 0:
             return "-" + (-self).decimal_str(digits)
-        lo, _ = self._refine_until(lambda lo, hi: lo > 0)
-        target = lo * Fraction(10) ** -(digits + 3)
-        lo, hi = self.refine_to_width(target)
-        mid = (lo + hi) / 2
-        with localcontext() as ctx:
-            ctx.prec = digits
-            d = Decimal(mid.numerator) / Decimal(mid.denominator)
-            return str(d)
+        low, _, t = self._refine_until(lambda lo, hi, s: lo > 0)
+        t *= 10 ** (digits + 3)
+        lo, hi, s = self._refine_until(lambda lo, hi, s: (hi - lo) * t < low * s)
+        return _decimal(lo + hi, 2 * s, digits)
 
     def __repr__(self):
-        cs = ", ".join(str(c) for c in self.coords)
+        cs = ", ".join(qpoly.ratio_str(c, self.den) for c in self.nums)
         return f"RealAlgebraic(({cs}))"
 
 
@@ -360,14 +433,16 @@ def minimal_polynomial(x):
     coefficient, coefficients low degree first.
 
     Computed exactly (Cohen, GTM 138) from one kernel of the D x (D+1)
-    matrix whose columns are the coordinates of 1, x, ..., x^D. Its first
-    basis vector belongs to the first power that depends on the lower
-    ones; those are all pivot columns, so the vector is that dependence.
+    matrix whose columns are the coordinates of 1, x, ..., x^D, all scaled
+    by one common denominator. Its first basis vector belongs to the first
+    power that depends on the lower ones; those are all pivot columns, so
+    the vector is that dependence.
     """
     f = x.field
     powers = [f.one()]
     for _ in range(f.degree):
         powers.append(powers[-1] * x)
-    A = [[p.coords[d] for p in powers] for d in range(f.degree)]
+    s = lcm(*(p.den for p in powers))
+    A = [[p.nums[r] * (s // p.den) for p in powers] for r in range(f.degree)]
     # D+1 columns in D rows: the kernel is never empty
     return qpoly.primitive_int(nullspace(A)[0])

@@ -20,7 +20,7 @@ sanity check on each root, not an error bound, since clustered roots
 defeat it.
 """
 
-from math import cos, frexp, gcd, isfinite, isqrt, lcm, ldexp, log, pi, sin
+from math import cos, frexp, isfinite, isqrt, lcm, ldexp, log, pi, sin
 
 from . import qpoly
 from .errors import (DimensionMismatch, EmptySeries, FunctionalEquationViolated,
@@ -171,13 +171,6 @@ def _to_ints(values):
     return tuple(v.numerator * (L // v.denominator) for v in values), L
 
 
-def _ratio_str(a, b):
-    """str(Fraction(a, b)) for ints a and b != 0, without building one."""
-    g = gcd(a, b) if b > 0 else -gcd(a, b)
-    a, b = a // g, b // g
-    return str(a) if b == 1 else f"{a}/{b}"
-
-
 def _series_div(num, den, order):
     """Coefficients c_0..c_order of the power series num/den.
 
@@ -218,11 +211,11 @@ def rational_function(num, den):
         num, den = qpoly.exact_quo(num, g), qpoly.exact_quo(den, g)
     scale = den[0]
     if num[0] != scale:
-        raise NotIntegral(f"numerator constant term {_ratio_str(num[0], scale)} != 1")
+        raise NotIntegral(f"numerator constant term {qpoly.ratio_str(num[0], scale)} != 1")
     for c in num + den:
         if c % scale:
             raise NotIntegral(
-                f"non-integer coefficient {_ratio_str(c, scale)} after normalization")
+                f"non-integer coefficient {qpoly.ratio_str(c, scale)} after normalization")
     return RationalFunctionQ(num=tuple(c // scale for c in num),
                              den=tuple(c // scale for c in den))
 

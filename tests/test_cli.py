@@ -150,6 +150,39 @@ def test_large_imprimitive_matrix_is_refused_fast_in_a_fresh_process(tmp_path):
     assert elapsed < 2.0
 
 
+def _sqrt2_lattice(root="1, 2", gen="0 1"):
+    return f"field minpoly=-2 0 1\nroot in [{root}]\ngen 1 0\ngen {gen}\n"
+
+
+# the first five were tracebacks or hangs before literals were bounded; the
+# last has literals inside the bound, but its report has numbers longer than
+# the interpreter's int-to-str limit
+@pytest.mark.parametrize("text, message", [
+    (_sqrt2_lattice(root="1, 1e5000"), "ParseError: line 2: a number has more than 1000 digits"),
+    (_sqrt2_lattice(gen="0 1e999999"), "ParseError: line 4: a number has more than 1000 digits"),
+    (_sqrt2_lattice(gen="1e-99999 1"), "ParseError: line 4: a number has more than 1000 digits"),
+    (_sqrt2_lattice(gen="1e4000 1"), "ParseError: line 4: a number has more than 1000 digits"),
+    (_sqrt2_lattice(gen="0 1e99999999"),
+     "ParseError: line 4: a number has more than 1000 digits"),
+    ("field minpoly=-2 0 0 1\nroot in [1, 2]\ngen 1 0 0\ngen 1e999 1e999 1\n"
+     "gen 1e-999 1e999 3e999\n", "InvalidInput: a number in the report is too long to print"),
+], ids=["root-1e5000", "gen-1e999999", "gen-1e-99999", "gen-1e4000", "gen-1e99999999",
+        "derived-entry"])
+def test_hostile_lattice_literals_fail_fast_in_a_fresh_process(tmp_path, text, message):
+    path = tmp_path / "hostile.lattice"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", "lattice", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: {message}"), done.stderr[-2000:]
+    assert elapsed < 2.0
+
+
 def test_field_tables_to_2_16_build_fast_in_a_fresh_process(tmp_path):
     # no point of P^0 over F_2 satisfies X0 = 0, so the run is the Zech
     # tables of F_2^m for m = 1..16, 2^17 entries in all
@@ -521,10 +554,9 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
         assert not {m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")}, argv[0]
         # cli reads argv against its own command table
         assert not loaded & {"argparse", "gettext", "locale"}, argv[0]
-        if argv[0] in ("count", "cm", "weil"):
-            # weil runs on ints from the counts to the verdict; Fraction is
-            # only in the trace-object code that lattice and dimgroup run
-            assert not loaded & {"fractions", "decimal", "numbers"}, argv[0]
+        # every command runs on ints: weil from the counts to the verdict,
+        # lattice and dimgroup on integer Q(theta) elements and digits
+        assert not loaded & {"fractions", "decimal", "numbers"}, argv[0]
         if argv[0] == "count":
             assert "weilzeta.cmcurve" not in loaded
 

@@ -319,6 +319,27 @@ def test_adjugate_eigenvector_matches_kernel_over_q_lambda():
         accepted += 1
 
 
+def test_unit_minpoly_in_closed_form_matches_minimal_polynomial():
+    # 60 primitive matrices with b = 2..9 and four ell each: 240 cases
+    rng = random.Random(20261104)
+    accepted = 0
+    while accepted < 60:
+        b = 2 + accepted % 8
+        rows = [[rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(b)] for _ in range(b)]
+        try:
+            G = build(rows)
+        except (NotPrimitive, DegenerateSpectrum):
+            continue
+        for ell in (2, 3, 5, 12):
+            ud = unit_decomposition(G, ell)
+            assert ud.minpoly == minimal_polynomial(G.lam * F(1, ell)), (rows, ell)
+            assert ud.lam_unit == G.lam * F(1, ell)
+        # frobenius_shift_matches_eigenvalue reads lambda's minimal
+        # polynomial off its field
+        assert G.field.minpoly == minimal_polynomial(G.lam), rows
+        accepted += 1
+
+
 def test_hecke_like_matrix_constructor_messages():
     assert HeckeLikeMatrix(2, ((1, 1), (1, 0))).ell is None
     cases = (

@@ -57,24 +57,26 @@ def test_deriv():
     assert qp.deriv(()) == ()
 
 
-def test_divmod_exact_and_remainder():
-    q, r = qp.divmod_poly((-1, 0, 0, 1), (-1, 1))
-    assert q == (1, 1, 1)
-    assert r == ()
-    q, r = qp.divmod_poly((1, 0, 1), (1, 1))
-    assert r != () and qp.degree(r) < 1
-    assert qp.add(qp.mul(q, (1, 1)), r) == (1, 0, 1)
+def _ref_divmod(num, den):
+    """Long division on Fractions, the reference for remainders and quotients."""
+    num, den = qp.trim(num), qp.trim(den)
+    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    rem = [Fraction(c) for c in num]
+    for k in range(len(num) - len(den), -1, -1):
+        quo[k] = rem[k + len(den) - 1] / den[-1]
+        for j, b in enumerate(den):
+            rem[k + j] -= quo[k] * b
+    return qp.trim(quo), qp.trim(rem)
 
 
-def test_divmod_random_division_law():
+def test_ref_divmod_obeys_the_division_law():
     rng = random.Random(7)
     for _ in range(50):
         num = tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(0, 6)))
-        den = tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4)))
-        den = qp.trim(den)
+        den = qp.trim(tuple(Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))))
         if not den:
             continue
-        q, r = qp.divmod_poly(num, den)
+        q, r = _ref_divmod(num, den)
         assert qp.add(qp.mul(q, den), r) == qp.trim(num)
         assert qp.degree(r) < qp.degree(den)
 
@@ -106,6 +108,8 @@ def test_exact_quo_divides_in_integers_or_returns_none():
             assert qp.exact_quo(qp.add(a, (1,)), b) is None
     # not integral over Z, though b divides a over Q
     assert qp.exact_quo((1, 3), (2, 6)) is None
+    assert qp.exact_quo((-1, 0, 0, 1), (-1, 1)) == (1, 1, 1)
+    assert qp.exact_quo((1, 0, 1), (1, 1)) is None
     assert qp.exact_quo((), (1, 1)) == ()
     assert qp.exact_quo((1,), (1, 1)) is None
 
@@ -159,8 +163,8 @@ def _cyclotomic(n):
     phi = _x_power_minus_one(n)
     for d in range(1, n):
         if n % d == 0:
-            phi = qp.divmod_poly(phi, _cyclotomic(d))[0]
-    return tuple(int(c) for c in phi)
+            phi = qp.exact_quo(phi, _cyclotomic(d))
+    return phi
 
 
 # Swinnerton-Dyer polynomials for sqrt 2, sqrt 3 (and sqrt 5): irreducible,
@@ -249,9 +253,13 @@ def test_poly_str_rendering():
 
 
 def test_cauchy_root_bound():
-    assert qp.cauchy_root_bound((-2, 0, 1)) == 3
+    assert qp.cauchy_root_bound((-2, 0, 1)) == (3, 1)
+    # (|lead| + max |c|) / |lead|
+    assert qp.cauchy_root_bound((1, -6, 0, -2)) == (8, 2)
+    assert qp.cauchy_root_bound((5,)) == (1, 1)
     # all real roots of x^2 - 2 lie in [-3, 3]
     assert qp.count_roots((-2, 0, 1), Fraction(-3), Fraction(3)) == 2
+    assert qp.count_roots((-2, 0, 1), -6, 6, d=2) == 2
 
 
 def test_count_roots_brackets():
@@ -264,11 +272,12 @@ def test_largest_real_root_bracket():
     # x^3 - 3x + 1 has one real root in each of (-4, 0), (0, 1) and (1, 2);
     # bisecting (-4, 4] ends on the last of these
     p = (1, -3, 0, 1)
-    lo, hi = qp.largest_real_root(p)
-    assert (lo, hi) == (1, 2)
-    assert qp.count_roots(p, lo, hi) == 1
-    assert qp.count_roots(p, hi, qp.cauchy_root_bound(p)) == 0
-    assert qp.largest_real_root((-2, -2, 1)) == (0, 3)
+    lo, hi, d = qp.largest_real_root(p)
+    assert (Fraction(lo, d), Fraction(hi, d)) == (1, 2)
+    assert qp.count_roots(p, lo, hi, d=d) == 1
+    assert qp.count_roots(p, Fraction(hi, d), Fraction(*qp.cauchy_root_bound(p))) == 0
+    lo, hi, d = qp.largest_real_root((-2, -2, 1))
+    assert (Fraction(lo, d), Fraction(hi, d)) == (0, 3)
 
 
 def test_isolate_no_real_roots():
@@ -282,27 +291,31 @@ def test_largest_real_root_refuses_multiple_roots():
 
 
 def test_largest_real_root_linear_is_exact():
-    assert qp.largest_real_root((3, 2)) == (Fraction(-3, 2), Fraction(-3, 2))
+    assert qp.largest_real_root((3, 2)) == (-3, -3, 2)
+    assert qp.largest_real_root((3, -2)) == (3, 3, 2)
 
 
 def test_largest_real_root_with_rational_roots():
     # (x - 1)(x - 2)(x - 3): the bisection ends on the root 3 exactly
-    assert qp.largest_real_root((-6, 11, -6, 1)) == (3, 3)
+    lo, hi, d = qp.largest_real_root((-6, 11, -6, 1))
+    assert lo == hi and Fraction(hi, d) == 3
     # x (x^2 - 2x - 2): rational root 0 below the largest root 1 + sqrt(3)
     p = (0, -2, -2, 1)
-    lo, hi = qp.largest_real_root(p)
+    lo, hi, d = qp.largest_real_root(p)
     assert lo < hi
-    assert qp.count_roots(p, lo, hi) == 1
-    assert (_eval_at(p, lo) < 0) != (_eval_at(p, hi) < 0)
-    assert qp.count_roots(p, hi, qp.cauchy_root_bound(p)) == 0
+    assert qp.count_roots(p, lo, hi, d=d) == 1
+    assert (_eval_at(p, Fraction(lo, d)) < 0) != (_eval_at(p, Fraction(hi, d)) < 0)
+    assert qp.count_roots(p, Fraction(hi, d), Fraction(*qp.cauchy_root_bound(p))) == 0
 
 
 def test_refine_bracket_halves_and_keeps_root():
-    # x^2 - 2 is negative at 1
-    lo, hi = qp.refine_bracket((-2, 0, 1), Fraction(1), Fraction(2), -1)
-    assert Fraction(1) <= lo < hi <= Fraction(2)
-    assert hi - lo <= Fraction(1, 2)
-    assert qp.count_roots((-2, 0, 1), lo, hi) == 1
+    # x^2 - 2 is negative at 1; the half that holds sqrt(2) comes back over
+    # twice the denominator
+    assert qp.refine_bracket((-2, 0, 1), 1, 2, 1, -1) == (2, 3, 2)
+    assert qp.refine_bracket((-2, 0, 1), 2, 3, 2, -1) == (5, 6, 4)
+    assert qp.count_roots((-2, 0, 1), 5, 6, d=4) == 1
+    # a rational root hit exactly collapses the bracket
+    assert qp.refine_bracket((-3, 2), 1, 2, 1, -1) == (3, 3, 2)
 
 
 def test_sturm_chain_signs_count_roots():
@@ -324,7 +337,7 @@ def _fraction_sturm_chain(p):
     p = qp.trim(p)
     chain = [tuple(Fraction(c) for c in p), qp.deriv(p)]
     while chain[-1]:
-        rem = qp.divmod_poly(chain[-2], chain[-1])[1]
+        rem = _ref_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(qp.neg(rem))
@@ -365,7 +378,7 @@ def test_pseudo_rem_is_a_positive_multiple_of_the_remainder():
     rng = random.Random(4099)
     for _ in range(300):
         a, b = _random_int_poly(rng), _random_int_poly(rng)
-        rem, reference = qp._pseudo_rem(a, b), qp.divmod_poly(a, b)[1]
+        rem, reference = qp._pseudo_rem(a, b), _ref_divmod(a, b)[1]
         assert len(rem) == len(reference), (a, b)
         if rem:
             ratio = Fraction(rem[-1]) / reference[-1]
@@ -373,7 +386,7 @@ def test_pseudo_rem_is_a_positive_multiple_of_the_remainder():
 
 
 def _refine_recomputing_sign(p, lo, hi):
-    """Halving that evaluates the sign at lo on every step."""
+    """Halving on Fractions that evaluates the sign at lo on every step."""
     mid = (lo + hi) / 2
     slo, smid = _eval_at(p, lo), _eval_at(p, mid)
     if smid == 0:
@@ -384,17 +397,37 @@ def _refine_recomputing_sign(p, lo, hi):
 
 
 def test_refine_bracket_with_a_carried_sign_matches_signs_recomputed():
-    # the sign at lo survives every halving, so refining with the first
-    # sign gives the brackets that recomputing it at each step gives
+    # the sign at lo survives every halving, so refining integer endpoints
+    # with the first sign gives the brackets that recomputing it at each
+    # step on Fractions gives
     for p, lo, hi in [((-2, 0, 1), 1, 2), ((-2, 0, 0, 1), 1, 2), ((1, -3, 0, 1), 0, 1),
                       ((-1, -1, 1), 1, 2), ((-3, 0, 1), -2, -1), ((-6, 11, -6, 1), 2, 4),
                       ((7, 0, -13, 0, 3), -2, -1)]:
-        lo, hi = Fraction(lo), Fraction(hi)
-        sign_lo = qp._sign_at(p, lo)
+        d = 1
+        flo, fhi = Fraction(lo), Fraction(hi)
+        sign_lo = qp._sign_at(p, lo, d)
         for _ in range(60):
             if lo == hi:
                 break
-            expected = _refine_recomputing_sign(p, lo, hi)
-            lo, hi = qp.refine_bracket(p, lo, hi, sign_lo)
-            assert (lo, hi) == expected, p
-        assert qp.count_roots(p, lo - Fraction(1, 10**30), hi) == 1, p
+            flo, fhi = _refine_recomputing_sign(p, flo, fhi)
+            lo, hi, d = qp.refine_bracket(p, lo, hi, d, sign_lo)
+            assert (Fraction(lo, d), Fraction(hi, d)) == (flo, fhi), p
+        assert qp.count_roots(p, flo - Fraction(1, 10**30), fhi) == 1, p
+
+
+def test_sign_at_over_a_denominator_is_the_sign_at_the_ratio():
+    rng = random.Random(20261020)
+    for _ in range(500):
+        p = tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 6)))
+        a, d = rng.randint(-10**4, 10**4), rng.randint(1, 999)
+        x = rng.choice((a, Fraction(a, rng.randint(1, 99))))
+        v = _eval_at(p, Fraction(x) / d)
+        assert qp._sign_at(p, x, d) == (v > 0) - (v < 0), (p, x, d)
+
+
+def test_ratio_str_prints_as_fraction_does():
+    rng = random.Random(99)
+    for _ in range(500):
+        a = rng.choice((0, rng.randint(-50, 50), rng.randint(-10**20, 10**20)))
+        b = rng.choice((1, -1, rng.randint(-999, 999) or 7, rng.randint(1, 10**20)))
+        assert qp.ratio_str(a, b) == str(Fraction(a, b)), (a, b)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from weilzeta import qpoly
 from weilzeta.errors import DivisionByZero, InvalidInterval, NotIrreducible
 from weilzeta.realalg import (
     RealNumberField,
+    _decimal,
     _interval_eval,
     minimal_polynomial,
 )
@@ -231,6 +233,12 @@ def _random_endpoints(rng):
     return rng.choice((a, -b)), rng.choice((b, b + a))
 
 
+def _over_one_denominator(values):
+    """(numerators, d): the rationals as ints over their least common denominator."""
+    d = math.lcm(*(F(v).denominator for v in values))
+    return tuple(int(F(v) * d) for v in values), d
+
+
 def test_interval_eval_on_integers_matches_fraction_arithmetic():
     rng = random.Random(20260418)
     for _ in range(3000):
@@ -238,15 +246,20 @@ def test_interval_eval_on_integers_matches_fraction_arithmetic():
         coords = tuple(_random_rational(rng) for _ in range(degree))
         lo, hi = _random_endpoints(rng)
         assert lo <= hi
-        got = _interval_eval(coords, lo, hi)
-        assert got == _interval_eval_on_fractions(coords, lo, hi), (coords, lo, hi)
-        assert all(type(v) is F for v in got)
+        nums, den = _over_one_denominator(coords)
+        (a, b), d = _over_one_denominator((lo, hi))
+        # the same endpoints over a larger denominator give the same enclosure
+        k = rng.choice((1, 2, 8))
+        low, high, s = _interval_eval(nums, den, a * k, b * k, d * k)
+        assert all(type(v) is int for v in (low, high, s)) and s > 0
+        assert (F(low, s), F(high, s)) == _interval_eval_on_fractions(coords, lo, hi), (
+            coords, lo, hi)
 
 
 def test_interval_eval_of_zero_is_zero():
-    assert _interval_eval((), F(1), F(2)) == (0, 0)
-    assert _interval_eval((0, F(0), 0), F(-3, 2), F(5, 7)) == (0, 0)
-    assert _interval_eval((0,), F(4, 3), F(4, 3)) == (0, 0)
+    assert _interval_eval((0,), 1, 1, 2, 1)[:2] == (0, 0)
+    assert _interval_eval((0, 0, 0), 1, -21, 10, 14)[:2] == (0, 0)
+    assert _interval_eval((0,), 1, 4, 4, 3)[:2] == (0, 0)
 
 
 def _eval_at(p, x):
@@ -273,16 +286,28 @@ def test_sign_at_matches_exact_evaluation():
         assert qpoly._sign_at(p, r) == 0
 
 
+def _ref_divmod(num, den):
+    """Long division on Fractions."""
+    num, den = qpoly.trim(num), qpoly.trim(den)
+    quo = [F(0)] * max(len(num) - len(den) + 1, 1)
+    rem = [F(c) for c in num]
+    for k in range(len(num) - len(den), -1, -1):
+        quo[k] = rem[k + len(den) - 1] / den[-1]
+        for j, b in enumerate(den):
+            rem[k + j] -= quo[k] * b
+    return qpoly.trim(quo), qpoly.trim(rem)
+
+
 def _ext_gcd_inverse(x):
     """1/x by the extended Euclid on Fractions: u with u*x + v*minpoly = 1."""
     a, b = qpoly.trim(x.coords), x.field.minpoly
     ua, ub = (F(1),), ()
     while b:
-        quo, rem = qpoly.divmod_poly(a, b)
+        quo, rem = _ref_divmod(a, b)
         a, b = b, rem
         ua, ub = ub, qpoly.sub(ua, qpoly.mul(quo, ub))
     assert len(a) == 1
-    u = qpoly.divmod_poly(qpoly.scale(ua, 1 / F(a[0])), x.field.minpoly)[1]
+    u = _ref_divmod(qpoly.scale(ua, 1 / F(a[0])), x.field.minpoly)[1]
     return x.field.element(u + (0,) * (x.field.degree - len(u)))
 
 
@@ -309,3 +334,120 @@ def test_inverse_by_elimination_matches_the_extended_euclid(minpoly, interval):
         assert inv == _ext_gcd_inverse(x), (minpoly, coords)
         assert all(type(c) is F for c in inv.coords)
         assert x * inv == K.one() and inv * x == 1, (minpoly, coords)
+
+
+def _decimal_reference(n, d, digits):
+    """The rendering before digits were formed on integers: Decimal division."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(n) / Decimal(d))
+
+
+def test_decimal_digits_match_the_decimal_reference():
+    rng = random.Random(20261101)
+    cases = [(3, 2, 30), (2, 1, 30), (100, 1, 30), (1, 1000, 30), (1, 3, 30), (10**40, 1, 30),
+             (10**40 + 1, 1, 30), (1, 10**40, 30), (1, 10**6, 30), (1, 10**7, 30),
+             (123 * 10**31, 1, 30), (10**30 - 1, 10**30, 30), (5, 2 * 10**30, 30),
+             (999999, 10**5, 5), (25, 10, 1), (35, 10, 1), (1, 7, 1)]
+    for _ in range(3000):
+        kind = rng.randrange(5)
+        if kind == 0:  # short exact quotients
+            n, d = rng.randint(1, 10**6), rng.choice((1, 2, 4, 5, 8, 10, 16, 20, 25, 125))
+        elif kind == 1:  # huge and tiny values print in exponent notation
+            n, d = rng.randint(1, 10**9) * 10**rng.randint(0, 60), rng.randint(1, 10**9)
+            n, d = (n, d) if rng.random() < 0.5 else (d, n)
+        elif kind == 2:  # ties at the last digit, rounded half-even
+            n, d = rng.randint(1, 10**8) * 10 + 5, 10**rng.randint(1, 12)
+        else:
+            n, d = rng.randint(1, 10**rng.randint(1, 80)), rng.randint(1, 10**rng.randint(1, 80))
+        cases.append((n, d, rng.choice((1, 2, 5, 10, 12, 30, 31))))
+    for n, d, digits in cases:
+        assert _decimal(n, d, digits) == _decimal_reference(n, d, digits), (n, d, digits)
+
+
+def _decimal_str_on_fractions(x, digits):
+    """decimal_str as it ran on Fractions: the same refinements, the midpoint
+    formatted by Decimal division."""
+    if x.is_zero():
+        return "0"
+    if x.sign() < 0:
+        return "-" + _decimal_str_on_fractions(-x, digits)
+    lo, _ = x.interval()
+    while not lo > 0:
+        x.field.refine()
+        lo, _ = x.interval()
+    target = lo * F(10) ** -(digits + 3)
+    lo, hi = x.interval()
+    while not hi - lo < target:
+        x.field.refine()
+        lo, hi = x.interval()
+    mid = (lo + hi) / 2
+    return _decimal_reference(mid.numerator, mid.denominator, digits)
+
+
+_FIELDS = [((0, 1), (0, 0)), ((-5, 1), (4, 6)), ((7, 1), (-8, 0)), ((-2, 0, 1), (1, 2)),
+           ((-2, 0, 1), (-2, -1)), ((-1, -1, 1), (-1, 0)), ((-2, 0, 0, 1), (1, 2)),
+           ((1, -3, 0, 1), (0, 1)), ((1, 0, -10, 0, 1), (3, 4)), ((-3, 1, 0, 2, 1), (0, 2))]
+
+
+def _random_coords(rng, degree):
+    scale = rng.choice((1, 1, F(1, 10**9), 10**12, 10**40))
+    return [F(rng.randint(-50, 50), rng.randint(1, 12)) * scale if rng.random() < 0.75 else F(0)
+            for _ in range(degree)]
+
+
+def test_decimal_str_matches_the_fraction_and_decimal_reference():
+    rng = random.Random(20261102)
+    for _ in range(400):
+        minpoly, interval = rng.choice(_FIELDS)
+        coords = _random_coords(rng, len(minpoly) - 1)
+        digits = rng.choice((5, 10, 12, 30))
+        # two fields with one state each, so both start from the same interval
+        x = RealNumberField(minpoly, interval).element(coords)
+        y = RealNumberField(minpoly, interval).element(coords)
+        assert x.decimal_str(digits) == _decimal_str_on_fractions(y, digits), (
+            minpoly, coords, digits)
+        assert x.field.interval() == y.field.interval()
+
+
+def _enclosure_until(x, done):
+    """Refine a Fraction copy of x's isolating interval until done(lo, hi)
+    holds for the Fraction enclosure of x; return that enclosure."""
+    minpoly = x.field.minpoly
+    lo, hi = x.field.interval()
+    while True:
+        elo, ehi = _interval_eval_on_fractions(x.coords, lo, hi)
+        if done(elo, ehi):
+            return elo, ehi
+        mid = (lo + hi) / 2
+        if (_eval_at(minpoly, mid) > 0) == (_eval_at(minpoly, hi) > 0):
+            hi = mid
+        else:
+            lo = mid
+
+
+def _ref_sign(x):
+    if all(c == 0 for c in x.coords):
+        return 0
+    lo, _ = _enclosure_until(x, lambda lo, hi: lo > 0 or hi < 0)
+    return 1 if lo > 0 else -1
+
+
+def test_integer_arithmetic_matches_the_fraction_reference():
+    rng = random.Random(20261103)
+    for _ in range(300):
+        minpoly, interval = rng.choice(_FIELDS)
+        K = RealNumberField(minpoly, interval)
+        x = K.element(_random_coords(rng, K.degree))
+        y = K.element(_random_coords(rng, K.degree))
+        product = _ref_divmod(qpoly.mul(x.coords, y.coords), minpoly)[1]
+        assert (x * y).coords == product + (F(0),) * (K.degree - len(product)), (minpoly, x, y)
+        assert (x + y).coords == tuple(a + b for a, b in zip(x.coords, y.coords))
+        assert all(type(c) is F for c in (x * y).coords)
+        if not x.is_zero():
+            assert x.inverse() == _ext_gcd_inverse(x), (minpoly, x)
+        for a, b in ((x, y), (y, x), (x, x)):
+            sign = _ref_sign(K.element([p - q for p, q in zip(a.coords, b.coords)]))
+            assert (a < b, a == b, a > b) == (sign < 0, sign == 0, sign > 0), (minpoly, a, b)
+        lo, _ = _enclosure_until(x, lambda lo, hi: math.floor(lo) == math.floor(hi))
+        assert math.floor(x) == math.floor(lo), (minpoly, x)
