@@ -108,10 +108,18 @@ def test_exact_quo_divides_in_integers_or_returns_none():
             assert qp.exact_quo(qp.add(a, (1,)), b) is None
     # not integral over Z, though b divides a over Q
     assert qp.exact_quo((1, 3), (2, 6)) is None
-    assert qp.exact_quo((-1, 0, 0, 1), (-1, 1)) == (1, 1, 1)
-    assert qp.exact_quo((1, 0, 1), (1, 1)) is None
     assert qp.exact_quo((), (1, 1)) == ()
     assert qp.exact_quo((1,), (1, 1)) is None
+
+
+def test_divmod_exact_and_remainder():
+    # (x^3 - 1) / (x - 1) is exact; (x^2 + 1) / (x + 1) leaves a constant
+    assert qp.exact_quo((-1, 0, 0, 1), (-1, 1)) == (1, 1, 1)
+    assert _ref_divmod((-1, 0, 0, 1), (-1, 1)) == ((1, 1, 1), ())
+    assert qp.exact_quo((1, 0, 1), (1, 1)) is None
+    q, r = _ref_divmod((1, 0, 1), (1, 1))
+    assert r != () and qp.degree(r) < 1
+    assert qp.add(qp.mul(q, (1, 1)), r) == (1, 0, 1)
 
 
 def test_primitive_int_normalizes():
