@@ -76,7 +76,8 @@ class HeckeLikeMatrix:
 
 
 def make_matrix(rows, ell=None):
-    rows = tuple(tuple(int(v) for v in row) for row in rows)
+    # a value that int() changes stays as it is, for the constructor to refuse
+    rows = tuple(tuple(int(v) if int(v) == v else v for v in row) for row in rows)
     return HeckeLikeMatrix(b=len(rows), rows=rows, ell=ell)
 
 

@@ -1,10 +1,9 @@
 """Exact linear algebra over Q and Z, in arbitrary precision.
 
-One fraction-free Gauss-Jordan elimination serves solve, nullspace, rank
-and det; it takes ints or Fractions and works on ints. Only solve_right
-and nullspace return Fractions, and import them where they build them.
-Integer routines add the characteristic polynomial with its adjugate,
-Hermite normal form and integer kernels.
+One fraction-free Gauss-Jordan elimination serves rank and det, and its
+callers read solutions and kernel vectors off it; it takes ints or
+Fractions and works on ints. Integer routines add the characteristic
+polynomial with its adjugate, Hermite normal form and integer kernels.
 """
 
 from math import lcm
@@ -54,40 +53,6 @@ def echelon(rows, ncols):
         prev = p
         pivots.append(c)
     return M, pivots, sign
-
-
-def solve_right(A, b):
-    """Solve A x = b over Q; returns None when inconsistent.
-
-    A is a list of rows. Underdetermined systems get free variables set to
-    zero, so the result is deterministic.
-    """
-    from fractions import Fraction
-
-    n = len(A[0]) if A else 0
-    M, pivots, _ = echelon([list(row) + [rhs] for row, rhs in zip(A, b)], n)
-    if any(row[n] for row in M[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(M, pivots):
-        x[c] = Fraction(row[n], row[c])
-    return x
-
-
-def nullspace(A):
-    """Basis of the right kernel of A over Q, as a list of vectors."""
-    from fractions import Fraction
-
-    n = len(A[0]) if A else 0
-    M, pivots, _ = echelon(A, n)
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, c in zip(M, pivots):
-            v[c] = Fraction(-row[f], row[c])
-        basis.append(v)
-    return basis
 
 
 def rank_rational(A):

@@ -13,6 +13,7 @@ here.
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
+from .errors import InvalidInput
 from .ffield import (_berlekamp_kernel, _berlekamp_matrix, _berlekamp_nullity, _berlekamp_split,
                      _pmod, _pmul, _ppowmod, is_prime)
 
@@ -422,7 +423,7 @@ def count_roots(p, lo, hi, chain=None, d=1):
 def largest_real_root(p):
     """Bracket (lo, hi, d) of the largest real root of a square-free
     polynomial, the root in (lo/d, hi/d], or None when it has no real root;
-    a multiple root raises ValueError.
+    a multiple root raises InvalidInput.
 
     (-B, B] is halved, keeping the upper half while it still holds a root,
     until the bracket holds exactly one root and p(lo/d) != 0. Each halving
@@ -441,7 +442,7 @@ def largest_real_root(p):
     # the chain ends in gcd(p, p'), a constant exactly when p is square-free;
     # at a multiple root the counts go wrong and the bisection would not stop
     if len(chain[-1]) > 1:
-        raise ValueError("polynomial must be square-free")
+        raise InvalidInput("polynomial must be square-free")
     hi, d = cauchy_root_bound(p)
     lo = -hi
     k = count_roots(p, lo, hi, chain, d)

@@ -7,11 +7,13 @@ numerators over one positive denominator in the power basis 1, theta,
 ..., theta^(D-1) (Cohen, GTM 138, 4.2), and the interval is integer
 endpoints over one common denominator.
 
-Arithmetic is exact and runs on ints; only the accessors that hand out
-Fractions import them. Comparisons are decided by an exact zero test on
-the coordinates followed by interval refinement, never by fixed-precision
-floating point. The isolating interval narrows monotonically as a shared
-cache; the numeric identity of every value is immutable.
+Arithmetic is exact and runs on ints. Inputs may be ints or Fractions,
+read by their numerator and denominator; nothing returns a Fraction, so
+callers read nums/den and the field's bracket. Comparisons are decided by
+an exact zero test on the coordinates followed by interval refinement,
+never by fixed-precision floating point. The isolating interval narrows
+monotonically as a shared cache; the numeric identity of every value is
+immutable.
 """
 
 import sys
@@ -19,9 +21,9 @@ from functools import total_ordering
 from math import gcd, lcm
 
 from . import qpoly
-from .errors import (DivisionByZero, FieldMismatch, InvalidInterval,
-                     NotIrreducible)
-from .qlinalg import echelon, nullspace
+from .errors import (DivisionByZero, FieldMismatch, InvalidInput,
+                     InvalidInterval, NotIrreducible)
+from .qlinalg import echelon
 
 
 def _interval_eval(nums, den, lo, hi, d):
@@ -94,8 +96,10 @@ class RealNumberField:
 
     def __init__(self, minpoly, interval, den=1):
         # interval: ints or Fractions lo and hi, each divided by den > 0
-        minpoly = tuple(int(c) for c in qpoly.trim(minpoly))
-        if not minpoly or minpoly[-1] != 1:
+        coeffs = qpoly.trim(minpoly)
+        minpoly = tuple(int(c) for c in coeffs)
+        # a coefficient that int() changes is not an integer
+        if not minpoly or minpoly[-1] != 1 or minpoly != coeffs:
             raise NotIrreducible("minimal polynomial must be monic with integer coefficients")
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
@@ -161,6 +165,8 @@ class RealNumberField:
     def quadratic(cls, d):
         """Q(sqrt(d)) for a non-square integer d >= 2."""
         from math import isqrt
+        if d < 0:
+            raise InvalidInput(f"sqrt({d}) is not real")
         r = isqrt(d)
         if r * r == d:
             raise NotIrreducible(f"{d} is a perfect square")
@@ -171,12 +177,6 @@ class RealNumberField:
         lo, hi, d = self.bracket
         if lo != hi:
             self.bracket = qpoly.refine_bracket(self.minpoly, lo, hi, d, self._lo_sign)
-
-    def interval(self):
-        """The isolating interval as a pair of Fractions."""
-        from fractions import Fraction
-        lo, hi, d = self.bracket
-        return Fraction(lo, d), Fraction(hi, d)
 
     def zero(self):
         return RealAlgebraic(self, (0,) * self.degree)
@@ -239,12 +239,6 @@ class RealAlgebraic:
 
     def __setattr__(self, name, value):
         raise AttributeError("RealAlgebraic is immutable")
-
-    @property
-    def coords(self):
-        """The coordinates as Fractions."""
-        from fractions import Fraction
-        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # --- coercion helpers ---
 
@@ -350,12 +344,6 @@ class RealAlgebraic:
     def is_rational(self):
         return not any(self.nums[1:])
 
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        from fractions import Fraction
-        return Fraction(self.nums[0], self.den)
-
     def sign(self):
         """Exact sign in {-1, 0, 1}."""
         if self.is_rational():
@@ -363,12 +351,6 @@ class RealAlgebraic:
             return (c > 0) - (c < 0)
         lo, _, _ = self._refine_until(lambda lo, hi, s: lo > 0 or hi < 0)
         return 1 if lo > 0 else -1
-
-    def interval(self):
-        """Current rational enclosure of the value (refinable), as Fractions."""
-        from fractions import Fraction
-        lo, hi, s = _interval_eval(self.nums, self.den, *self.field.bracket)
-        return Fraction(lo, s), Fraction(hi, s)
 
     def _refine_until(self, done):
         """Refine the field's interval until done(lo, hi, s) holds for the
@@ -378,13 +360,6 @@ class RealAlgebraic:
             if done(lo, hi, s):
                 return lo, hi, s
             self.field.refine()
-
-    def refine_to_width(self, width):
-        """Shrink the enclosure below the given int or Fraction width;
-        returns it as Fractions."""
-        w, v = width.numerator, width.denominator
-        self._refine_until(lambda lo, hi, s: (hi - lo) * v < w * s)
-        return self.interval()
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -432,11 +407,12 @@ def minimal_polynomial(x):
     """Primitive integer minimal polynomial of x over Q, positive leading
     coefficient, coefficients low degree first.
 
-    Computed exactly (Cohen, GTM 138) from one kernel of the D x (D+1)
+    Computed exactly (Cohen, GTM 138) from the kernel of the D x (D+1)
     matrix whose columns are the coordinates of 1, x, ..., x^D, all scaled
-    by one common denominator. Its first basis vector belongs to the first
-    power that depends on the lower ones; those are all pivot columns, so
-    the vector is that dependence.
+    by one common denominator. The first power x^k that depends on the
+    lower ones follows the pivot columns 0..k-1 of qlinalg.echelon, whose
+    pivot rows all hold the same last pivot p at their pivots; so
+    p*x^k - sum_i M[i][k]*x^i is that dependence.
     """
     f = x.field
     powers = [f.one()]
@@ -444,5 +420,7 @@ def minimal_polynomial(x):
         powers.append(powers[-1] * x)
     s = lcm(*(p.den for p in powers))
     A = [[p.nums[r] * (s // p.den) for p in powers] for r in range(f.degree)]
-    # D+1 columns in D rows: the kernel is never empty
-    return qpoly.primitive_int(nullspace(A)[0])
+    # D+1 columns in D rows: some power is dependent, so k <= D
+    M, pivots, _ = echelon(A, f.degree + 1)
+    k = len(pivots)
+    return qpoly.primitive_int([-row[k] for row in M[:k]] + [M[0][0]])

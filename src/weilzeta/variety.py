@@ -25,8 +25,9 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .errors import (EnumerationBudgetExceeded, InvalidPrime, NotHomogeneous,
-                     ParseError, SingularCurve, UnsupportedCharacteristic)
+from .errors import (EnumerationBudgetExceeded, InternalError, InvalidDegree,
+                     InvalidInput, InvalidPrime, NotHomogeneous, ParseError,
+                     SingularCurve, UnsupportedCharacteristic)
 from .ffield import DEFAULT_BUDGET, _ppowmod, is_prime, make_field
 
 
@@ -117,7 +118,7 @@ class PointCountSeries:
         self.q = q
         self.counts = counts
         if any(c < 0 for c in counts):
-            raise ValueError("point counts must be non-negative")
+            raise InvalidInput("point counts must be non-negative")
 
 
 # --- expression parser ---
@@ -446,7 +447,7 @@ class _IndexedField:
             cand = tuple(digits)
             if all(_ppowmod(cand, order // r, f, p) != (1,) for r in factors):
                 return cand
-        raise AssertionError("multiplicative group has a generator")
+        raise InternalError("multiplicative group has a generator")
 
 
 @lru_cache(maxsize=32)
@@ -571,7 +572,7 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
     so that m is at most log_p(budget) for every file.
     """
     if m < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise InvalidDegree("extension degree must be >= 1")
     q = v.p ** m
     total = _rep_count(v, q, budget)
     if total is None:
@@ -613,7 +614,7 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
 def count_series(v, m_max, budget=DEFAULT_BUDGET):
     """PointCountSeries with counts[m-1] = count_points(v, m)."""
     if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+        raise InvalidDegree("m_max must be >= 1")
     counts = tuple(count_points(v, m, budget) for m in range(1, m_max + 1))
     return PointCountSeries(q=v.p, counts=counts)
 

@@ -10,17 +10,17 @@ comparison of factor degrees against expected Betti numbers.
 
 From the counts of a variety to the verdict every exact step runs on
 ints: the series of a variety's counts is integral, and the Pade solve,
-the gcd and the exact quotients keep it so. Fractions are imported only
-for library callers that pass rational data. Floats appear only where
-unavoidable: assigning weights from root moduli and measuring modulus
-deviations. Roots are seeded by Aberth-Ehrlich iteration in doubles and
-polished by Newton steps on Python ints to far beyond double precision,
-then rounded to the nearest doubles; a relative residual below 1e-10 is a
-sanity check on each root, not an error bound, since clustered roots
-defeat it.
+the gcd and the exact quotients keep it so. Other data is InvalidInput,
+and counts whose series is not integral raise NotIntegral. Floats appear
+only where unavoidable: assigning weights from root moduli and measuring
+modulus deviations. Roots are seeded by Aberth-Ehrlich iteration in
+doubles and polished by Newton steps on Python ints to far beyond double
+precision, then rounded to the nearest doubles; a relative residual below
+1e-10 is a sanity check on each root, not an error bound, since clustered
+roots defeat it.
 """
 
-from math import cos, frexp, isfinite, isqrt, lcm, ldexp, log, pi, sin
+from math import cos, frexp, isfinite, isqrt, ldexp, log, pi, sin
 
 from . import qpoly
 from .errors import (DimensionMismatch, EmptySeries, FunctionalEquationViolated,
@@ -36,8 +36,7 @@ WEIGHT_TOL = 0.25
 
 
 class PowerSeriesQ:
-    """Truncated power series with exact coefficients c_0..c_M: ints, with
-    Fractions only where the series is not integral."""
+    """Truncated power series with integer coefficients c_0..c_M."""
 
     __slots__ = ("coeffs",)
 
@@ -135,40 +134,30 @@ def zeta_series(counts):
     """exp(sum N_m t^m / m) truncated at order m_max, exactly.
 
     Uses the recurrence k*c_k = sum_{m=1}^{k} N_m c_{k-m} that the series
-    satisfies term by term (differentiate the exponential). The series of
-    a variety's counts is integral (an Euler product of geometric series),
-    and each division stays in ints while it is exact; other counts, which
-    library callers may pass, get Fractions from the first inexact one.
+    satisfies term by term (differentiate the exponential). Counts must be
+    ints. The series of a variety's counts is integral (an Euler product of
+    geometric series), so every division is exact; the first that is not
+    raises NotIntegral.
     """
-    n_list = _as_counts(counts)
+    n_list = _ints(_as_counts(counts), "point counts")
     if not n_list:
         raise EmptySeries("need at least one point count")
-    if not all(isinstance(n, int) for n in n_list):
-        from fractions import Fraction
-        n_list = [Fraction(n) for n in n_list]
     cs = [1]
     for k in range(1, len(n_list) + 1):
         acc = sum(n_list[m] * cs[k - 1 - m] for m in range(k))
         if acc % k:
-            from fractions import Fraction
-            cs.append(Fraction(acc, k))
-        else:
-            cs.append(acc // k)
+            raise NotIntegral(
+                f"series coefficient c_{k} = {qpoly.ratio_str(acc, k)} is not an integer")
+        cs.append(acc // k)
     return PowerSeriesQ(coeffs=tuple(cs))
 
 
-def _to_ints(values):
-    """(values times L, L) for the lcm L of their denominators.
-
-    Ints pass through with L = 1; Fractions are built only for other values.
-    """
+def _ints(values, what):
+    """values as a tuple; InvalidInput unless every one is an int."""
     values = tuple(values)
-    if all(isinstance(v, int) for v in values):
-        return values, 1
-    from fractions import Fraction
-    values = [Fraction(v) for v in values]
-    L = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (L // v.denominator) for v in values), L
+    if not all(isinstance(v, int) for v in values):
+        raise InvalidInput(f"{what} must be integers")
+    return values
 
 
 def _series_div(num, den, order):
@@ -195,13 +184,11 @@ def rational_function(num, den):
     integer coefficients; non-integer results after normalization signal
     that the input is not a zeta function of the expected shape.
 
-    Works on ints: rational input is first scaled by one common
-    denominator, the primitive gcd leaves integral quotients (Gauss's
-    lemma), and the scaling by den(0) is a test of divisibility.
+    Takes and works on ints: the primitive gcd leaves integral quotients
+    (Gauss's lemma), and the scaling by den(0) is a test of divisibility.
     """
-    num, den = tuple(num), tuple(den)
-    ints, _ = _to_ints(num + den)
-    num, den = qpoly.trim(ints[:len(num)]), qpoly.trim(ints[len(num):])
+    num = qpoly.trim(_ints(num, "coefficients"))
+    den = qpoly.trim(_ints(den, "coefficients"))
     if not den or den[0] == 0:
         raise NotNormalized("denominator must have nonzero constant term")
     if not num:
@@ -228,19 +215,15 @@ def pade_reconstruct(s, num_deg, den_deg):
     the first order where that fails is the first where num/den re-expanded
     as a power series differs from the series.
 
-    Works on ints: a rational series is scaled by the lcm L of its
-    denominators, which leaves the denominator system's solution as it is
-    and scales num by L, so den is scaled by L too. The system goes to
-    qlinalg.echelon as integer rows; every pivot row there ends in the same
-    last pivot d, so the solution (free unknowns zero, as solve_right sets
-    them) over d is an integer den with den(0) = d.
+    Takes and works on ints: the system goes to qlinalg.echelon as integer
+    rows; every pivot row there ends in the same last pivot d, so the
+    solution (free unknowns zero) over d is an integer den with den(0) = d.
     """
-    coeffs = s.coeffs if isinstance(s, PowerSeriesQ) else tuple(s)
+    coeffs = _ints(s.coeffs if isinstance(s, PowerSeriesQ) else s, "series coefficients")
     order = len(coeffs) - 1
     if order < num_deg + den_deg:
         raise InsufficientPrecision(
             f"series order {order} < num_deg + den_deg = {num_deg + den_deg}")
-    coeffs, L = _to_ints(coeffs)
 
     def c(k):
         return coeffs[k] if k >= 0 else 0
@@ -264,8 +247,7 @@ def pade_reconstruct(s, num_deg, den_deg):
         if prod(k):
             raise NoRationalFit(
                 f"re-expansion differs from the series at order {k}")
-    return rational_function(tuple(prod(k) for k in range(num_deg + 1)),
-                             tuple(L * v for v in den))
+    return rational_function([prod(k) for k in range(num_deg + 1)], den)
 
 
 def curve_numerator(counts, g, mode="full"):
@@ -301,10 +283,7 @@ def curve_numerator(counts, g, mode="full"):
                     f"coefficient symmetry fails at k={k}: "
                     f"a_{2 * g - k} = {a[2 * g - k]} but q^{g - k} * a_{k} "
                     f"= {q ** (g - k) * a[k]}")
-    out = []
-    for c in a:
-        out.append(int(c) if c.denominator == 1 else c)
-    return tuple(out)
+    return tuple(a)
 
 
 def functional_equation_check(z, q, n, chi):

@@ -1,4 +1,7 @@
-"""Smoke test: every walkthrough in demos/ runs and prints something."""
+"""Every walkthrough in demos/ runs and prints its pinned output.
+
+Each demo's output is deterministic; tests/demo_outputs/NAME.txt holds it.
+"""
 
 import contextlib
 import io
@@ -7,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+HERE = Path(__file__).resolve().parent
+DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -19,4 +23,5 @@ def test_demo_runs_and_prints(path):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
-    assert out.getvalue().strip()
+    expected = (HERE / "demo_outputs" / f"{path.stem}.txt").read_text(encoding="utf-8")
+    assert out.getvalue() == expected

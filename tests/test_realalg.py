@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from weilzeta import qpoly
-from weilzeta.errors import DivisionByZero, InvalidInterval, NotIrreducible
+from weilzeta.errors import DivisionByZero, InvalidInput, InvalidInterval, NotIrreducible
 from weilzeta.realalg import (
     RealNumberField,
     _decimal,
@@ -17,9 +17,37 @@ from weilzeta.realalg import (
 )
 
 
+def _coords(x):
+    """x's coordinates as Fractions."""
+    return tuple(F(c, x.den) for c in x.nums)
+
+
+def _as_fraction(x):
+    """A rational element as a Fraction."""
+    assert x.is_rational()
+    return F(x.nums[0], x.den)
+
+
+def _bracket(K):
+    """The isolating interval of K's generator as Fractions."""
+    lo, hi, d = K.bracket
+    return F(lo, d), F(hi, d)
+
+
+def _enclosure(x):
+    """The current enclosure of x as Fractions."""
+    lo, hi, s = _interval_eval(x.nums, x.den, *x.field.bracket)
+    return F(lo, s), F(hi, s)
+
+
 def test_constructor_validates_minpoly_and_interval():
     with pytest.raises(NotIrreducible):
         RealNumberField((-4, 0, 1), (F(1), F(3)))
+    # a coefficient that int() would change is not truncated to Q(sqrt(2))
+    for minpoly in ((-2.5, 0, 1), (-2, F(1, 3), 1), (-2, 0, 1.5)):
+        with pytest.raises(NotIrreducible, match="^minimal polynomial must be monic with integer"):
+            RealNumberField(minpoly, (1, 2))
+    assert RealNumberField((-2.0, F(0), 1), (1, 2)).minpoly == (-2, 0, 1)
     with pytest.raises(InvalidInterval):
         RealNumberField((-2, 0, 1), (F(2), F(3)))
     with pytest.raises(InvalidInterval):
@@ -33,6 +61,11 @@ def test_quadratic_rejects_perfect_squares():
         RealNumberField.quadratic(0)
 
 
+def test_quadratic_of_a_negative_integer_is_invalid_input():
+    with pytest.raises(InvalidInput, match=r"^sqrt\(-2\) is not real$"):
+        RealNumberField.quadratic(-2)
+
+
 def test_sqrt2_squares_to_two():
     K = RealNumberField.quadratic(2)
     r2 = K.gen()
@@ -44,7 +77,7 @@ def test_sqrt2_decimal_and_interval():
     K = RealNumberField.quadratic(2)
     r2 = K.gen()
     assert r2.decimal_str(30) == "1.41421356237309504880168872421"
-    lo, hi = r2.interval()
+    lo, hi = _enclosure(r2)
     assert lo < hi
     assert lo * lo < 2 < hi * hi
 
@@ -91,13 +124,13 @@ def test_is_rational_and_as_fraction():
     assert not K.gen().is_rational()
     v = K.from_rational(F(7, 3))
     assert v.is_rational()
-    assert v.as_fraction() == F(7, 3)
+    assert _as_fraction(v) == F(7, 3)
 
 
 def test_rationals_field_degenerate_case():
     Q = RealNumberField.rationals()
-    assert Q.gen().as_fraction() == F(0)
-    assert (Q.one() + Q.one()).as_fraction() == F(2)
+    assert _as_fraction(Q.gen()) == F(0)
+    assert _as_fraction(Q.one() + Q.one()) == F(2)
     assert math.floor(Q.from_rational(F(-5, 2))) == -3
 
 
@@ -155,9 +188,14 @@ def test_equality_across_field_representations():
 def test_refine_to_width_shrinks_interval():
     K = RealNumberField.quadratic(2)
     r2 = K.gen()
-    r2.refine_to_width(F(1, 10**12))
-    lo, hi = r2.interval()
-    assert hi - lo <= F(1, 10**12)
+    refinements = 0
+    lo, hi = _enclosure(r2)
+    while hi - lo > F(1, 10**12):
+        K.refine()
+        refinements += 1
+        lo, hi = _enclosure(r2)
+    # each refinement halves the width-1 interval
+    assert refinements == 40 and lo * lo < 2 < hi * hi
 
 
 def test_golden_ratio_arithmetic():
@@ -175,11 +213,11 @@ def test_golden_ratio_arithmetic():
 ])
 def test_degree_one_fields_use_the_general_arithmetic(K, theta):
     x = K.from_rational(F(-3, 7))
-    assert K.gen().as_fraction() == theta
-    assert (x * K.from_rational(F(14))).as_fraction() == F(-6)
-    assert x.inverse().as_fraction() == F(-7, 3)
-    assert (x ** 3).as_fraction() == F(-27, 343)
-    assert (x ** -2).as_fraction() == F(49, 9)
+    assert _as_fraction(K.gen()) == theta
+    assert _as_fraction(x * K.from_rational(F(14))) == F(-6)
+    assert _as_fraction(x.inverse()) == F(-7, 3)
+    assert _as_fraction(x ** 3) == F(-27, 343)
+    assert _as_fraction(x ** -2) == F(49, 9)
     assert x * x.inverse() == K.one()
     with pytest.raises(DivisionByZero):
         K.zero().inverse()
@@ -300,7 +338,7 @@ def _ref_divmod(num, den):
 
 def _ext_gcd_inverse(x):
     """1/x by the extended Euclid on Fractions: u with u*x + v*minpoly = 1."""
-    a, b = qpoly.trim(x.coords), x.field.minpoly
+    a, b = qpoly.trim(_coords(x)), x.field.minpoly
     ua, ub = (F(1),), ()
     while b:
         quo, rem = _ref_divmod(a, b)
@@ -332,7 +370,7 @@ def test_inverse_by_elimination_matches_the_extended_euclid(minpoly, interval):
             continue
         inv = x.inverse()
         assert inv == _ext_gcd_inverse(x), (minpoly, coords)
-        assert all(type(c) is F for c in inv.coords)
+        assert all(type(c) is int for c in inv.nums + (inv.den,))
         assert x * inv == K.one() and inv * x == 1, (minpoly, coords)
 
 
@@ -372,15 +410,15 @@ def _decimal_str_on_fractions(x, digits):
         return "0"
     if x.sign() < 0:
         return "-" + _decimal_str_on_fractions(-x, digits)
-    lo, _ = x.interval()
+    lo, _ = _enclosure(x)
     while not lo > 0:
         x.field.refine()
-        lo, _ = x.interval()
+        lo, _ = _enclosure(x)
     target = lo * F(10) ** -(digits + 3)
-    lo, hi = x.interval()
+    lo, hi = _enclosure(x)
     while not hi - lo < target:
         x.field.refine()
-        lo, hi = x.interval()
+        lo, hi = _enclosure(x)
     mid = (lo + hi) / 2
     return _decimal_reference(mid.numerator, mid.denominator, digits)
 
@@ -407,16 +445,16 @@ def test_decimal_str_matches_the_fraction_and_decimal_reference():
         y = RealNumberField(minpoly, interval).element(coords)
         assert x.decimal_str(digits) == _decimal_str_on_fractions(y, digits), (
             minpoly, coords, digits)
-        assert x.field.interval() == y.field.interval()
+        assert _bracket(x.field) == _bracket(y.field)
 
 
 def _enclosure_until(x, done):
     """Refine a Fraction copy of x's isolating interval until done(lo, hi)
     holds for the Fraction enclosure of x; return that enclosure."""
     minpoly = x.field.minpoly
-    lo, hi = x.field.interval()
+    lo, hi = _bracket(x.field)
     while True:
-        elo, ehi = _interval_eval_on_fractions(x.coords, lo, hi)
+        elo, ehi = _interval_eval_on_fractions(_coords(x), lo, hi)
         if done(elo, ehi):
             return elo, ehi
         mid = (lo + hi) / 2
@@ -427,7 +465,7 @@ def _enclosure_until(x, done):
 
 
 def _ref_sign(x):
-    if all(c == 0 for c in x.coords):
+    if x.is_zero():
         return 0
     lo, _ = _enclosure_until(x, lambda lo, hi: lo > 0 or hi < 0)
     return 1 if lo > 0 else -1
@@ -440,14 +478,14 @@ def test_integer_arithmetic_matches_the_fraction_reference():
         K = RealNumberField(minpoly, interval)
         x = K.element(_random_coords(rng, K.degree))
         y = K.element(_random_coords(rng, K.degree))
-        product = _ref_divmod(qpoly.mul(x.coords, y.coords), minpoly)[1]
-        assert (x * y).coords == product + (F(0),) * (K.degree - len(product)), (minpoly, x, y)
-        assert (x + y).coords == tuple(a + b for a, b in zip(x.coords, y.coords))
-        assert all(type(c) is F for c in (x * y).coords)
+        product = _ref_divmod(qpoly.mul(_coords(x), _coords(y)), minpoly)[1]
+        assert _coords(x * y) == product + (F(0),) * (K.degree - len(product)), (minpoly, x, y)
+        assert _coords(x + y) == tuple(a + b for a, b in zip(_coords(x), _coords(y)))
+        assert all(type(c) is int for c in (x * y).nums + ((x * y).den,))
         if not x.is_zero():
             assert x.inverse() == _ext_gcd_inverse(x), (minpoly, x)
         for a, b in ((x, y), (y, x), (x, x)):
-            sign = _ref_sign(K.element([p - q for p, q in zip(a.coords, b.coords)]))
+            sign = _ref_sign(K.element([p - q for p, q in zip(_coords(a), _coords(b))]))
             assert (a < b, a == b, a > b) == (sign < 0, sign == 0, sign > 0), (minpoly, a, b)
         lo, _ = _enclosure_until(x, lambda lo, hi: math.floor(lo) == math.floor(hi))
         assert math.floor(x) == math.floor(lo), (minpoly, x)

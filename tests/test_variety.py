@@ -11,6 +11,8 @@ import pytest
 
 from weilzeta.errors import (
     EnumerationBudgetExceeded,
+    InvalidDegree,
+    InvalidInput,
     InvalidPrime,
     NotHomogeneous,
     ParseError,
@@ -315,8 +317,13 @@ def test_variety_spec_and_count_series_constructors_check_their_fields():
             "got degrees [1, 2] in X1 + X0^2")):
         VarietySpec(5, "projective", 1, 0, (mixed,))
     assert VarietySpec(5, "affine", 2, 1, (mixed,)).nvars == 2
-    with pytest.raises(ValueError, match="^point counts must be non-negative$"):
+    with pytest.raises(InvalidInput, match="^point counts must be non-negative$"):
         PointCountSeries(5, (6, -1))
+    v = parse_variety(P1_F2)
+    with pytest.raises(InvalidDegree, match="^extension degree must be >= 1$"):
+        count_points(v, 0)
+    with pytest.raises(InvalidDegree, match="^m_max must be >= 1$"):
+        count_series(v, 0)
 
 
 def test_multipoly_equality_and_hash_follow_the_fields():

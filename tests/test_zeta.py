@@ -22,7 +22,6 @@ from weilzeta.errors import (
     WeightOutOfRange,
     WeilZetaError,
 )
-from weilzeta.qlinalg import solve_right
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import (
     RationalFunctionQ,
@@ -61,11 +60,17 @@ def test_zeta_series_rejects_empty():
 
 
 def test_zeta_series_multiplicative_over_disjoint_union():
+    # N_m = sum of r^m over a few integers r: the series is the integral
+    # product of the 1/(1 - r t)
     rng = random.Random(23)
+
+    def counts(n):
+        roots = [rng.randint(0, 7) for _ in range(rng.randint(1, 3))]
+        return [sum(r ** m for r in roots) for m in range(1, n + 1)]
+
     for _ in range(20):
         n = rng.randint(1, 5)
-        a = [rng.randint(0, 20) for _ in range(n)]
-        b = [rng.randint(0, 20) for _ in range(n)]
+        a, b = counts(n), counts(n)
         za = zeta_series(PointCountSeries(7, tuple(a))).coeffs
         zb = zeta_series(PointCountSeries(7, tuple(b))).coeffs
         zu = zeta_series(PointCountSeries(7, tuple(x + y for x, y in zip(a, b)))).coeffs
@@ -126,7 +131,11 @@ def test_curve_numerator_symmetric_mode():
 
 
 def test_curve_numerator_detects_inconsistent_counts():
+    # numerator 1 + 2t + 6t^2, integral but not symmetric
     with pytest.raises(FunctionalEquationViolated):
+        curve_numerator(PointCountSeries(5, (8, 34)), 1)
+    # numerator 1 + 2t + 11/2 t^2
+    with pytest.raises(NotIntegral):
         curve_numerator(PointCountSeries(5, (8, 33)), 1)
 
 
@@ -351,10 +360,35 @@ def test_pade_and_point_count_round_trip_on_random_weil_numerators():
 @pytest.mark.parametrize("k", [2, 3, 5, 7])
 def test_pade_no_rational_fit_names_the_first_differing_order(k):
     # 1/(1 - 2t) through order k - 1, then one coefficient off
-    coeffs = [Fraction(2) ** j for j in range(9)]
+    coeffs = [2 ** j for j in range(9)]
     coeffs[k] += 1
     with pytest.raises(NoRationalFit, match=f"at order {k}$"):
         pade_reconstruct(coeffs, 0, 1)
+
+
+def _ref_solve(A, b):
+    """A x = b by Gauss-Jordan on Fractions: None when inconsistent, free
+    unknowns zero."""
+    n = len(A[0]) if A else 0
+    M = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(A, b)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        top = [v / M[r][c] for v in M[r]]
+        M = [row if i == r or not row[c] else [a - row[c] * t for a, t in zip(row, top)]
+             for i, row in enumerate(M)]
+        M[r] = top
+        pivots.append(c)
+    if any(row[n] for row in M[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, c in zip(M, pivots):
+        x[c] = row[n]
+    return x
 
 
 def _pade_by_re_expansion(coeffs, num_deg, den_deg):
@@ -367,9 +401,9 @@ def _pade_by_re_expansion(coeffs, num_deg, den_deg):
 
     den = [Fraction(1)]
     if den_deg:
-        sol = solve_right([[c(k - j) for j in range(1, den_deg + 1)]
-                           for k in range(num_deg + 1, num_deg + den_deg + 1)],
-                          [-c(k) for k in range(num_deg + 1, num_deg + den_deg + 1)])
+        sol = _ref_solve([[c(k - j) for j in range(1, den_deg + 1)]
+                          for k in range(num_deg + 1, num_deg + den_deg + 1)],
+                         [-c(k) for k in range(num_deg + 1, num_deg + den_deg + 1)])
         if sol is None:
             raise NoRationalFit("no denominator matches the series")
         den += sol
@@ -444,28 +478,29 @@ def _outcome(fit, coeffs, num_deg, den_deg):
 
 
 def _random_series(rng):
-    """Coefficients of a zeta series, of a rational function (sometimes with
-    one coefficient off), or of a geometric series, whose wide splits give
-    singular, under-determined denominator systems."""
+    """Integer coefficients: random ones after 1, those of an integral
+    rational function (sometimes with one coefficient off), or those of a
+    geometric series, whose wide splits give singular, under-determined
+    denominator systems."""
     order = rng.randint(1, 8)
     kind = rng.randrange(3)
     if kind == 0:
-        return zeta_series([rng.randint(-3, 40) for _ in range(order)]).coeffs
+        return [1] + [rng.randint(-3, 40) for _ in range(order)]
     if kind == 1:
         num = [1] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
         den = [1] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
         coeffs = _pade_series(num, den, order)
         if rng.randrange(3) == 0:
-            coeffs[rng.randrange(order + 1)] += Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            coeffs[rng.randrange(order + 1)] += rng.randint(1, 5)
         return coeffs
-    a = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
+    a = rng.randint(-5, 5)
     return [a ** k for k in range(order + 1)]
 
 
 def _pade_series(num, den, order):
     out = []
     for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        acc = num[k] if k < len(num) else 0
         acc -= sum(den[j] * out[k - j] for j in range(1, min(k, len(den) - 1) + 1))
         out.append(acc)
     return out
@@ -711,9 +746,16 @@ def test_gcd_and_radical_match_the_fraction_reference(monkeypatch):
         assert radicals.pop() == _radical(P), P
 
 
-def test_rational_library_inputs_keep_their_values_and_messages():
-    assert zeta_series([1, 0]).coeffs == (1, 1, Fraction(1, 2))
-    assert zeta_series([Fraction(1, 2)]).coeffs == (1, Fraction(1, 2))
+def test_library_inputs_that_are_not_integral_raise_with_their_messages():
+    with pytest.raises(NotIntegral, match=r"^series coefficient c_2 = 1/2 is not an integer$"):
+        zeta_series([1, 0])
+    for counts in ([Fraction(1, 2)], [Fraction(2)], [3, 1.0]):
+        with pytest.raises(InvalidInput, match=r"^point counts must be integers$"):
+            zeta_series(counts)
+    with pytest.raises(InvalidInput, match=r"^series coefficients must be integers$"):
+        pade_reconstruct([1, Fraction(1, 2)], 1, 0)
+    with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
+        rational_function((Fraction(1, 2), 0, 1), (1, 1))
     with pytest.raises(NotIntegral, match=r"^numerator constant term 1/2 != 1$"):
         rational_function((1, 1), (2, 1))
     with pytest.raises(NotIntegral, match=r"^numerator constant term -1/2 != 1$"):
@@ -721,14 +763,21 @@ def test_rational_library_inputs_keep_their_values_and_messages():
     with pytest.raises(NotIntegral, match=r"^non-integer coefficient 5/3 after normalization$"):
         rational_function((3, 5), (3, 1))
     with pytest.raises(NotIntegral, match=r"^non-integer coefficient -1/4 after normalization$"):
-        rational_function((Fraction(1, 2), 0, 1), (Fraction(1, 2), Fraction(-1, 8)))
+        rational_function((4, 0, 8), (4, -1))
     rng = random.Random(20261023)
+    integral = 0
     for _ in range(300):
-        counts = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.randrange(3) == 0
-                  else rng.randint(-3, 30) for _ in range(rng.randint(1, 6))]
-        assert zeta_series(counts).coeffs == _ref_zeta_series(counts)
-        num, den = ([Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
-                     for _ in range(rng.randint(0, 4))] for _ in range(2))
+        counts = [rng.randint(-3, 30) for _ in range(rng.randint(1, 6))]
+        ref = _ref_zeta_series(counts)
+        k = next((k for k, c in enumerate(ref) if c.denominator != 1), None)
+        if k is None:
+            integral += 1
+            assert zeta_series(counts).coeffs == ref
+        else:
+            # the first inexact step of the recurrence is the one reported
+            with pytest.raises(NotIntegral, match=rf"^series coefficient c_{k} = {ref[k]} is"):
+                zeta_series(counts)
+        num, den = ([rng.randint(-6, 6) for _ in range(rng.randint(0, 4))] for _ in range(2))
         common = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
         if rng.randrange(2):
             num, den = qpoly.mul(num, common), qpoly.mul(den, common)
@@ -741,6 +790,7 @@ def test_rational_library_inputs_keep_their_values_and_messages():
         except WeilZetaError as exc:
             ref = type(exc).__name__, str(exc)
         assert got == ref, (num, den)
+    assert integral > 20, integral
 
 
 def test_round_scaled_rounds_like_round_of_a_fraction():
