@@ -20,13 +20,13 @@ _SOURCE = {name: module for module, names in (
     ("ffield", ("DEFAULT_BUDGET", "make_field", "is_prime", "primes_in_range")),
     ("variety", ("MultiPoly", "VarietySpec", "PointCountSeries",
                  "parse_variety", "load_variety", "count_points",
-                 "count_series", "ec_count", "weierstrass_variety")),
+                 "count_series", "weierstrass_variety")),
     ("zeta", ("PowerSeriesQ", "RationalFunctionQ", "WeilFactorization",
               "RHReport", "zeta_series", "pade_reconstruct",
               "rational_function", "curve_numerator",
               "functional_equation_check", "weight_split", "with_sign",
               "rh_check", "betti_check", "point_count_from_zeta")),
-    ("cmcurve", ("GaussianInt", "FrobeniusData", "frobenius_trace",
+    ("cmcurve", ("GaussianInt", "FrobeniusData", "ec_count", "frobenius_trace",
                  "frobenius_eigenvalues", "cornacchia_two_squares",
                  "grossencharacter_psi", "grossencharacter_trace_d1",
                  "count_via_character")),

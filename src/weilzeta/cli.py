@@ -33,7 +33,7 @@ def load_variety(path):
 
 
 def ec_count(A, B, p):
-    from .variety import ec_count
+    from .cmcurve import ec_count
     return ec_count(A, B, p)
 
 
@@ -535,7 +535,7 @@ def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # flag values are checked before any work; only weil has --betti,
-        # and cm has neither --budget nor --mmax
+        # only dimgroup has --det-check, and cm has neither --budget nor --mmax
         if getattr(args, "betti", None):
             try:
                 args.betti = tuple(int(v) for v in args.betti.split(","))
@@ -544,6 +544,8 @@ def main(argv=None):
         for name in ("budget", "mmax"):
             if getattr(args, name, 1) < 1:
                 raise InvalidInput(f"{name} must be at least 1")
+        if getattr(args, "det_check", None) is not None and args.det_check < 2:
+            raise InvalidInput("det-check must be at least 2")
         report, ok = args.run(args)
     except WeilZetaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ Both routes are kept separate so one can cross-check the other.
 
 from math import isqrt
 
-from .errors import HasseViolation, InternalError, InvalidInput, InvalidPrime
+from .errors import (HasseViolation, InternalError, InvalidInput, InvalidPrime,
+                     SingularCurve, UnsupportedCharacteristic)
 from .ffield import is_prime
-from .variety import ec_count
 
 
 class GaussianInt:
@@ -93,6 +93,36 @@ class FrobeniusData:
             return f"{rat} (double)"
         unit = f"sqrt({abs(self.disc)})" if self.disc > 0 else f"i*sqrt({abs(self.disc)})"
         return f"{rat} +- 1/2*{unit}"
+
+
+def _square_classes(p):
+    """chi[v] for the quadratic character on F_p, chi(0) = 0."""
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, (p + 1) // 2 + 1):
+        chi[x * x % p] = 1
+    return tuple(chi)
+
+
+def ec_count(A, B, p):
+    """|E(F_p)| for y^2 = x^3 + Ax + B, point at infinity included.
+
+    Computed as p + 1 + sum over x of chi(x^3 + Ax + B) with chi the
+    quadratic character.
+    """
+    if not is_prime(p):
+        raise InvalidPrime(f"{p} is not prime")
+    if p <= 3:
+        raise UnsupportedCharacteristic("short Weierstrass form needs p > 3")
+    A %= p
+    B %= p
+    if (4 * A * A * A + 27 * B * B) % p == 0:
+        raise SingularCurve(f"discriminant vanishes mod {p} for A={A}, B={B}")
+    chi = _square_classes(p)
+    total = p + 1
+    for x in range(p):
+        total += chi[(x * x * x + A * x + B) % p]
+    return total
 
 
 def frobenius_trace(A, B, p):

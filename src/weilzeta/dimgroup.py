@@ -21,7 +21,7 @@ from operator import or_
 from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError)
-from .qlinalg import charpoly_int, det_int, mat_vec_int
+from .qlinalg import as_int, charpoly_int, det_int, mat_vec_int
 from .realalg import RealAlgebraic, RealNumberField
 
 class HeckeLikeMatrix:
@@ -76,8 +76,8 @@ class HeckeLikeMatrix:
 
 
 def make_matrix(rows, ell=None):
-    # a value that int() changes stays as it is, for the constructor to refuse
-    rows = tuple(tuple(int(v) if int(v) == v else v for v in row) for row in rows)
+    rows = tuple(tuple(as_int(v, "entries must be non-negative integers") for v in row)
+                 for row in rows)
     return HeckeLikeMatrix(b=len(rows), rows=rows, ell=ell)
 
 
@@ -167,12 +167,13 @@ def build(T):
 
 def _check_element(G, x):
     v, k = x
-    v = tuple(int(c) for c in v)
+    v = tuple(as_int(c, "vector entries must be integers") for c in v)
     if len(v) != G.b:
         raise DimensionMismatch(f"vector must have length {G.b}")
+    k = as_int(k, "level must be an integer")
     if k < 0:
         raise InvalidInput("level must be non-negative")
-    return v, int(k)
+    return v, k
 
 
 def trace_value(G, x):
@@ -241,6 +242,7 @@ def unit_decomposition(G, ell):
     integers (algebraic integer) with constant term +-1 (invertible). The
     verdict is reported, never assumed; it fails for most matrices.
     """
+    ell = as_int(ell, "ell must be an integer")
     if ell < 2:
         raise InvalidInput("ell must be at least 2")
     lam_unit = G.lam * G.field.from_rational(1, ell)
@@ -260,6 +262,8 @@ def hecke_companion(a, ell):
     matrix has real spectrum), reported as NotRepresentable.
     """
     from math import isqrt
+    a = as_int(a, "the trace must be an integer")
+    ell = as_int(ell, "ell must be an integer")
     if ell < 2:
         raise InvalidInput("ell must be at least 2")
     if a * a < 4 * ell:
@@ -290,11 +294,13 @@ def frobenius_shift_matches_eigenvalue(G, a, ell):
     has no real root to match, and one with a repeated root is reducible,
     so both fail the comparison.
     """
+    ell, a = as_int(ell, "ell must be an integer"), as_int(a, "the trace must be an integer")
     return G.field.minpoly == qpoly.primitive_int((ell, -a, 1))
 
 
-def parse_matrix(text, path="<string>"):
-    """Whitespace-separated integer rows, one per line; '#' lines skipped."""
+def parse_matrix(text, path="<string>", ell=None):
+    """Whitespace-separated integer rows, one per line; '#' lines skipped.
+    When ell is given the matrix must be symmetric with determinant ell."""
     rows = []
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -312,12 +318,9 @@ def parse_matrix(text, path="<string>"):
             raise ParseError(f"row {no}: expected {width} entries, got {len(row)}")
     if len(rows) != width:
         raise ParseError(f"{path}: matrix must be square, got {len(rows)}x{width}")
-    return make_matrix(rows)
+    return make_matrix(rows, ell=ell)
 
 
 def load_matrix(path, ell=None):
     with open(path, "r", encoding="utf-8") as fh:
-        T = parse_matrix(fh.read(), path=str(path))
-    if ell is not None:
-        T = make_matrix(T.rows, ell=ell)
-    return T
+        return parse_matrix(fh.read(), path=str(path), ell=ell)

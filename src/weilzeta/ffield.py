@@ -198,8 +198,6 @@ def _berlekamp_split(f, basis, p):
 def _is_irreducible(f, p):
     """Deterministic test for monic f over F_p: f is irreducible exactly
     when it is square-free and its Berlekamp space is the constants alone."""
-    if len(f) > 2 and f[0] == 0:
-        return False  # divisible by x, like make_field's first p^(m-1) candidates
     m = _berlekamp_matrix(f, p)
     return m is not None and _berlekamp_nullity(m, p) == 1
 
@@ -235,7 +233,8 @@ def make_field(p, m):
         raise InvalidDegree(f"extension degree must be >= 1, got {m}")
     if m == 1:
         return (0, 1)
-    for tail in product(range(p), repeat=m):
+    # a zero constant term makes x a factor, so c_0 starts at 1
+    for tail in product(range(1, p), *[range(p)] * (m - 1)):
         f = tail + (1,)
         if _is_irreducible(f, p):
             return f

@@ -16,7 +16,7 @@ from math import floor, lcm
 from .errors import (DependentGenerators, DimensionMismatch, FieldMismatch,
                      InternalError, InvalidInput, NotEndomorphism,
                      NotNormalized, ParseError)
-from .qlinalg import echelon, hnf_rows, kernel_int, rank_rational
+from .qlinalg import as_int, echelon, hnf_rows, kernel_int, rank_rational
 from .realalg import RealAlgebraic, RealNumberField
 
 
@@ -54,27 +54,27 @@ def _scaled(elements):
     return [[c * (den // x.den) for c in x.nums] for x in elements]
 
 
-def _int_coords(L, x):
-    """Integer coordinates of x in the generator basis, or None if x is not
-    in L."""
-    if x.field != L.field:
+def _int_coords(L, xs):
+    """Integer coordinates in the generator basis of each element of xs,
+    None for one that is not in L; one elimination serves them all."""
+    if any(x.field != L.field for x in xs):
         raise FieldMismatch("element lives in a different field")
     b = L.rank
-    # columns: the generators, then x, all over one denominator; the
+    # columns: the generators, then the xs, all over one denominator; the
     # generators are independent, so each pivot row gives one coordinate
-    # as its last entry over its pivot
-    M, _, _ = echelon(list(zip(*_scaled((*L.generators, x)))), b)
-    if any(row[b] for row in M[b:]):
-        return None
-    coords = [divmod(row[b], row[i]) for i, row in enumerate(M[:b])]
-    if any(r for _, r in coords):
-        return None
-    return tuple(q for q, _ in coords)
+    # of each x as its entry in x's column over its pivot
+    M, _, _ = echelon(list(zip(*_scaled((*L.generators, *xs)))), b)
+    found = []
+    for j in range(b, b + len(xs)):
+        coords = [divmod(row[j], row[i]) for i, row in enumerate(M[:b])]
+        inside = not any(row[j] for row in M[b:]) and not any(r for _, r in coords)
+        found.append(tuple(q for q, _ in coords) if inside else None)
+    return found
 
 
 def coordinates(L, x):
     """Integer coordinates of x in the generator basis; x must lie in L."""
-    coords = _int_coords(L, x)
+    coords, = _int_coords(L, (x,))
     if coords is None:
         raise InvalidInput("element does not belong to the lattice")
     return coords
@@ -82,14 +82,14 @@ def coordinates(L, x):
 
 def contains(L, x):
     """Whether x is an integer combination of the generators."""
-    return _int_coords(L, x) is not None
+    return _int_coords(L, (x,))[0] is not None
 
 
 def is_endomorphism(L, alpha):
     """Whether multiplication by alpha maps L into itself."""
     if alpha.field != L.field:
         raise FieldMismatch("multiplier lives in a different field")
-    return all(contains(L, alpha * g) for g in L.generators)
+    return None not in _int_coords(L, [alpha * g for g in L.generators])
 
 
 def endo_matrix(L, alpha):
@@ -97,14 +97,11 @@ def endo_matrix(L, alpha):
 
     alpha * g_j = sum_k M[k][j] * g_k.
     """
-    columns = []
-    for j, g in enumerate(L.generators):
-        coords = _int_coords(L, alpha * g)
-        if coords is None:
-            raise NotEndomorphism(
-                f"multiplication by the given element does not preserve the lattice "
-                f"(image of generator {j + 1} falls outside)")
-        columns.append(coords)
+    columns = _int_coords(L, [alpha * g for g in L.generators])
+    if None in columns:
+        raise NotEndomorphism(
+            f"multiplication by the given element does not preserve the lattice "
+            f"(image of generator {columns.index(None) + 1} falls outside)")
     return tuple(zip(*columns))
 
 
@@ -175,7 +172,8 @@ def point_count_from_frobenius(L, omega, q):
     if isinstance(omega, RealAlgebraic):
         matrix = endo_matrix(L, omega)
     else:
-        matrix = tuple(tuple(int(v) for v in row) for row in omega)
+        matrix = tuple(tuple(as_int(v, "Frobenius matrix entries must be integers")
+                             for v in row) for row in omega)
         if len(matrix) != L.rank or any(len(row) != L.rank for row in matrix):
             raise DimensionMismatch(
                 f"Frobenius matrix must be {L.rank}x{L.rank}")

@@ -8,6 +8,8 @@ polynomial with its adjugate, Hermite normal form and integer kernels.
 
 from math import lcm
 
+from .errors import InvalidInput
+
 
 def echelon(rows, ncols):
     """Fraction-free Gauss-Jordan elimination, pivoting in the first ncols columns.
@@ -61,6 +63,18 @@ def rank_rational(A):
 
 
 # --- integer matrices ---
+
+def as_int(v, what):
+    """v as an int when int(v) == v, as for 3.0 or Fraction(3); anything
+    else is InvalidInput, worded as what and the value."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != v:
+        raise InvalidInput(f"{what}, got {v!r}")
+    return n
+
 
 def identity_int(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -23,7 +23,21 @@ from math import gcd, lcm
 from . import qpoly
 from .errors import (DivisionByZero, FieldMismatch, InvalidInput,
                      InvalidInterval, NotIrreducible)
-from .qlinalg import echelon
+from .qlinalg import as_int, echelon
+
+
+def _is_rational(r):
+    # a Fraction exists only once fractions is loaded, so this test loads
+    # nothing
+    fractions = sys.modules.get("fractions")
+    return isinstance(r, int) or fractions is not None and isinstance(r, fractions.Fraction)
+
+
+def _rational(r):
+    """r itself when it is an int or a Fraction; InvalidInput otherwise."""
+    if not _is_rational(r):
+        raise InvalidInput(f"expected an int or a Fraction, got {r!r}")
+    return r
 
 
 def _interval_eval(nums, den, lo, hi, d):
@@ -103,7 +117,7 @@ class RealNumberField:
             raise NotIrreducible("minimal polynomial must be monic with integer coefficients")
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
-        lo, hi = interval
+        lo, hi = map(_rational, interval)
         d = lcm(lo.denominator, hi.denominator)
         lo, hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
         d *= den
@@ -165,6 +179,7 @@ class RealNumberField:
     def quadratic(cls, d):
         """Q(sqrt(d)) for a non-square integer d >= 2."""
         from math import isqrt
+        d = as_int(d, "d must be an integer")
         if d < 0:
             raise InvalidInput(f"sqrt({d}) is not real")
         r = isqrt(d)
@@ -192,6 +207,7 @@ class RealNumberField:
 
     def from_rational(self, r, den=1):
         """The rational r/den, for r an int or a Fraction and den > 0."""
+        r = _rational(r)
         return RealAlgebraic(self, (r.numerator,) + (0,) * (self.degree - 1),
                              r.denominator * den)
 
@@ -200,7 +216,7 @@ class RealNumberField:
         coords = tuple(coords)
         if len(coords) != self.degree:
             raise FieldMismatch(f"expected {self.degree} coordinates, got {len(coords)}")
-        den = lcm(*(c.denominator for c in coords))
+        den = lcm(*(_rational(c).denominator for c in coords))
         return RealAlgebraic(self, tuple(c.numerator * (den // c.denominator) for c in coords),
                              den)
 
@@ -247,10 +263,7 @@ class RealAlgebraic:
             if other.field != self.field:
                 raise FieldMismatch("elements of different real number fields")
             return other
-        # a Fraction exists only once fractions is loaded, so this test
-        # loads nothing
-        fractions = sys.modules.get("fractions")
-        if isinstance(other, int) or fractions and isinstance(other, fractions.Fraction):
+        if _is_rational(other):
             return self.field.from_rational(other)
         return None
 

@@ -26,8 +26,7 @@ from itertools import product
 from operator import mul
 
 from .errors import (EnumerationBudgetExceeded, InternalError, InvalidDegree,
-                     InvalidInput, InvalidPrime, NotHomogeneous, ParseError,
-                     SingularCurve, UnsupportedCharacteristic)
+                     InvalidInput, InvalidPrime, NotHomogeneous, ParseError)
 from .ffield import DEFAULT_BUDGET, _ppowmod, is_prime, make_field
 
 
@@ -398,7 +397,6 @@ class _IndexedField:
         lead, rest = gen[-1], gen[-2::-1]
         low = f[:m]
         weights = [p ** i for i in range(m)]
-        exp = [0] * (q - 1)
         log = [0] * q
         # g^k as m base-p digits, low first. Times g is a Horner pass over
         # g's coefficients, high first: each step shifts by x and folds x^m
@@ -406,19 +404,17 @@ class _IndexedField:
         # reduced mod p once per power
         cur = [1] + [0] * (m - 1)
         for k in range(q - 1):
-            idx = sum(map(mul, cur, weights))
-            exp[k] = idx
-            log[idx] = k
+            log[sum(map(mul, cur, weights))] = k
             acc = [lead * d for d in cur]
             for c in rest:
                 top = acc[-1]
                 acc = [a + c * d - top * fi for a, d, fi in zip([0, *acc], cur, low)]
             cur = [a % p for a in acc]
-        zech = []
-        for idx in exp:
+        zech = [0] * (q - 1)
+        for idx in range(1, q):
             # adding 1 changes only the constant digit, the lowest base-p digit
             one_plus = idx - idx % p + (idx + 1) % p
-            zech.append(log[one_plus] + 1 if one_plus else 0)
+            zech[log[idx]] = log[one_plus] + 1 if one_plus else 0
         self.log = log
         self.zech = zech
 
@@ -619,37 +615,7 @@ def count_series(v, m_max, budget=DEFAULT_BUDGET):
     return PointCountSeries(q=v.p, counts=counts)
 
 
-# --- Weierstrass fast path over prime fields ---
-
-def _square_classes(p):
-    """chi[v] for the quadratic character on F_p, chi(0) = 0."""
-    chi = [-1] * p
-    chi[0] = 0
-    for x in range(1, (p + 1) // 2 + 1):
-        chi[x * x % p] = 1
-    return tuple(chi)
-
-
-def ec_count(A, B, p):
-    """|E(F_p)| for y^2 = x^3 + Ax + B, point at infinity included.
-
-    Computed as p + 1 + sum over x of chi(x^3 + Ax + B) with chi the
-    quadratic character.
-    """
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
-    if p <= 3:
-        raise UnsupportedCharacteristic("short Weierstrass form needs p > 3")
-    A %= p
-    B %= p
-    if (4 * A * A * A + 27 * B * B) % p == 0:
-        raise SingularCurve(f"discriminant vanishes mod {p} for A={A}, B={B}")
-    chi = _square_classes(p)
-    total = p + 1
-    for x in range(p):
-        total += chi[(x * x * x + A * x + B) % p]
-    return total
-
+# --- Weierstrass curves as varieties ---
 
 def weierstrass_variety(A, B, p):
     """Projective model Y^2 Z = X^3 + A X Z^2 + B Z^3 as a VarietySpec."""

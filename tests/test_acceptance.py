@@ -14,7 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from weilzeta.cli import main
-from weilzeta.cmcurve import count_via_character, frobenius_trace, grossencharacter_trace_d1
+from weilzeta.cmcurve import (
+    count_via_character,
+    ec_count,
+    frobenius_trace,
+    grossencharacter_trace_d1,
+)
 from weilzeta.dimgroup import build, make_matrix, shift, trace_value, unit_decomposition
 from weilzeta.errors import (
     InsufficientPrecision,
@@ -35,7 +40,6 @@ from weilzeta.realalg import RealNumberField, minimal_polynomial
 from weilzeta.variety import (
     count_points,
     count_series,
-    ec_count,
     load_variety,
     parse_variety,
     weierstrass_variety,

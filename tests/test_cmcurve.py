@@ -7,6 +7,7 @@ from weilzeta.cmcurve import (
     GaussianInt,
     cornacchia_two_squares,
     count_via_character,
+    ec_count,
     frobenius_eigenvalues,
     frobenius_trace,
     grossencharacter_psi,
@@ -14,7 +15,7 @@ from weilzeta.cmcurve import (
 )
 from weilzeta.errors import HasseViolation, InvalidInput, InvalidPrime
 from weilzeta.ffield import primes_in_range
-from weilzeta.variety import count_points, ec_count, weierstrass_variety
+from weilzeta.variety import count_points, weierstrass_variety
 
 
 def test_gaussian_integer_arithmetic():

@@ -1,6 +1,7 @@
 """Tests for dimension groups built from primitive integer matrices."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -165,6 +166,33 @@ def test_build_one_dimensional():
     G = build(make_matrix([[2]]))
     assert G.lam == G.field.from_rational(F(2))
     assert trace_value(G, ((3,), 2)) == G.field.from_rational(F(3, 4))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda G: make_matrix([["a", 1], [1, 1]]),
+     "entries must be non-negative integers, got 'a'"),
+    (lambda G: trace_value(G, ((1.5, 0), 0)), "vector entries must be integers, got 1.5"),
+    (lambda G: trace_value(G, ((1, 0), 0.7)), "level must be an integer, got 0.7"),
+    (lambda G: shift(G, ((1, 0.5), 0)), "vector entries must be integers, got 0.5"),
+    (lambda G: shift_inverse(G, ((1, 0), "1")), "level must be an integer, got '1'"),
+    (lambda G: equivalent(G, ((1, 0), 0), ((1, 0), 0.7)),
+     "level must be an integer, got 0.7"),
+    (lambda G: equivalent(G, ((1, None), 0), ((1, 0), 0)),
+     "vector entries must be integers, got None"),
+    (lambda G: unit_decomposition(G, 2.5), "ell must be an integer, got 2.5"),
+    (lambda G: hecke_companion(5.5, 2), "the trace must be an integer, got 5.5"),
+    (lambda G: hecke_companion(5, "2"), "ell must be an integer, got '2'"),
+    (lambda G: frobenius_shift_matches_eigenvalue(G, 4, 2.5), "ell must be an integer, got 2.5"),
+], ids=["matrix str", "trace vector", "trace level", "shift", "shift_inverse",
+        "equivalent level", "equivalent vector", "unit ell", "companion trace",
+        "companion ell", "eigenvalue ell"])
+def test_non_integer_inputs_are_invalid_input(call, message):
+    G = _hecke_group()
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call(G)
+    # an integral value of another type is read as its int
+    assert trace_value(G, ((1.0, F(0)), 1.0)) == trace_value(G, ((1, 0), 1))
+    assert frobenius_shift_matches_eigenvalue(G, 4.0, F(2))
 
 
 def test_trace_values_frozen():

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from weilzeta import ffield
 from weilzeta.errors import InvalidDegree, InvalidPrime
 from weilzeta.ffield import (
     _berlekamp_kernel,
@@ -48,6 +49,24 @@ def test_make_field_smallest_irreducible_modulus():
     # lexicographically first by low-to-high coefficient tuple
     assert make_field(3, 2) == (1, 0, 1)
     assert make_field(2, 3) == (1, 0, 1, 1)
+
+
+@pytest.mark.parametrize("p, m", [(2, 10), (3, 6)])
+def test_make_field_tries_no_multiple_of_x(monkeypatch, p, m):
+    # a zero constant term makes x a factor, so make_field never tests such
+    # a candidate, and still returns the first irreducible of the full order
+    tried = []
+
+    def recording(f, q):
+        tried.append(f)
+        return _is_irreducible(f, q)
+
+    monkeypatch.setattr(ffield, "_is_irreducible", recording)
+    modulus = make_field(p, m)
+    assert tried[-1] == modulus
+    assert all(f[0] != 0 for f in tried)
+    assert modulus == next(tail + (1,) for tail in product(range(p), repeat=m)
+                           if _is_irreducible(tail + (1,), p))
 
 
 def _mul_mod(a, b, p):

@@ -1,5 +1,6 @@
 """Tests for pseudo-lattices, endomorphism rings, and density witnesses."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,8 @@ from weilzeta.pseudolattice import (
     parse_lattice,
     point_count_from_frobenius,
 )
-from weilzeta.qlinalg import mat_mul_int
+from weilzeta import pseudolattice
+from weilzeta.qlinalg import echelon, mat_mul_int
 from weilzeta.realalg import RealNumberField
 
 
@@ -69,8 +71,14 @@ def test_is_endomorphism():
 def test_endo_matrix_columns_are_images():
     L = _sqrt_lattice(2)
     assert endo_matrix(L, L.field.gen()) == ((0, 2), (1, 0))
-    with pytest.raises(NotEndomorphism):
-        endo_matrix(L, L.field.element((F(0), F(1, 2))))
+    half_r2 = L.field.element((F(0), F(1, 2)))
+    with pytest.raises(NotEndomorphism, match=r"image of generator 1 falls outside"):
+        endo_matrix(L, half_r2)
+    # the message names the first generator whose image falls outside:
+    # sqrt(2)/2 maps 1 into Z + Z*sqrt(2)/2, and sqrt(2)/2 to 1/2
+    L2 = PseudoLattice(L.field, (L.field.one(), half_r2))
+    with pytest.raises(NotEndomorphism, match=r"image of generator 2 falls outside"):
+        endo_matrix(L2, half_r2)
 
 
 def test_endo_matrix_multiplication_form():
@@ -81,6 +89,25 @@ def test_endo_matrix_multiplication_form():
         for u, v in ((0, 1), (2, 3), (-1, 4)):
             alpha = K.element((F(u), F(v)))
             assert endo_matrix(L, alpha) == ((u, d * v), (v, u))
+
+
+def test_endo_matrix_and_is_endomorphism_take_one_elimination(monkeypatch):
+    # Z + Z t + Z t^2 + Z t^3 in Q(2^(1/4)): every image of a generator is
+    # read off one echelon of the generators and all the images
+    K = RealNumberField((-2, 0, 0, 0, 1), (1, 2))
+    t = K.gen()
+    L = PseudoLattice(K, (K.one(), t, t * t, t * t * t))
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return echelon(rows, ncols)
+
+    monkeypatch.setattr(pseudolattice, "echelon", counting)
+    assert endo_matrix(L, t) == ((0, 0, 0, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    assert calls == [4]
+    assert not is_endomorphism(L, t * K.from_rational(F(1, 2)))
+    assert calls == [4, 4]
 
 
 def test_endo_ring_rank_quadratic():
@@ -158,6 +185,21 @@ def test_point_count_from_frobenius_integer_matrix():
     assert point_count_from_frobenius(L, [[-1, -4], [1, -1]], 5) == 8
     with pytest.raises(DimensionMismatch):
         point_count_from_frobenius(L, [[1, 2, 3], [4, 5, 6]], 5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda L: density_witness(L, 0.001), "expected an int or a Fraction, got 0.001"),
+    (lambda L: point_count_from_frobenius(L, [[1.5, 0], [0, 1.5]], 5),
+     "Frobenius matrix entries must be integers, got 1.5"),
+    (lambda L: point_count_from_frobenius(L, [["1", 0], [0, 1]], 5),
+     "Frobenius matrix entries must be integers, got '1'"),
+], ids=["float eps", "float matrix", "str matrix"])
+def test_non_numeric_inputs_are_invalid_input(call, message):
+    L = _sqrt_lattice(2)
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call(L)
+    # an integral value of another type is read as its int
+    assert point_count_from_frobenius(L, [[1.0, 0], [0, F(3)]], 5) == 2
 
 
 def test_density_witness_golden_convergent():

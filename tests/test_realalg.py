@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -64,6 +65,22 @@ def test_quadratic_rejects_perfect_squares():
 def test_quadratic_of_a_negative_integer_is_invalid_input():
     with pytest.raises(InvalidInput, match=r"^sqrt\(-2\) is not real$"):
         RealNumberField.quadratic(-2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda K: RealNumberField((-2, 0, 1), (1.0, 2)), "expected an int or a Fraction, got 1.0"),
+    (lambda K: K.element((1.5, 0)), "expected an int or a Fraction, got 1.5"),
+    (lambda K: K.from_rational(0.5), "expected an int or a Fraction, got 0.5"),
+    (lambda K: K.from_rational("1/2"), "expected an int or a Fraction, got '1/2'"),
+    (lambda K: RealNumberField.quadratic(2.5), "d must be an integer, got 2.5"),
+], ids=["interval", "element", "from_rational", "from_rational str", "quadratic"])
+def test_non_rational_inputs_are_invalid_input(call, message):
+    K = RealNumberField.quadratic(2)
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        call(K)
+    # ints and Fractions are accepted, and an integral d of another type
+    assert K.element((F(1, 2), 1)) == K.from_rational(F(1, 2)) + K.gen()
+    assert RealNumberField.quadratic(2.0) == RealNumberField((-2, 0, 1), (F(1), 2)) == K
 
 
 def test_sqrt2_squares_to_two():

@@ -19,6 +19,7 @@ from weilzeta.errors import (
     SingularCurve,
     UnsupportedCharacteristic,
 )
+from weilzeta.cmcurve import ec_count
 from weilzeta.ffield import _pmod, _pmul, _ppowmod, _psub, make_field, primes_in_range
 from weilzeta.variety import (
     MultiPoly,
@@ -27,7 +28,6 @@ from weilzeta.variety import (
     _IndexedField,
     count_points,
     count_series,
-    ec_count,
     parse_variety,
     weierstrass_variety,
 )
