@@ -16,15 +16,14 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .errors import (EnumerationBudgetExceeded, InvalidInput, MathCheckError,
-                     WeilZetaError)
+from .errors import EnumerationBudgetExceeded, InvalidInput, WeilZetaError
 from .ffield import DEFAULT_BUDGET, is_prime
 
-# Each command imports the modules it runs, so a job loads only those.
-# The five functions below exist for perfbench/tracer.py, which times them
-# by patching these names on this module: each delegates to its library
-# function through a local import. They go when a structured trace
-# recorder replaces that patching.
+# Each command imports the modules it runs and finds its code there, so a
+# job loads and compiles only that. count and cm stay here because
+# perfbench/tracer.py times them by patching the five functions below on
+# this module: each delegates to its library function through a local
+# import. They go when a structured trace recorder replaces that patching.
 
 
 def load_variety(path):
@@ -71,39 +70,6 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _num(a, b=1):
-    """str(Fraction(a, b)) for ints, or InvalidInput when a or b is longer
-    than the interpreter's int-to-str limit lets str() print."""
-    from .qpoly import ratio_str
-
-    try:
-        return ratio_str(a, b)
-    except ValueError:
-        raise InvalidInput("a number in the report is too long to print") from None
-
-
-def _poly_str(p):
-    """poly_str in x; _num refuses the largest coefficient if too long."""
-    _num(max(p, key=abs))
-    from .qpoly import poly_str
-    return poly_str(p, "x")
-
-
-def _interval_str(field):
-    lo, hi, d = field.bracket
-    return f"[{_num(lo, d)}, {_num(hi, d)}]"
-
-
-def _algebraic_str(x):
-    coords = "(" + ", ".join(_num(c, x.den) for c in x.nums) + ")"
-    return f"{coords} ~ {x.decimal_str(30)}"
-
-
-def _matrix_str(rows):
-    return "[" + ", ".join("[" + ", ".join(_num(v) for v in row) + "]"
-                           for row in rows) + "]"
-
-
 # --- count ---
 
 def _count_section(args, command, settings=()):
@@ -136,105 +102,12 @@ def cmd_count(args):
 
 # --- weil ---
 
-def _pipeline_candidate(series, n, q, num_deg, den_deg):
-    """Run pade -> weights -> FE -> RH, recording how far we got.
-
-    Returns (score, result dict, failure or None). Score counts fully
-    passed stages so candidate degree pairs can be ranked.
-    """
-    from . import zeta
-
-    result = {"num_deg": num_deg, "den_deg": den_deg}
-    score = 0
-    try:
-        z = result["z"] = zeta.pade_reconstruct(series, num_deg, den_deg)
-        score = 1
-        fact = result["fact"] = zeta.weight_split(z, q, n)
-        if not fact.parity_ok:
-            raise MathCheckError(
-                "factor weights contradict their numerator/denominator side")
-        score = 2
-        sign = zeta.functional_equation_check(z, q, n, fact.chi)
-        result["fact"] = zeta.with_sign(fact, sign)
-        result["sign"] = sign
-        score = 3
-        result["rh"] = [(i, zeta.rh_check(poly, q, i)) for i, poly in fact.factors]
-        if not all(rep.passed for _, rep in result["rh"]):
-            raise MathCheckError("root modulus bound violated")
-    except MathCheckError as exc:
-        return score, result, exc
-    return 4, result, None
-
-
 def cmd_weil(args):
-    from . import qpoly, zeta
-
-    v, report, series_counts = _count_section(
+    from . import zeta
+    v, report, counts = _count_section(
         args, "weil", (("rh tolerance", zeta.RH_TOL),
                        ("weight tolerance", zeta.WEIGHT_TOL)))
-    q = v.p
-    n = v.vardim
-    series = zeta.zeta_series(series_counts)
-    report.kv("zeta series", qpoly.poly_str(series.coeffs))
-
-    t0 = time.perf_counter()
-    best = None
-    for num_deg in range(args.mmax + 1):
-        den_deg = args.mmax - num_deg
-        score, result, failure = _pipeline_candidate(
-            series, n, q, num_deg, den_deg)
-        key = (score, den_deg)
-        if best is None or key > best[0]:
-            best = (key, result, failure)
-        if score == 4:
-            # den_deg only falls from here on, so no later candidate wins
-            break
-    report.timing("pipeline", time.perf_counter() - t0)
-    (score, _), result, failure = best
-    report.kv("pade degrees",
-              f"num {result['num_deg']}, den {result['den_deg']} "
-              f"(scanned num+den = {args.mmax})")
-
-    ok = True
-    if "z" in result:
-        report.kv("Z(t)", str(result["z"]))
-    if "fact" in result:
-        fact = result["fact"]
-        report.add("factors:")
-        for i, poly in fact.factors:
-            report.add(f"  P_{i} = {qpoly.poly_str(poly)}")
-        report.kv("euler characteristic", fact.chi)
-    if "sign" in result:
-        sign = result["sign"]
-        rendered = "undetermined (odd n*chi)" if sign is None else f"{sign:+d}"
-        report.kv("functional equation sign", rendered)
-    if "rh" in result:
-        report.add(f"rh check (tol {zeta.RH_TOL}):")
-        for i, rep in result["rh"]:
-            rec = {True: "reciprocal ok", False: "reciprocal FAIL",
-                   None: "reciprocal n/a"}[rep.reciprocal_ok]
-            verdict = "pass" if rep.passed else "FAIL"
-            report.add(f"  P_{i}: max deviation {rep.max_modulus_deviation:.3e}, "
-                       f"{rec}, {verdict}")
-    if args.betti and "fact" in result:
-        fact = result["fact"]
-        try:
-            flags = zeta.betti_check(fact, args.betti)
-        except WeilZetaError as exc:
-            report.kv("betti check", f"error: {exc}")
-            ok = False
-        else:
-            degrees = tuple(qpoly.degree(p) for _, p in fact.factors)
-            report.kv("betti degrees", str(degrees))
-            report.kv("betti expected", str(args.betti))
-            for i, flag in enumerate(flags):
-                report.add(f"  b_{i}: {'pass' if flag else 'FAIL'}")
-            ok = ok and all(flags)
-    if failure is not None:
-        report.kv("pipeline failure", f"{type(failure).__name__}: {failure}")
-        ok = False
-    report.kv("verdict", "PASS" if ok else "FAIL")
-    return report, ok
+    return report, zeta.weil_report(report, counts, v.p, v.vardim, args.mmax, args.betti)
 
 
 # --- cm ---
@@ -283,96 +156,16 @@ def cmd_cm(args):
     return report, ok
 
 
-# --- lattice ---
+# --- lattice and dimgroup, each reported by its own module ---
 
 def cmd_lattice(args):
-    from . import pseudolattice as pl
-    from .qlinalg import mat_mul_int
+    from .pseudolattice import cmd_lattice
+    return cmd_lattice(args, Report("weilzeta lattice"))
 
-    L = pl.load_lattice(args.path)
-    report = Report("weilzeta lattice")
-    report.kv("input", args.path)
-    report.kv("field minpoly", _poly_str(L.field.minpoly))
-    report.kv("field root in", _interval_str(L.field))
-    report.kv("field degree", L.field.degree)
-    report.kv("rank", L.rank)
-    report.add("generators:")
-    for k, g in enumerate(L.generators, start=1):
-        report.add(f"  g_{k} = {_algebraic_str(g)}")
-    t0 = time.perf_counter()
-    rank, basis = pl.endo_ring_rank(L)
-    report.timing("endo ring", time.perf_counter() - t0)
-    report.kv("endomorphism ring rank", rank)
-    report.add("endomorphism ring basis:")
-    matrices = []
-    for k, alpha in enumerate(basis, start=1):
-        mat = pl.endo_matrix(L, alpha)
-        matrices.append(mat)
-        report.add(f"  e_{k} = {_algebraic_str(alpha)}")
-        report.add(f"       matrix {_matrix_str(mat)}")
-    commutes = all(
-        mat_mul_int(a, b) == mat_mul_int(b, a)
-        for idx, a in enumerate(matrices) for b in matrices[idx + 1:])
-    report.kv("endomorphism matrices commute", "yes" if commutes else "NO")
-    if L.rank >= 2:
-        witness = pl.density_witness(L)
-        report.add("density witness (0 < x < 1/1000):")
-        report.add(f"  x = {_num(witness.c0)}*g_1 + {_num(witness.c1)}*g_2 "
-                   f"= {_algebraic_str(witness.value)}")
-    ok = commutes
-    report.kv("verdict", "PASS" if ok else "FAIL")
-    return report, ok
-
-
-# --- dimgroup ---
 
 def cmd_dimgroup(args):
-    from . import dimgroup as dg
-
-    T = dg.load_matrix(args.path, ell=args.det_check)
-    G = dg.build(T)
-    report = Report("weilzeta dimgroup")
-    report.kv("input", args.path)
-    report.kv("matrix", _matrix_str(T.rows))
-    report.kv("determinant", _num(T.det()))
-    if args.det_check is not None:
-        report.kv("det check", f"symmetric with determinant {args.det_check}: ok")
-    report.kv("lambda minpoly", _poly_str(G.field.minpoly))
-    report.kv("lambda isolated in", _interval_str(G.field))
-    report.kv("lambda", G.lam.decimal_str(30))
-    report.add("left eigenvector (w_1 = 1, coords in powers of lambda):")
-    for k, entry in enumerate(G.w, start=1):
-        report.add(f"  w_{k} = {_algebraic_str(entry)}")
-    report.add("sample trace values:")
-    b = G.b
-    samples = []
-    for i in range(b):
-        v = tuple(1 if j == i else 0 for j in range(b))
-        samples.append((v, 0))
-    samples.append((samples[0][0], 1))
-    for v, k in samples:
-        val = dg.trace_value(G, (v, k))
-        report.add(f"  tau({v}, level {k}) = {_algebraic_str(val)}")
-    x = samples[0]
-    coherent = dg.trace_value(G, x) == dg.trace_value(G, (G.matrix.apply(x[0]), x[1] + 1))
-    report.kv("level coherence tau(v,k) = tau(Tv,k+1)", "exact" if coherent else "FAIL")
-    scaling = dg.trace_value(G, dg.shift(G, x)) == G.lam * dg.trace_value(G, x)
-    report.kv("shift scaling tau(shift x) = lambda*tau(x)", "exact" if scaling else "FAIL")
-    ell = args.det_check
-    if ell is None:
-        d = abs(T.det())
-        ell = d if d >= 2 else None
-    if ell is None:
-        report.kv("unit decomposition", "skipped (no determinant >= 2 available)")
-    else:
-        unit = dg.unit_decomposition(G, ell)
-        report.add(f"unit decomposition (ell = {ell}):")
-        report.add(f"  lambda/ell = {_algebraic_str(unit.lam_unit)}")
-        report.add(f"  minimal polynomial: {_poly_str(unit.minpoly)}")
-        report.add(f"  verified algebraic unit: {'true' if unit.verified else 'false'}")
-    ok = coherent and scaling
-    report.kv("verdict", "PASS" if ok else "FAIL")
-    return report, ok
+    from .dimgroup import cmd_dimgroup
+    return cmd_dimgroup(args, Report("weilzeta dimgroup"))
 
 
 # --- driver ---

@@ -21,8 +21,41 @@ from operator import or_
 from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError)
-from .qlinalg import as_int, charpoly_int, det_int, mat_vec_int
-from .realalg import RealAlgebraic, RealNumberField
+from .qlinalg import as_int, echelon, mat_mul_int
+from .realalg import (RealAlgebraic, RealNumberField, _algebraic_str, _interval_str,
+                      _matrix_str, _num, _poly_str, refine_bracket)
+
+
+def mat_vec_int(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def det_int(A):
+    """Determinant: the swap sign times the last pivot of echelon at full rank."""
+    M, pivots, sign = echelon(A, len(A))
+    if len(pivots) < len(A):
+        return 0
+    return sign * M[-1][-1] if A else 1
+
+
+def charpoly_int(A):
+    """det(xI - A), monic with coefficients low first, and the adjugate.
+
+    Faddeev-LeVerrier: M_1 = I, M_k = A M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(A M_k) / k, exact on integers since the c are. Returns
+    the coefficients and [M_1, ..., M_n], with adj(xI - A) the sum of
+    M_k x^(n-k).
+    """
+    n = len(A)
+    cs = [1]  # leading coefficient of x^n
+    Ms = []
+    AM = [[0] * n for _ in range(n)]  # A M_0 with M_0 = 0
+    for k in range(1, n + 1):
+        Ms.append([[AM[i][j] + (cs[0] if i == j else 0) for j in range(n)] for i in range(n)])
+        AM = mat_mul_int(A, Ms[-1])
+        cs.insert(0, -sum(AM[i][i] for i in range(n)) // k)
+    return tuple(cs), Ms
+
 
 class HeckeLikeMatrix:
     """Primitive non-negative integer matrix, optionally det/symmetry tagged.
@@ -81,12 +114,61 @@ def make_matrix(rows, ell=None):
     return HeckeLikeMatrix(b=len(rows), rows=rows, ell=ell)
 
 
+def cauchy_root_bound(p):
+    """(B, d): all real roots of p lie in (-B/d, B/d)."""
+    p = qpoly.trim(p)
+    if len(p) <= 1:
+        return 1, 1
+    lead = abs(p[-1])
+    return lead + max(abs(c) for c in p[:-1]), lead
+
+
+def largest_real_root(p):
+    """Bracket (lo, hi, d) of the largest real root of a square-free
+    polynomial, the root in (lo/d, hi/d], or None when it has no real root;
+    a multiple root raises InvalidInput.
+
+    (-B, B] is halved, keeping the upper half while it still holds a root,
+    until the bracket holds exactly one root and p(lo/d) != 0. Each halving
+    doubles d. Then lo < hi and p changes sign on the bracket, as
+    refine_bracket expects, unless the root is hi/d itself: a rational root
+    hit exactly, like the root of a degree-one input, comes back as the
+    degenerate bracket (r, r, d).
+    """
+    p = qpoly.trim(p)
+    n = len(p) - 1
+    if n <= 0:
+        return None
+    if n == 1:
+        return (-p[0], -p[0], p[1]) if p[1] > 0 else (p[0], p[0], -p[1])
+    chain = qpoly.sturm_chain(p)
+    # the chain ends in gcd(p, p'), a constant exactly when p is square-free;
+    # at a multiple root the counts go wrong and the bisection would not stop
+    if len(chain[-1]) > 1:
+        raise InvalidInput("polynomial must be square-free")
+    hi, d = cauchy_root_bound(p)
+    lo = -hi
+    k = qpoly.count_roots(p, lo, hi, chain, d)
+    if k == 0:
+        return None
+    while k > 1 or qpoly._sign_at(chain[0], lo, d) == 0:
+        lo, mid, hi, d = 2 * lo, lo + hi, 2 * hi, 2 * d
+        right = qpoly.count_roots(p, mid, hi, chain, d)
+        if right:
+            lo, k = mid, right
+        else:
+            hi = mid
+    if qpoly._sign_at(chain[0], hi, d) == 0:
+        return hi, hi, d
+    return lo, hi, d
+
+
 def _largest_real_root(charpoly):
     """(irreducible factor, isolating interval (lo, hi, d)) of the largest
     real root, which lies in [lo/d, hi/d]."""
     candidates = []
     for fac, _ in qpoly.factor_int(charpoly)[1]:
-        bracket = qpoly.largest_real_root(fac)
+        bracket = largest_real_root(fac)
         if bracket is not None:
             # the sign at the lower end, which refinement keeps
             candidates.append((fac, bracket, qpoly._sign_at(fac, bracket[0], bracket[2])))
@@ -99,9 +181,9 @@ def _largest_real_root(charpoly):
         # distinct irreducibles never share a root, so refinement separates
         while not (hi * od < olo * d or ohi * d < lo * od):
             if lo != hi:
-                lo, hi, d = qpoly.refine_bracket(best_poly, lo, hi, d, best_sign)
+                lo, hi, d = refine_bracket(best_poly, lo, hi, d, best_sign)
             if olo != ohi:
-                olo, ohi, od = qpoly.refine_bracket(other_poly, olo, ohi, od, other_sign)
+                olo, ohi, od = refine_bracket(other_poly, olo, ohi, od, other_sign)
         if olo * d > hi * od:
             best_poly, best, best_sign = other_poly, (olo, ohi, od), other_sign
         else:
@@ -324,3 +406,46 @@ def parse_matrix(text, path="<string>", ell=None):
 def load_matrix(path, ell=None):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_matrix(fh.read(), path=str(path), ell=ell)
+
+
+def cmd_dimgroup(args, report):
+    """The dimgroup command: add its lines to report; returns (report, ok)."""
+    T = load_matrix(args.path, ell=args.det_check)
+    G = build(T)
+    report.kv("input", args.path)
+    report.kv("matrix", _matrix_str(T.rows))
+    report.kv("determinant", _num(T.det()))
+    if args.det_check is not None:
+        report.kv("det check", f"symmetric with determinant {args.det_check}: ok")
+    report.kv("lambda minpoly", _poly_str(G.field.minpoly))
+    report.kv("lambda isolated in", _interval_str(G.field))
+    report.kv("lambda", G.lam.decimal_str(30))
+    report.add("left eigenvector (w_1 = 1, coords in powers of lambda):")
+    for k, entry in enumerate(G.w, start=1):
+        report.add(f"  w_{k} = {_algebraic_str(entry)}")
+    report.add("sample trace values:")
+    samples = [(tuple(int(j == i) for j in range(G.b)), 0) for i in range(G.b)]
+    samples.append((samples[0][0], 1))
+    for v, k in samples:
+        val = trace_value(G, (v, k))
+        report.add(f"  tau({v}, level {k}) = {_algebraic_str(val)}")
+    x = samples[0]
+    coherent = trace_value(G, x) == trace_value(G, (G.matrix.apply(x[0]), x[1] + 1))
+    report.kv("level coherence tau(v,k) = tau(Tv,k+1)", "exact" if coherent else "FAIL")
+    scaling = trace_value(G, shift(G, x)) == G.lam * trace_value(G, x)
+    report.kv("shift scaling tau(shift x) = lambda*tau(x)", "exact" if scaling else "FAIL")
+    ell = args.det_check
+    if ell is None:
+        d = abs(T.det())
+        ell = d if d >= 2 else None
+    if ell is None:
+        report.kv("unit decomposition", "skipped (no determinant >= 2 available)")
+    else:
+        unit = unit_decomposition(G, ell)
+        report.add(f"unit decomposition (ell = {ell}):")
+        report.add(f"  lambda/ell = {_algebraic_str(unit.lam_unit)}")
+        report.add(f"  minimal polynomial: {_poly_str(unit.minpoly)}")
+        report.add(f"  verified algebraic unit: {'true' if unit.verified else 'false'}")
+    ok = coherent and scaling
+    report.kv("verdict", "PASS" if ok else "FAIL")
+    return report, ok

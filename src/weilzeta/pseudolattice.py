@@ -12,12 +12,82 @@ and a Hermite normal form gives its canonical Z-basis.
 """
 
 from math import floor, lcm
+from time import perf_counter
 
 from .errors import (DependentGenerators, DimensionMismatch, FieldMismatch,
                      InternalError, InvalidInput, NotEndomorphism,
                      NotNormalized, ParseError)
-from .qlinalg import as_int, echelon, hnf_rows, kernel_int, rank_rational
-from .realalg import RealAlgebraic, RealNumberField
+from .qlinalg import as_int, echelon, mat_mul_int
+from .realalg import (RealAlgebraic, RealNumberField, _algebraic_str, _interval_str,
+                      _matrix_str, _num, _poly_str)
+
+
+def rank_rational(A):
+    """Rank of a matrix with int or Fraction entries."""
+    return len(echelon(A, len(A[0]) if A else 0)[1])
+
+
+def identity_int(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def hnf_with_transform(M):
+    """Row Hermite normal form H of M with unimodular U such that U M = H.
+
+    Pivots are positive, entries above each pivot reduced to [0, pivot).
+    Zero rows sink to the bottom.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    H = [list(row) for row in M]
+    U = identity_int(m)
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if H[i][c] != 0), None)
+        if piv is None:
+            continue
+        H[r], H[piv] = H[piv], H[r]
+        U[r], U[piv] = U[piv], U[r]
+        for i in range(r + 1, m):
+            # euclidean steps on rows r and i in column c
+            while H[i][c] != 0:
+                q = H[r][c] // H[i][c]
+                H[r] = [a - q * b for a, b in zip(H[r], H[i])]
+                U[r] = [a - q * b for a, b in zip(U[r], U[i])]
+                H[r], H[i] = H[i], H[r]
+                U[r], U[i] = U[i], U[r]
+        if H[r][c] < 0:
+            H[r] = [-a for a in H[r]]
+            U[r] = [-a for a in U[r]]
+        for j in range(r):
+            q = H[j][c] // H[r][c]
+            if q:
+                H[j] = [a - q * b for a, b in zip(H[j], H[r])]
+                U[j] = [a - q * b for a, b in zip(U[j], U[r])]
+        r += 1
+        if r == m:
+            break
+    return H, U
+
+
+def hnf_rows(M):
+    """Nonzero rows of the row Hermite normal form (canonical lattice basis)."""
+    H, _ = hnf_with_transform(M)
+    return [row for row in H if any(v != 0 for v in row)]
+
+
+def kernel_int(A):
+    """Basis of the integer kernel {x in Z^n : A x = 0} for integer A.
+
+    Returned as rows; the basis spans every integer solution.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if n == 0:
+        return []
+    At = [[A[i][j] for i in range(m)] for j in range(n)]
+    H, U = hnf_with_transform(At)
+    return [U[i] for i in range(n) if all(v == 0 for v in H[i])]
 
 
 class PseudoLattice:
@@ -311,3 +381,39 @@ def parse_lattice(text, path="<string>"):
 def load_lattice(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_lattice(fh.read(), path=str(path))
+
+
+def cmd_lattice(args, report):
+    """The lattice command: add its lines to report; returns (report, ok)."""
+    L = load_lattice(args.path)
+    report.kv("input", args.path)
+    report.kv("field minpoly", _poly_str(L.field.minpoly))
+    report.kv("field root in", _interval_str(L.field))
+    report.kv("field degree", L.field.degree)
+    report.kv("rank", L.rank)
+    report.add("generators:")
+    for k, g in enumerate(L.generators, start=1):
+        report.add(f"  g_{k} = {_algebraic_str(g)}")
+    t0 = perf_counter()
+    rank, basis = endo_ring_rank(L)
+    report.timing("endo ring", perf_counter() - t0)
+    report.kv("endomorphism ring rank", rank)
+    report.add("endomorphism ring basis:")
+    matrices = []
+    for k, alpha in enumerate(basis, start=1):
+        mat = endo_matrix(L, alpha)
+        matrices.append(mat)
+        report.add(f"  e_{k} = {_algebraic_str(alpha)}")
+        report.add(f"       matrix {_matrix_str(mat)}")
+    commutes = all(
+        mat_mul_int(a, b) == mat_mul_int(b, a)
+        for idx, a in enumerate(matrices) for b in matrices[idx + 1:])
+    report.kv("endomorphism matrices commute", "yes" if commutes else "NO")
+    if L.rank >= 2:
+        witness = density_witness(L)
+        report.add("density witness (0 < x < 1/1000):")
+        report.add(f"  x = {_num(witness.c0)}*g_1 + {_num(witness.c1)}*g_2 "
+                   f"= {_algebraic_str(witness.value)}")
+    ok = commutes
+    report.kv("verdict", "PASS" if ok else "FAIL")
+    return report, ok

@@ -1,9 +1,9 @@
 """Exact linear algebra over Q and Z, in arbitrary precision.
 
-One fraction-free Gauss-Jordan elimination serves rank and det, and its
-callers read solutions and kernel vectors off it; it takes ints or
-Fractions and works on ints. Integer routines add the characteristic
-polynomial with its adjugate, Hermite normal form and integer kernels.
+One fraction-free Gauss-Jordan elimination on ints (rows of Fractions are
+scaled first), off which callers read ranks, determinants, solutions and
+kernels; as_int; the integer matrix product. HNF and integer kernels live
+in pseudolattice, charpoly and det in dimgroup, beside their callers.
 """
 
 from math import lcm
@@ -57,11 +57,6 @@ def echelon(rows, ncols):
     return M, pivots, sign
 
 
-def rank_rational(A):
-    """Rank of a matrix with int or Fraction entries."""
-    return len(echelon(A, len(A[0]) if A else 0)[1])
-
-
 # --- integer matrices ---
 
 def as_int(v, what):
@@ -76,101 +71,7 @@ def as_int(v, what):
     return n
 
 
-def identity_int(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul_int(A, B):
     n, k = len(A), len(B[0])
     return [[sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(k)]
             for i in range(n)]
-
-
-def mat_vec_int(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def det_int(A):
-    """Determinant: the swap sign times the last pivot of echelon at full rank."""
-    M, pivots, sign = echelon(A, len(A))
-    if len(pivots) < len(A):
-        return 0
-    return sign * M[-1][-1] if A else 1
-
-
-def charpoly_int(A):
-    """det(xI - A), monic with coefficients low first, and the adjugate.
-
-    Faddeev-LeVerrier: M_1 = I, M_k = A M_{k-1} + c_{n-k+1} I and
-    c_{n-k} = -tr(A M_k) / k, exact on integers since the c are. Returns
-    the coefficients and [M_1, ..., M_n], with adj(xI - A) the sum of
-    M_k x^(n-k).
-    """
-    n = len(A)
-    cs = [1]  # leading coefficient of x^n
-    Ms = []
-    AM = [[0] * n for _ in range(n)]  # A M_0 with M_0 = 0
-    for k in range(1, n + 1):
-        Ms.append([[AM[i][j] + (cs[0] if i == j else 0) for j in range(n)] for i in range(n)])
-        AM = mat_mul_int(A, Ms[-1])
-        cs.insert(0, -sum(AM[i][i] for i in range(n)) // k)
-    return tuple(cs), Ms
-
-
-def hnf_with_transform(M):
-    """Row Hermite normal form H of M with unimodular U such that U M = H.
-
-    Pivots are positive, entries above each pivot reduced to [0, pivot).
-    Zero rows sink to the bottom.
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    H = [list(row) for row in M]
-    U = identity_int(m)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if H[i][c] != 0), None)
-        if piv is None:
-            continue
-        H[r], H[piv] = H[piv], H[r]
-        U[r], U[piv] = U[piv], U[r]
-        for i in range(r + 1, m):
-            # euclidean steps on rows r and i in column c
-            while H[i][c] != 0:
-                q = H[r][c] // H[i][c]
-                H[r] = [a - q * b for a, b in zip(H[r], H[i])]
-                U[r] = [a - q * b for a, b in zip(U[r], U[i])]
-                H[r], H[i] = H[i], H[r]
-                U[r], U[i] = U[i], U[r]
-        if H[r][c] < 0:
-            H[r] = [-a for a in H[r]]
-            U[r] = [-a for a in U[r]]
-        for j in range(r):
-            q = H[j][c] // H[r][c]
-            if q:
-                H[j] = [a - q * b for a, b in zip(H[j], H[r])]
-                U[j] = [a - q * b for a, b in zip(U[j], U[r])]
-        r += 1
-        if r == m:
-            break
-    return H, U
-
-
-def hnf_rows(M):
-    """Nonzero rows of the row Hermite normal form (canonical lattice basis)."""
-    H, _ = hnf_with_transform(M)
-    return [row for row in H if any(v != 0 for v in row)]
-
-
-def kernel_int(A):
-    """Basis of the integer kernel {x in Z^n : A x = 0} for integer A.
-
-    Returned as rows; the basis spans every integer solution.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    At = [[A[i][j] for i in range(m)] for j in range(n)]
-    H, U = hnf_with_transform(At)
-    return [U[i] for i in range(n) if all(v == 0 for v in H[i])]

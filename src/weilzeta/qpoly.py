@@ -3,8 +3,8 @@
 Coefficients are stored low degree first in plain tuples, so the zero
 polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
 Everything here is exact, never floats, and runs on ints alone: the gcd,
-the exact quotient, factorization, Sturm chains and the root bracketing,
-whose endpoints are integer numerators over one positive denominator.
+the exact quotient, factorization, and Sturm chains with signs and root
+counts at integer numerators over one positive denominator.
 Factorization of integer polynomials is pure Python: modular factors come
 from Berlekamp's algorithm in ``ffield``, and are lifted and recombined
 here.
@@ -13,7 +13,6 @@ here.
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .errors import InvalidInput
 from .ffield import (_berlekamp_kernel, _berlekamp_matrix, _berlekamp_nullity, _berlekamp_split,
                      _pmod, _pmul, _ppowmod, is_prime)
 
@@ -358,15 +357,6 @@ def ratio_str(a, b):
     return str(a) if b == 1 else f"{a}/{b}"
 
 
-def cauchy_root_bound(p):
-    """(B, d): all real roots of p lie in (-B/d, B/d)."""
-    p = trim(p)
-    if len(p) <= 1:
-        return 1, 1
-    lead = abs(p[-1])
-    return lead + max(abs(c) for c in p[:-1]), lead
-
-
 def sturm_chain(p):
     """Sturm sequence of an integer polynomial p; expects p square-free for
     exact root counts.
@@ -418,60 +408,3 @@ def count_roots(p, lo, hi, chain=None, d=1):
     if lo >= hi:
         return 0
     return _variations(chain, lo, d) - _variations(chain, hi, d)
-
-
-def largest_real_root(p):
-    """Bracket (lo, hi, d) of the largest real root of a square-free
-    polynomial, the root in (lo/d, hi/d], or None when it has no real root;
-    a multiple root raises InvalidInput.
-
-    (-B, B] is halved, keeping the upper half while it still holds a root,
-    until the bracket holds exactly one root and p(lo/d) != 0. Each halving
-    doubles d. Then lo < hi and p changes sign on the bracket, as
-    refine_bracket expects, unless the root is hi/d itself: a rational root
-    hit exactly, like the root of a degree-one input, comes back as the
-    degenerate bracket (r, r, d).
-    """
-    p = trim(p)
-    n = len(p) - 1
-    if n <= 0:
-        return None
-    if n == 1:
-        return (-p[0], -p[0], p[1]) if p[1] > 0 else (p[0], p[0], -p[1])
-    chain = sturm_chain(p)
-    # the chain ends in gcd(p, p'), a constant exactly when p is square-free;
-    # at a multiple root the counts go wrong and the bisection would not stop
-    if len(chain[-1]) > 1:
-        raise InvalidInput("polynomial must be square-free")
-    hi, d = cauchy_root_bound(p)
-    lo = -hi
-    k = count_roots(p, lo, hi, chain, d)
-    if k == 0:
-        return None
-    while k > 1 or _sign_at(chain[0], lo, d) == 0:
-        lo, mid, hi, d = 2 * lo, lo + hi, 2 * hi, 2 * d
-        right = count_roots(p, mid, hi, chain, d)
-        if right:
-            lo, k = mid, right
-        else:
-            hi = mid
-    if _sign_at(chain[0], hi, d) == 0:
-        return hi, hi, d
-    return lo, hi, d
-
-
-def refine_bracket(p, lo, hi, d, sign_lo):
-    """Halve a sign-change bracket around the single root of p in
-    (lo/d, hi/d); returns the half (lo', hi', 2d) that holds it.
-
-    sign_lo is the sign of p at lo/d. Halving keeps it: lo moves only to a
-    midpoint of that same sign, so callers compute it once per bracket.
-    """
-    mid = lo + hi
-    smid = _sign_at(p, mid, 2 * d)
-    if smid == 0:
-        # rational root hit exactly; collapse
-        return mid, mid, 2 * d
-    if smid != sign_lo:
-        return 2 * lo, mid, 2 * d
-    return mid, 2 * hi, 2 * d

@@ -70,6 +70,23 @@ def _interval_eval(nums, den, lo, hi, d):
     return acc_lo, acc_hi, den * d ** (len(nums) - 1)
 
 
+def refine_bracket(p, lo, hi, d, sign_lo):
+    """Halve a sign-change bracket around the single root of p in
+    (lo/d, hi/d); returns the half (lo', hi', 2d) that holds it.
+
+    sign_lo is the sign of p at lo/d. Halving keeps it: lo moves only to a
+    midpoint of that same sign, so callers compute it once per bracket.
+    """
+    mid = lo + hi
+    smid = qpoly._sign_at(p, mid, 2 * d)
+    if smid == 0:
+        # rational root hit exactly; collapse
+        return mid, mid, 2 * d
+    if smid != sign_lo:
+        return 2 * lo, mid, 2 * d
+    return mid, 2 * hi, 2 * d
+
+
 def _decimal(n, d, prec):
     """str(Decimal(n) / Decimal(d)) at precision prec, for ints n, d > 0.
 
@@ -191,7 +208,7 @@ class RealNumberField:
         """Halve the isolating interval of theta (monotone cache update)."""
         lo, hi, d = self.bracket
         if lo != hi:
-            self.bracket = qpoly.refine_bracket(self.minpoly, lo, hi, d, self._lo_sign)
+            self.bracket = refine_bracket(self.minpoly, lo, hi, d, self._lo_sign)
 
     def zero(self):
         return RealAlgebraic(self, (0,) * self.degree)
@@ -437,3 +454,33 @@ def minimal_polynomial(x):
     M, pivots, _ = echelon(A, f.degree + 1)
     k = len(pivots)
     return qpoly.primitive_int([-row[k] for row in M[:k]] + [M[0][0]])
+
+
+def _num(a, b=1):
+    """Report form str(Fraction(a, b)) of ints, or InvalidInput when a or b
+    is longer than the interpreter's int-to-str limit lets str() print."""
+    try:
+        return qpoly.ratio_str(a, b)
+    except ValueError:
+        raise InvalidInput("a number in the report is too long to print") from None
+
+
+def _poly_str(p):
+    """poly_str in x; _num refuses the largest coefficient if too long."""
+    _num(max(p, key=abs))
+    return qpoly.poly_str(p, "x")
+
+
+def _interval_str(field):
+    lo, hi, d = field.bracket
+    return f"[{_num(lo, d)}, {_num(hi, d)}]"
+
+
+def _algebraic_str(x):
+    coords = "(" + ", ".join(_num(c, x.den) for c in x.nums) + ")"
+    return f"{coords} ~ {x.decimal_str(30)}"
+
+
+def _matrix_str(rows):
+    return "[" + ", ".join("[" + ", ".join(_num(v) for v in row) + "]"
+                           for row in rows) + "]"

@@ -21,12 +21,13 @@ roots defeat it.
 """
 
 from math import cos, frexp, isfinite, isqrt, ldexp, log, pi, sin
+from time import perf_counter
 
 from . import qpoly
 from .errors import (DimensionMismatch, EmptySeries, FunctionalEquationViolated,
                      InsufficientPrecision, InternalError, InvalidInput,
-                     MixedWeightFactor, NoRationalFit, NotIntegral,
-                     NotNormalized, WeightOutOfRange)
+                     MathCheckError, MixedWeightFactor, NoRationalFit,
+                     NotIntegral, NotNormalized, WeightOutOfRange, WeilZetaError)
 from .qlinalg import echelon
 
 # Fixed, not settable: roots of a zeta function sit on their circles to
@@ -613,3 +614,97 @@ def point_count_from_zeta(z, m):
     if value.denominator != 1:
         raise NotIntegral(f"N_{m} = {value} is not an integer")
     return int(value)
+
+
+def _pipeline_candidate(series, n, q, num_deg, den_deg):
+    """Run pade -> weights -> FE -> RH, recording how far we got.
+
+    Returns (score, result dict, failure or None). Score counts fully
+    passed stages so candidate degree pairs can be ranked.
+    """
+    result = {"num_deg": num_deg, "den_deg": den_deg}
+    score = 0
+    try:
+        z = result["z"] = pade_reconstruct(series, num_deg, den_deg)
+        score = 1
+        fact = result["fact"] = weight_split(z, q, n)
+        if not fact.parity_ok:
+            raise MathCheckError(
+                "factor weights contradict their numerator/denominator side")
+        score = 2
+        sign = functional_equation_check(z, q, n, fact.chi)
+        result["fact"] = with_sign(fact, sign)
+        result["sign"] = sign
+        score = 3
+        result["rh"] = [(i, rh_check(poly, q, i)) for i, poly in fact.factors]
+        if not all(rep.passed for _, rep in result["rh"]):
+            raise MathCheckError("root modulus bound violated")
+    except MathCheckError as exc:
+        return score, result, exc
+    return 4, result, None
+
+
+def weil_report(report, counts, q, n, mmax, betti):
+    """Add the weil lines after the counts of an n-dimensional variety over
+    F_q to report; returns whether every check passed."""
+    series = zeta_series(counts)
+    report.kv("zeta series", qpoly.poly_str(series.coeffs))
+
+    t0 = perf_counter()
+    best = None
+    for num_deg in range(mmax + 1):
+        den_deg = mmax - num_deg
+        score, result, failure = _pipeline_candidate(
+            series, n, q, num_deg, den_deg)
+        key = (score, den_deg)
+        if best is None or key > best[0]:
+            best = (key, result, failure)
+        if score == 4:
+            # den_deg only falls from here on, so no later candidate wins
+            break
+    report.timing("pipeline", perf_counter() - t0)
+    _, result, failure = best
+    report.kv("pade degrees",
+              f"num {result['num_deg']}, den {result['den_deg']} "
+              f"(scanned num+den = {mmax})")
+
+    ok = True
+    if "z" in result:
+        report.kv("Z(t)", str(result["z"]))
+    if "fact" in result:
+        fact = result["fact"]
+        report.add("factors:")
+        for i, poly in fact.factors:
+            report.add(f"  P_{i} = {qpoly.poly_str(poly)}")
+        report.kv("euler characteristic", fact.chi)
+    if "sign" in result:
+        sign = result["sign"]
+        rendered = "undetermined (odd n*chi)" if sign is None else f"{sign:+d}"
+        report.kv("functional equation sign", rendered)
+    if "rh" in result:
+        report.add(f"rh check (tol {RH_TOL}):")
+        for i, rep in result["rh"]:
+            rec = {True: "reciprocal ok", False: "reciprocal FAIL",
+                   None: "reciprocal n/a"}[rep.reciprocal_ok]
+            verdict = "pass" if rep.passed else "FAIL"
+            report.add(f"  P_{i}: max deviation {rep.max_modulus_deviation:.3e}, "
+                       f"{rec}, {verdict}")
+    if betti and "fact" in result:
+        fact = result["fact"]
+        try:
+            flags = betti_check(fact, betti)
+        except WeilZetaError as exc:
+            report.kv("betti check", f"error: {exc}")
+            ok = False
+        else:
+            degrees = tuple(qpoly.degree(p) for _, p in fact.factors)
+            report.kv("betti degrees", str(degrees))
+            report.kv("betti expected", str(betti))
+            for i, flag in enumerate(flags):
+                report.add(f"  b_{i}: {'pass' if flag else 'FAIL'}")
+            ok = ok and all(flags)
+    if failure is not None:
+        report.kv("pipeline failure", f"{type(failure).__name__}: {failure}")
+        ok = False
+    report.kv("verdict", "PASS" if ok else "FAIL")
+    return ok

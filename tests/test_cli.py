@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from weilzeta import qpoly
-from weilzeta.cli import _COMMANDS, _pipeline_candidate, main, parse_args
+from weilzeta.cli import _COMMANDS, main, parse_args
 from weilzeta.errors import FunctionalEquationViolated
 from weilzeta.ffield import DEFAULT_BUDGET, is_prime, primes_in_range
 from weilzeta.variety import PointCountSeries
-from weilzeta.zeta import RationalFunctionQ, point_count_from_zeta, zeta_series
+from weilzeta.zeta import (RationalFunctionQ, _pipeline_candidate, point_count_from_zeta,
+                           zeta_series)
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"

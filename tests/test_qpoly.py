@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from weilzeta import dimgroup as dg
 from weilzeta import qpoly as qp
+from weilzeta import realalg as ra
 from weilzeta.errors import InvalidInput
 
 
@@ -262,10 +264,10 @@ def test_poly_str_rendering():
 
 
 def test_cauchy_root_bound():
-    assert qp.cauchy_root_bound((-2, 0, 1)) == (3, 1)
+    assert dg.cauchy_root_bound((-2, 0, 1)) == (3, 1)
     # (|lead| + max |c|) / |lead|
-    assert qp.cauchy_root_bound((1, -6, 0, -2)) == (8, 2)
-    assert qp.cauchy_root_bound((5,)) == (1, 1)
+    assert dg.cauchy_root_bound((1, -6, 0, -2)) == (8, 2)
+    assert dg.cauchy_root_bound((5,)) == (1, 1)
     # all real roots of x^2 - 2 lie in [-3, 3]
     assert qp.count_roots((-2, 0, 1), Fraction(-3), Fraction(3)) == 2
     assert qp.count_roots((-2, 0, 1), -6, 6, d=2) == 2
@@ -281,50 +283,50 @@ def test_largest_real_root_bracket():
     # x^3 - 3x + 1 has one real root in each of (-4, 0), (0, 1) and (1, 2);
     # bisecting (-4, 4] ends on the last of these
     p = (1, -3, 0, 1)
-    lo, hi, d = qp.largest_real_root(p)
+    lo, hi, d = dg.largest_real_root(p)
     assert (Fraction(lo, d), Fraction(hi, d)) == (1, 2)
     assert qp.count_roots(p, lo, hi, d=d) == 1
-    assert qp.count_roots(p, Fraction(hi, d), Fraction(*qp.cauchy_root_bound(p))) == 0
-    lo, hi, d = qp.largest_real_root((-2, -2, 1))
+    assert qp.count_roots(p, Fraction(hi, d), Fraction(*dg.cauchy_root_bound(p))) == 0
+    lo, hi, d = dg.largest_real_root((-2, -2, 1))
     assert (Fraction(lo, d), Fraction(hi, d)) == (0, 3)
 
 
 def test_isolate_no_real_roots():
-    assert qp.largest_real_root((1, 0, 1)) is None
-    assert qp.largest_real_root((5,)) is None
+    assert dg.largest_real_root((1, 0, 1)) is None
+    assert dg.largest_real_root((5,)) is None
 
 
 def test_largest_real_root_refuses_multiple_roots():
     with pytest.raises(InvalidInput, match="^polynomial must be square-free$"):
-        qp.largest_real_root((0, 0, 1, -1))
+        dg.largest_real_root((0, 0, 1, -1))
 
 
 def test_largest_real_root_linear_is_exact():
-    assert qp.largest_real_root((3, 2)) == (-3, -3, 2)
-    assert qp.largest_real_root((3, -2)) == (3, 3, 2)
+    assert dg.largest_real_root((3, 2)) == (-3, -3, 2)
+    assert dg.largest_real_root((3, -2)) == (3, 3, 2)
 
 
 def test_largest_real_root_with_rational_roots():
     # (x - 1)(x - 2)(x - 3): the bisection ends on the root 3 exactly
-    lo, hi, d = qp.largest_real_root((-6, 11, -6, 1))
+    lo, hi, d = dg.largest_real_root((-6, 11, -6, 1))
     assert lo == hi and Fraction(hi, d) == 3
     # x (x^2 - 2x - 2): rational root 0 below the largest root 1 + sqrt(3)
     p = (0, -2, -2, 1)
-    lo, hi, d = qp.largest_real_root(p)
+    lo, hi, d = dg.largest_real_root(p)
     assert lo < hi
     assert qp.count_roots(p, lo, hi, d=d) == 1
     assert (_eval_at(p, Fraction(lo, d)) < 0) != (_eval_at(p, Fraction(hi, d)) < 0)
-    assert qp.count_roots(p, Fraction(hi, d), Fraction(*qp.cauchy_root_bound(p))) == 0
+    assert qp.count_roots(p, Fraction(hi, d), Fraction(*dg.cauchy_root_bound(p))) == 0
 
 
 def test_refine_bracket_halves_and_keeps_root():
     # x^2 - 2 is negative at 1; the half that holds sqrt(2) comes back over
     # twice the denominator
-    assert qp.refine_bracket((-2, 0, 1), 1, 2, 1, -1) == (2, 3, 2)
-    assert qp.refine_bracket((-2, 0, 1), 2, 3, 2, -1) == (5, 6, 4)
+    assert ra.refine_bracket((-2, 0, 1), 1, 2, 1, -1) == (2, 3, 2)
+    assert ra.refine_bracket((-2, 0, 1), 2, 3, 2, -1) == (5, 6, 4)
     assert qp.count_roots((-2, 0, 1), 5, 6, d=4) == 1
     # a rational root hit exactly collapses the bracket
-    assert qp.refine_bracket((-3, 2), 1, 2, 1, -1) == (3, 3, 2)
+    assert ra.refine_bracket((-3, 2), 1, 2, 1, -1) == (3, 3, 2)
 
 
 def test_sturm_chain_signs_count_roots():
@@ -419,7 +421,7 @@ def test_refine_bracket_with_a_carried_sign_matches_signs_recomputed():
             if lo == hi:
                 break
             flo, fhi = _refine_recomputing_sign(p, flo, fhi)
-            lo, hi, d = qp.refine_bracket(p, lo, hi, d, sign_lo)
+            lo, hi, d = ra.refine_bracket(p, lo, hi, d, sign_lo)
             assert (Fraction(lo, d), Fraction(hi, d)) == (flo, fhi), p
         assert qp.count_roots(p, flo - Fraction(1, 10**30), fhi) == 1, p
 
