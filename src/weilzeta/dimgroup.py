@@ -20,7 +20,8 @@ from operator import or_
 
 from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
-                     InvalidInput, NotPrimitive, NotRepresentable, ParseError)
+                     InvalidInput, NotPrimitive, NotRepresentable, ParseError,
+                     read_text)
 from .qlinalg import as_int, echelon, mat_mul_int
 from .realalg import (RealAlgebraic, RealNumberField, _algebraic_str, _interval_str,
                       _matrix_str, _num, _poly_str, refine_bracket)
@@ -404,8 +405,7 @@ def parse_matrix(text, path="<string>", ell=None):
 
 
 def load_matrix(path, ell=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read(), path=str(path), ell=ell)
+    return parse_matrix(read_text(path), path=str(path), ell=ell)
 
 
 def cmd_dimgroup(args, report):

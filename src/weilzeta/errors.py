@@ -3,7 +3,8 @@
 Every error derives from WeilZetaError and carries an ``exit_code`` used by
 the command line driver: 2 for invalid input or violated preconditions,
 1 for a mathematical check that ran and failed, 3 for exceeded enumeration
-budgets.
+budgets. read_text, which every input file loader uses, reports a file
+that is not UTF-8 as a ParseError.
 """
 
 
@@ -144,3 +145,13 @@ class HasseViolation(MathCheckError):
 
 class NotRepresentable(MathCheckError):
     pass
+
+
+def read_text(path):
+    """The text of the UTF-8 file at path; a ParseError naming the file and
+    the first byte that does not decode when it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None

@@ -16,7 +16,7 @@ from time import perf_counter
 
 from .errors import (DependentGenerators, DimensionMismatch, FieldMismatch,
                      InternalError, InvalidInput, NotEndomorphism,
-                     NotNormalized, ParseError)
+                     NotNormalized, ParseError, read_text)
 from .qlinalg import as_int, echelon, mat_mul_int
 from .realalg import (RealAlgebraic, RealNumberField, _algebraic_str, _interval_str,
                       _matrix_str, _num, _poly_str)
@@ -379,8 +379,7 @@ def parse_lattice(text, path="<string>"):
 
 
 def load_lattice(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lattice(fh.read(), path=str(path))
+    return parse_lattice(read_text(path), path=str(path))
 
 
 def cmd_lattice(args, report):

@@ -128,8 +128,11 @@ class RealNumberField:
     def __init__(self, minpoly, interval, den=1):
         # interval: ints or Fractions lo and hi, each divided by den > 0
         coeffs = qpoly.trim(minpoly)
-        minpoly = tuple(int(c) for c in coeffs)
-        # a coefficient that int() changes is not an integer
+        try:
+            minpoly = tuple(int(c) for c in coeffs)
+        except (TypeError, ValueError, OverflowError):
+            minpoly = ()
+        # a coefficient that int() changes or refuses is not an integer
         if not minpoly or minpoly[-1] != 1 or minpoly != coeffs:
             raise NotIrreducible("minimal polynomial must be monic with integer coefficients")
         self.minpoly = minpoly

@@ -26,7 +26,8 @@ from itertools import product
 from operator import mul
 
 from .errors import (EnumerationBudgetExceeded, InternalError, InvalidDegree,
-                     InvalidInput, InvalidPrime, NotHomogeneous, ParseError)
+                     InvalidInput, InvalidPrime, NotHomogeneous, ParseError,
+                     read_text)
 from .ffield import DEFAULT_BUDGET, _ppowmod, is_prime, make_field
 
 
@@ -372,8 +373,7 @@ def parse_variety(text, path="<string>"):
 
 
 def load_variety(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_variety(fh.read(), path=str(path))
+    return parse_variety(read_text(path), path=str(path))
 
 
 # --- Zech-logarithm field arithmetic for the counting loop ---

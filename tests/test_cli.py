@@ -607,6 +607,20 @@ def test_tracer_entry_points_delegate_to_the_library():
     assert cli.frobenius_trace(-1, 0, 13) == cmcurve.frobenius_trace(-1, 0, 13) == 6
 
 
+@pytest.mark.parametrize("command", ["count", "weil", "lattice", "dimgroup"])
+def test_non_utf8_input_file_exits_2_naming_the_file(tmp_path, command):
+    # the start of an ELF binary: byte 8 can start no UTF-8 character
+    path = tmp_path / "binary.input"
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", command, str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == [
+        f"error: ParseError: {path}: not UTF-8 text (byte 8: invalid start byte)"]
+
+
 def test_weil_over_a_prime_beyond_doubles_fails_without_traceback(tmp_path):
     # P^0 over the least prime above 2^1100: Z(t) = 1/(1 - t), and the
     # root-modulus deviation would need q as a double

@@ -81,3 +81,25 @@ def test_fractions_is_imported_only_where_lattice_literals_enter():
     sites = [site for path in sorted((ROOT / "src" / "weilzeta").glob("*.py"))
              for site in _fractions_imports(path)]
     assert sites == ["pseudolattice._rational"]
+
+
+def test_every_private_definition_has_a_caller():
+    # a top-level def or class outside __all__ must be used somewhere in
+    # src; one that only tests call, or that a move left behind, fails here
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "weilzeta").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    orphans = [f"{module}.{node.name}" for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name not in weilzeta.__all__ and node.name not in used
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert orphans == []

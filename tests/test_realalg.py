@@ -44,8 +44,10 @@ def _enclosure(x):
 def test_constructor_validates_minpoly_and_interval():
     with pytest.raises(NotIrreducible):
         RealNumberField((-4, 0, 1), (F(1), F(3)))
-    # a coefficient that int() would change is not truncated to Q(sqrt(2))
-    for minpoly in ((-2.5, 0, 1), (-2, F(1, 3), 1), (-2, 0, 1.5)):
+    # a coefficient that int() would change is not truncated to Q(sqrt(2)),
+    # and one that int() refuses raises the same error, not a builtin one
+    for minpoly in ((-2.5, 0, 1), (-2, F(1, 3), 1), (-2, 0, 1.5), ("a", 0, 1),
+                    (-2, 0, float("nan")), (None, 0, 1), (float("inf"), 0, 1)):
         with pytest.raises(NotIrreducible, match="^minimal polynomial must be monic with integer"):
             RealNumberField(minpoly, (1, 2))
     assert RealNumberField((-2.0, F(0), 1), (1, 2)).minpoly == (-2, 0, 1)
