@@ -159,13 +159,15 @@ def cmd_cm(args):
 # --- lattice and dimgroup, each reported by its own module ---
 
 def cmd_lattice(args):
-    from .pseudolattice import cmd_lattice
-    return cmd_lattice(args, Report("weilzeta lattice"))
+    from .pseudolattice import lattice_report
+    report = Report("weilzeta lattice")
+    return report, lattice_report(report, args.path)
 
 
 def cmd_dimgroup(args):
-    from .dimgroup import cmd_dimgroup
-    return cmd_dimgroup(args, Report("weilzeta dimgroup"))
+    from .dimgroup import dimgroup_report
+    report = Report("weilzeta dimgroup")
+    return report, dimgroup_report(report, args.path, args.det_check)
 
 
 # --- driver ---

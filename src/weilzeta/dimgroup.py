@@ -23,8 +23,8 @@ from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError,
                      read_text)
 from .qlinalg import as_int, echelon, mat_mul_int
-from .realalg import (RealAlgebraic, RealNumberField, _algebraic_str, _interval_str,
-                      _matrix_str, _num, _poly_str, refine_bracket)
+from .realalg import (RealAlgebraic, RealNumberField, algebraic_str, interval_str,
+                      matrix_str, num_str, poly_x_str, refine_bracket)
 
 
 def mat_vec_int(A, v):
@@ -164,7 +164,7 @@ def largest_real_root(p):
     return lo, hi, d
 
 
-def _largest_real_root(charpoly):
+def _dominant_root(charpoly):
     """(irreducible factor, isolating interval (lo, hi, d)) of the largest
     real root, which lies in [lo/d, hi/d]."""
     candidates = []
@@ -219,7 +219,7 @@ def build(T):
     if not isinstance(T, HeckeLikeMatrix):
         T = make_matrix(T)
     chi, adjugate = charpoly_int(T.rows)
-    minpoly, (lo, hi, d) = _largest_real_root(chi)
+    minpoly, (lo, hi, d) = _dominant_root(chi)
     field = RealNumberField(minpoly, (lo, hi), d)
     lam = field.gen()
     if not lam > 1:
@@ -408,33 +408,35 @@ def load_matrix(path, ell=None):
     return parse_matrix(read_text(path), path=str(path), ell=ell)
 
 
-def cmd_dimgroup(args, report):
-    """The dimgroup command: add its lines to report; returns (report, ok)."""
-    T = load_matrix(args.path, ell=args.det_check)
+def dimgroup_report(report, path, det_check=None):
+    """Add the dimgroup report of the matrix file at path to report, with
+    the symmetry and determinant check when det_check is given; returns
+    whether the trace is coherent across levels and scales under shift."""
+    T = load_matrix(path, ell=det_check)
     G = build(T)
-    report.kv("input", args.path)
-    report.kv("matrix", _matrix_str(T.rows))
-    report.kv("determinant", _num(T.det()))
-    if args.det_check is not None:
-        report.kv("det check", f"symmetric with determinant {args.det_check}: ok")
-    report.kv("lambda minpoly", _poly_str(G.field.minpoly))
-    report.kv("lambda isolated in", _interval_str(G.field))
+    report.kv("input", path)
+    report.kv("matrix", matrix_str(T.rows))
+    report.kv("determinant", num_str(T.det()))
+    if det_check is not None:
+        report.kv("det check", f"symmetric with determinant {det_check}: ok")
+    report.kv("lambda minpoly", poly_x_str(G.field.minpoly))
+    report.kv("lambda isolated in", interval_str(G.field))
     report.kv("lambda", G.lam.decimal_str(30))
     report.add("left eigenvector (w_1 = 1, coords in powers of lambda):")
     for k, entry in enumerate(G.w, start=1):
-        report.add(f"  w_{k} = {_algebraic_str(entry)}")
+        report.add(f"  w_{k} = {algebraic_str(entry)}")
     report.add("sample trace values:")
     samples = [(tuple(int(j == i) for j in range(G.b)), 0) for i in range(G.b)]
     samples.append((samples[0][0], 1))
     for v, k in samples:
         val = trace_value(G, (v, k))
-        report.add(f"  tau({v}, level {k}) = {_algebraic_str(val)}")
+        report.add(f"  tau({v}, level {k}) = {algebraic_str(val)}")
     x = samples[0]
     coherent = trace_value(G, x) == trace_value(G, (G.matrix.apply(x[0]), x[1] + 1))
     report.kv("level coherence tau(v,k) = tau(Tv,k+1)", "exact" if coherent else "FAIL")
     scaling = trace_value(G, shift(G, x)) == G.lam * trace_value(G, x)
     report.kv("shift scaling tau(shift x) = lambda*tau(x)", "exact" if scaling else "FAIL")
-    ell = args.det_check
+    ell = det_check
     if ell is None:
         d = abs(T.det())
         ell = d if d >= 2 else None
@@ -443,9 +445,9 @@ def cmd_dimgroup(args, report):
     else:
         unit = unit_decomposition(G, ell)
         report.add(f"unit decomposition (ell = {ell}):")
-        report.add(f"  lambda/ell = {_algebraic_str(unit.lam_unit)}")
-        report.add(f"  minimal polynomial: {_poly_str(unit.minpoly)}")
+        report.add(f"  lambda/ell = {algebraic_str(unit.lam_unit)}")
+        report.add(f"  minimal polynomial: {poly_x_str(unit.minpoly)}")
         report.add(f"  verified algebraic unit: {'true' if unit.verified else 'false'}")
     ok = coherent and scaling
     report.kv("verdict", "PASS" if ok else "FAIL")
-    return report, ok
+    return ok

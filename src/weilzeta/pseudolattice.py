@@ -18,8 +18,8 @@ from .errors import (DependentGenerators, DimensionMismatch, FieldMismatch,
                      InternalError, InvalidInput, NotEndomorphism,
                      NotNormalized, ParseError, read_text)
 from .qlinalg import as_int, echelon, mat_mul_int
-from .realalg import (RealAlgebraic, RealNumberField, _algebraic_str, _interval_str,
-                      _matrix_str, _num, _poly_str)
+from .realalg import (RealAlgebraic, RealNumberField, algebraic_str, interval_str,
+                      matrix_str, num_str, poly_x_str)
 
 
 def rank_rational(A):
@@ -382,17 +382,18 @@ def load_lattice(path):
     return parse_lattice(read_text(path), path=str(path))
 
 
-def cmd_lattice(args, report):
-    """The lattice command: add its lines to report; returns (report, ok)."""
-    L = load_lattice(args.path)
-    report.kv("input", args.path)
-    report.kv("field minpoly", _poly_str(L.field.minpoly))
-    report.kv("field root in", _interval_str(L.field))
+def lattice_report(report, path):
+    """Add the lattice report of the file at path to report; returns
+    whether the endomorphism matrices commute."""
+    L = load_lattice(path)
+    report.kv("input", path)
+    report.kv("field minpoly", poly_x_str(L.field.minpoly))
+    report.kv("field root in", interval_str(L.field))
     report.kv("field degree", L.field.degree)
     report.kv("rank", L.rank)
     report.add("generators:")
     for k, g in enumerate(L.generators, start=1):
-        report.add(f"  g_{k} = {_algebraic_str(g)}")
+        report.add(f"  g_{k} = {algebraic_str(g)}")
     t0 = perf_counter()
     rank, basis = endo_ring_rank(L)
     report.timing("endo ring", perf_counter() - t0)
@@ -402,8 +403,8 @@ def cmd_lattice(args, report):
     for k, alpha in enumerate(basis, start=1):
         mat = endo_matrix(L, alpha)
         matrices.append(mat)
-        report.add(f"  e_{k} = {_algebraic_str(alpha)}")
-        report.add(f"       matrix {_matrix_str(mat)}")
+        report.add(f"  e_{k} = {algebraic_str(alpha)}")
+        report.add(f"       matrix {matrix_str(mat)}")
     commutes = all(
         mat_mul_int(a, b) == mat_mul_int(b, a)
         for idx, a in enumerate(matrices) for b in matrices[idx + 1:])
@@ -411,8 +412,7 @@ def cmd_lattice(args, report):
     if L.rank >= 2:
         witness = density_witness(L)
         report.add("density witness (0 < x < 1/1000):")
-        report.add(f"  x = {_num(witness.c0)}*g_1 + {_num(witness.c1)}*g_2 "
-                   f"= {_algebraic_str(witness.value)}")
-    ok = commutes
-    report.kv("verdict", "PASS" if ok else "FAIL")
-    return report, ok
+        report.add(f"  x = {num_str(witness.c0)}*g_1 + {num_str(witness.c1)}*g_2 "
+                   f"= {algebraic_str(witness.value)}")
+    report.kv("verdict", "PASS" if commutes else "FAIL")
+    return commutes

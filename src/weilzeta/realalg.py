@@ -459,7 +459,9 @@ def minimal_polynomial(x):
     return qpoly.primitive_int([-row[k] for row in M[:k]] + [M[0][0]])
 
 
-def _num(a, b=1):
+# --- report forms, shared by the lattice and dimgroup reports ---
+
+def num_str(a, b=1):
     """Report form str(Fraction(a, b)) of ints, or InvalidInput when a or b
     is longer than the interpreter's int-to-str limit lets str() print."""
     try:
@@ -468,22 +470,22 @@ def _num(a, b=1):
         raise InvalidInput("a number in the report is too long to print") from None
 
 
-def _poly_str(p):
-    """poly_str in x; _num refuses the largest coefficient if too long."""
-    _num(max(p, key=abs))
+def poly_x_str(p):
+    """poly_str in x; num_str refuses the largest coefficient if too long."""
+    num_str(max(p, key=abs))
     return qpoly.poly_str(p, "x")
 
 
-def _interval_str(field):
+def interval_str(field):
     lo, hi, d = field.bracket
-    return f"[{_num(lo, d)}, {_num(hi, d)}]"
+    return f"[{num_str(lo, d)}, {num_str(hi, d)}]"
 
 
-def _algebraic_str(x):
-    coords = "(" + ", ".join(_num(c, x.den) for c in x.nums) + ")"
+def algebraic_str(x):
+    coords = "(" + ", ".join(num_str(c, x.den) for c in x.nums) + ")"
     return f"{coords} ~ {x.decimal_str(30)}"
 
 
-def _matrix_str(rows):
-    return "[" + ", ".join("[" + ", ".join(_num(v) for v in row) + "]"
+def matrix_str(rows):
+    return "[" + ", ".join("[" + ", ".join(num_str(v) for v in row) + "]"
                            for row in rows) + "]"
