@@ -23,8 +23,8 @@ from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError,
                      read_text)
 from .qlinalg import as_int, echelon, mat_mul_int
-from .realalg import (RealAlgebraic, RealNumberField, algebraic_str, interval_str,
-                      matrix_str, num_str, poly_x_str, refine_bracket)
+from .realalg import (RealNumberField, algebraic_str, interval_str, matrix_str,
+                      num_str, poly_x_str, refine_bracket)
 
 
 def mat_vec_int(A, v):
