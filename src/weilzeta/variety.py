@@ -7,11 +7,12 @@ pairs that the counting loop reads as they are, so parsing costs time and
 memory in the text and its products (one limit per file), not in the
 declared dimension. Counting over F_{p^m}, p^m within the budget, runs over
 normalized representatives (projective: first nonzero coordinate equal to
-1, earlier coordinates zero) and evaluates every polynomial exactly. A
-single polynomial over odd p of degree <= 2 in some variable X_v is
-counted one coordinate fewer: where X_v is free, the other coordinates are
-enumerated and the roots in X_v of a*X_v^2 + b*X_v + c come from the
-quadratic character of b^2 - 4ac.
+1, earlier coordinates zero). Each stratum of them substitutes its fixed
+coordinates once; terms without the last free coordinate X_k are evaluated
+once per point of the others and terms in X_k alone are tabulated once,
+so a point costs one Zech addition. A single polynomial over odd p of
+degree <= 2 in some variable X_v is counted one coordinate fewer: the
+roots in X_v of a*X_v^2 + b*X_v + c come from the quadratic character.
 
 The inner loop sees F_{p^m} as Zech-logarithm codes, its one
 representation of the field: 0 is zero and k+1 is g^k for a fixed
@@ -22,7 +23,7 @@ O(m deg g) integer operations per power.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from operator import mul
 
 from .errors import (EnumerationBudgetExceeded, InternalError, InvalidDegree,
@@ -451,77 +452,83 @@ def _indexed_field(p, m):
     return _IndexedField(p, m)
 
 
-def _compile_poly(terms, field):
-    """Closure evaluating (monomial, c) terms at a tuple of codes; returns a code."""
-    qm1 = field.q - 1
-    zech = field.zech
-    # (log c, ((v, e mod q-1), ...)); a variable whose exponent reduces to 0
-    # stays, because a zero coordinate still kills the term
-    terms = tuple((field.log[c], tuple((v, e % qm1) for v, e in mono))
-                  for mono, c in terms)
-
-    def ev(point):
-        acc = 0
-        for t, varpows in terms:
-            for v, e in varpows:
-                x = point[v]
-                if not x:
-                    break
-                t += e * (x - 1)
+def _ev(terms, pt, zech, qm1):
+    """Code of the sum of (log c, ((i, e), ...)) terms at the codes pt."""
+    acc = 0
+    for t, varpows in terms:
+        for i, e in varpows:
+            x = pt[i]
+            if not x:
+                break
+            t += e * (x - 1)
+        else:
+            if acc:
+                z = zech[(t - acc + 1) % qm1]
+                acc = (acc + z - 2) % qm1 + 1 if z else 0
             else:
-                if acc:
-                    z = zech[(t - acc + 1) % qm1]
-                    acc = (acc + z - 2) % qm1 + 1 if z else 0
-                else:
-                    acc = t % qm1 + 1
-        return acc
-
-    return ev
+                acc = t % qm1 + 1
+    return acc
 
 
-def _strata(nvars, q, projective):
-    """Coordinate ranges whose products are the normalized representatives.
+def _plus(xs, ys, zech, qm1):
+    """Codes of x + y over zip(xs, ys), one Zech lookup each."""
+    return [y if not x else x if not y else (x + z - 2) % qm1 + 1
+            if (z := zech[(y - x) % qm1]) else 0 for x, y in zip(xs, ys)]
 
-    Affine: one stratum, every coordinate free. Projective: one stratum per
-    position of the leading 1, with zeros before it and a free tail.
+
+def _split(terms, fixed, free, field):
+    """(mono, c) terms on a stratum: the terms without its last free
+    coordinate X_k, the sum of the terms in X_k alone at each code of X_k
+    ([0] when nothing is free), and the terms in X_k and others.
+
+    A fixed code (fixed[u]) 0 drops the term, 1 the variable. A free X_u
+    becomes its index in free, its exponent taken mod q-1 (a 0 stays: a
+    zero coordinate still kills the term)."""
+    zech, qm1 = field.zech, field.q - 1
+    pos = {u: i for i, u in enumerate(free)}
+    outer, table, mixed = [], [0] * (field.q if free else 1), []
+    for mono, c in terms:
+        if any(fixed.get(u) == 0 for u, _ in mono):
+            continue
+        t = field.log[c]
+        varpows = tuple((pos[u], e % qm1) for u, e in mono if u in pos)
+        if not varpows or varpows[-1][0] < len(free) - 1:
+            outer.append((t, varpows))
+        elif len(varpows) > 1:
+            mixed.append((t, varpows))
+        else:
+            e = varpows[0][1]
+            col = [0, *[(t + e * j) % qm1 + 1 for j in range(qm1)]]
+            table = _plus(table, col, zech, qm1) if any(table) else col
+    return outer, table, mixed
+
+
+def _values(split, outer, xs, zech, qm1):
+    """Codes of a _split polynomial at the points outer + (x,), x in xs."""
+    terms, table, mixed = split
+    o = _ev(terms, outer, zech, qm1)
+    vals = table if len(xs) == len(table) else [table[x] for x in xs]
+    if o:
+        vals = _plus(repeat(o), vals, zech, qm1) if any(vals) else [o] * len(vals)
+    if mixed:
+        vals = _plus(vals, [_ev(mixed, (*outer, x), zech, qm1) for x in xs], zech, qm1)
+    return vals
+
+
+def _count_roots(cs, bs, as_, field):
+    """Sum over code triples (a, b, c) of the roots in F_q of a*X^2 + b*X + c.
+
+    For a != 0 the root count is 1 + chi(b^2 - 4ac), chi the quadratic
+    character, which needs odd q: the code k + 1 of g^k is a square exactly
+    when k is even, and -1 is g^((q-1)/2).
     """
-    if not projective:
-        return [[range(q)] * nvars]
-    return [[(0,)] * lead + [(1,)] + [range(q)] * (nvars - lead - 1)
-            for lead in range(nvars)]
-
-
-def _quadratic_variable(poly):
-    """Largest v such that poly has degree <= 2 in X_v, or None."""
-    high = {v for mono, _ in poly.terms for v, e in mono if e > 2}
-    v = poly.nvars - 1
-    while v in high:
-        v -= 1
-    return v if v >= 0 else None
-
-
-def _count_roots(poly, v, field, points):
-    """Sum over points of the number of X_v in F_q with poly = 0.
-
-    poly is a*X_v^2 + b*X_v + c with a, b, c free of X_v, and each point
-    carries a placeholder at v. For a != 0 the root count is 1 + chi(b^2 -
-    4ac), chi the quadratic character, which needs odd q: the code k + 1
-    of g^k is a square exactly when k is even, and -1 is g^((q-1)/2).
-    """
-    parts = ([], [], [])  # parts[e]: the terms with X_v^e, X_v removed
-    for mono, c in poly.terms:
-        e = dict(mono).get(v, 0)
-        parts[e].append((tuple(ve for ve in mono if ve[0] != v), c))
-    ev_c, ev_b, ev_a = (_compile_poly(terms, field) for terms in parts)
-    q = field.q
+    q, zech = field.q, field.zech
     qm1 = q - 1
-    zech = field.zech
     log_minus4 = field.log[4 % field.p] + qm1 // 2
     total = 0
-    for pt in points:
-        a, b, c = ev_a(pt), ev_b(pt), ev_c(pt)
+    for c, b, a in zip(cs, bs, as_):
         if not a:
-            # linear: one root, or none, or every X_v when it is absent
+            # linear: one root, or none, or every X when it is absent
             total += 1 if b else 0 if c else q
         elif not c:
             # roots 0 and -b/a, which coincide when b = 0
@@ -536,50 +543,50 @@ def _count_roots(poly, v, field, points):
     return total
 
 
-def _rep_count(v, q, budget):
-    """Number of representatives to enumerate, or None once it passes budget.
+def _budget_check(v, m, budget):
+    """Representatives over F_{p^m}, q^n affine or 1 + q + ... + q^(n-1)
+    projective; EnumerationBudgetExceeded once they or q = p^m pass budget.
 
-    q^n affine tuples or 1 + q + ... + q^(n-1) projective representatives,
-    built one coordinate at a time so that a huge ambient space stops after
-    a few steps instead of building an integer of millions of digits.
-    """
+    The sum grows one coordinate at a time, so that a huge ambient space
+    stops after a few steps instead of building a number of millions of
+    digits."""
+    if m < 1:
+        raise InvalidDegree("extension degree must be >= 1")
+    q = v.p ** m
     step = 1 if v.ambient == "projective" else 0
     total = 1 - step
     for _ in range(v.nvars):
         total = total * q + step
         if total > budget:
-            return None
+            raise EnumerationBudgetExceeded(
+                f"enumerating {v.nvars} coordinates over F_{v.p}^{m} exceeds "
+                f"budget {budget} tuples")
+    if q > budget:
+        # every count is over F_{p^m}, also one that needs no table; q
+        # itself may have thousands of digits, so the message names p and m
+        raise EnumerationBudgetExceeded(
+            f"tables of F_{v.p}^{m} exceed budget {budget} elements")
     return total
 
 
 def count_points(v, m, budget=DEFAULT_BUDGET):
     """Exact number of F_{p^m} points of v.
 
-    Projective points are counted once via normalized representatives, at
-    each of which every polynomial is evaluated. For one polynomial over odd
-    p that has degree <= 2 in some variable, the largest such X_v is
-    eliminated wherever the normalization leaves it free: only the other
-    coordinates are enumerated, and the roots in X_v are counted by the
-    quadratic character (see _count_roots).
+    Projective points are counted once via normalized representatives, one
+    stratum per position of the leading 1. On each, _split substitutes the
+    fixed coordinates and tabulates the terms in the last free coordinate
+    alone, so a point costs one Zech addition per polynomial, plus its mixed
+    terms; a later polynomial is evaluated only where the earlier ones
+    vanish. For one polynomial over odd p of degree <= 2 in some variable,
+    the largest such X_v is eliminated wherever it is free: _count_roots
+    counts the roots in X_v by the quadratic character.
 
     The budget bounds the number of representatives of the ambient space,
     q^n or 1 + q + ... + q^(n-1), not the tuples actually visited, and it
     bounds the field size q = p^m of every count, before any early return,
     so that m is at most log_p(budget) for every file.
     """
-    if m < 1:
-        raise InvalidDegree("extension degree must be >= 1")
-    q = v.p ** m
-    total = _rep_count(v, q, budget)
-    if total is None:
-        raise EnumerationBudgetExceeded(
-            f"enumerating {v.nvars} coordinates over F_{v.p}^{m} exceeds "
-            f"budget {budget} tuples")
-    if q > budget:
-        # every count is over F_{p^m}, also one that needs no table; q
-        # itself may have thousands of digits, so the message names p and m
-        raise EnumerationBudgetExceeded(
-            f"tables of F_{v.p}^{m} exceed budget {budget} elements")
+    total = _budget_check(v, m, budget)
     if v.nvars == 0:
         # the affine ambient of dimension 0 is a single point
         return 1 if all(p.is_zero() for p in v.polys) else 0
@@ -587,30 +594,48 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
     polys = [p for p in v.polys if not p.is_zero()]
     if not polys:
         return total
+    q = v.p ** m
     field = _indexed_field(v.p, m)
-    evals = [_compile_poly(p.terms, field) for p in polys]
-    x = _quadratic_variable(polys[0]) if len(polys) == 1 and v.p != 2 else None
+    zech, qm1 = field.zech, q - 1
+    x = None
+    if len(polys) == 1 and v.p != 2:
+        # the largest X_x in which the polynomial has degree <= 2
+        high = {u for mono, _ in polys[0].terms for u, e in mono if e > 2}
+        x = max(set(range(v.nvars)) - high, default=None)
+    quad = ([], [], [])  # quad[e]: the terms with X_x^e, X_x removed
+    for mono, c in polys[0].terms if x is not None else ():
+        quad[dict(mono).get(x, 0)].append((tuple(ve for ve in mono if ve[0] != x), c))
+    # a stratum maps its fixed coordinates to codes, 0 for zero and 1 for
+    # one: affine, none; projective, the zeros before the leading 1 and it
+    strata = [{}] if v.ambient == "affine" else \
+        [{**dict.fromkeys(range(lead), 0), lead: 1} for lead in range(v.nvars)]
     count = 0
-    for ranges in _strata(v.nvars, q, v.ambient == "projective"):
-        if x is not None and len(ranges[x]) > 1:
-            # X_x is free here: enumerate the others and count roots in X_x
-            count += _count_roots(polys[0], x, field,
-                                  product(*ranges[:x], (0,), *ranges[x + 1:]))
-            continue
-        # coordinates are codes; code 0 is zero and code 1 is one
-        for pt in product(*ranges):
-            for ev in evals:
-                if ev(pt):
-                    break
-            else:
-                count += 1
+    for fixed in strata:
+        eliminate = x is not None and x not in fixed
+        free = [u for u in range(v.nvars) if u not in fixed and not (eliminate and u == x)]
+        splits = [_split(terms, fixed, free, field)
+                  for terms in (quad if eliminate else [p.terms for p in polys])]
+        inner = range(q if free else 1)
+        for outer in product(*[range(q)] * (len(free) - 1)):
+            if eliminate:
+                count += _count_roots(*(_values(s, outer, inner, zech, qm1) for s in splits),
+                                      field)
+                continue
+            zeros = inner
+            for s in splits:
+                zeros = [k for k, val in zip(zeros, _values(s, outer, zeros, zech, qm1))
+                         if not val]
+            count += len(zeros)
     return count
 
 
 def count_series(v, m_max, budget=DEFAULT_BUDGET):
-    """PointCountSeries with counts[m-1] = count_points(v, m)."""
+    """PointCountSeries with counts[m-1] = count_points(v, m); every m is
+    checked against the budget before any is counted."""
     if m_max < 1:
         raise InvalidDegree("m_max must be >= 1")
+    for m in range(1, m_max + 1):
+        _budget_check(v, m, budget)
     counts = tuple(count_points(v, m, budget) for m in range(1, m_max + 1))
     return PointCountSeries(q=v.p, counts=counts)
 

@@ -101,6 +101,7 @@ _CHAIN = "field p=2\nambient affine dim=20000 vardim=0\npoly " + "*".join(
 _SQUARES = "field p=2\nambient affine dim=6000 vardim=0\npoly " + " + ".join(
     f"X{i}^2" for i in range(6000)) + "\n"
 _POWER_LINES = "field p=5\nambient affine dim=2 vardim=1\n" + "poly (X0 + X1 + 1)^40\n" * 3000
+_CONIC_F2 = "field p=2\nambient projective dim=2 vardim=1\npoly X0*X1 + X2^2\n"
 
 
 @pytest.mark.parametrize("text, argv, code, seconds, message", [
@@ -116,7 +117,14 @@ _POWER_LINES = "field p=5\nambient affine dim=2 vardim=1\n" + "poly (X0 + X1 + 1
      "tables of F_2^25 exceed budget 16777216 elements"),
     ("field p=2\nambient projective dim=0 vardim=0\npoly 2*X0\n",
      ["weil", "--mmax", "100000"], 3, 1.0, "tables of F_2^25 exceed budget 16777216 elements"),
-], ids=["product-chain", "sum-of-squares", "power-lines", "count-mmax", "weil-mmax"])
+    # the budget of every m is checked before any m is counted; counting
+    # m = 1..11 of this conic, which the budget admits, takes seconds
+    (_CONIC_F2, ["count", "--mmax", "40"], 3, 1.0,
+     "enumerating 3 coordinates over F_2^12 exceeds budget 16777216 tuples"),
+    (_CONIC_F2, ["weil", "--mmax", "40"], 3, 1.0,
+     "enumerating 3 coordinates over F_2^12 exceeds budget 16777216 tuples"),
+], ids=["product-chain", "sum-of-squares", "power-lines", "count-mmax", "weil-mmax",
+        "count-mmax-conic", "weil-mmax-conic"])
 def test_hostile_inputs_fail_fast_in_a_fresh_process(tmp_path, text, argv, code, seconds,
                                                      message):
     path = tmp_path / "hostile.variety"

@@ -116,6 +116,50 @@ def test_parse_errors_carry_position():
         parse_variety("field p=2\nambient projective dim=1\n")
 
 
+def test_parse_leading_unary_minus():
+    head = "field p=7\nambient projective dim=2 vardim=1\n"
+    v = parse_variety(head + "poly -X0^2 + X1*X2\n")
+    assert dict(v.polys[0].terms) == {((0, 2),): 6, ((1, 1), (2, 1)): 1}
+    # inside parentheses the minus applies to the first term of the group only
+    v = parse_variety(head + "poly X1*(-X0 - X1) + (-X2^2)\n")
+    assert dict(v.polys[0].terms) == {((0, 1), (1, 1)): 6, ((1, 2),): 6, ((2, 2),): 6}
+
+
+# a comment and a blank line first, so every line number counts them
+_HEAD = "# header\n\nfield p=5\nambient affine dim=2 vardim=1\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("# only a comment\nfield p=5\n", ParseError,
+     "<string>: expected a field line and an ambient line"),
+    ("# header\n\nfield 5\nambient affine dim=2 vardim=1\n", ParseError,
+     "line 3: expected 'field p=<prime>', got 'field 5'"),
+    ("# header\n\nfield p=five\nambient affine dim=2 vardim=1\n", ParseError,
+     "line 3: prime must be an integer, got 'five'"),
+    ("# header\n\nfield p=9\nambient affine dim=2 vardim=1\n", InvalidPrime,
+     "line 3: 9 is not prime"),
+    ("# header\n\nfield p=5\nambient toric dim=2 vardim=1\n", ParseError,
+     "line 4: expected 'ambient projective|affine dim=<N> vardim=<n>'"),
+    ("# header\n\nfield p=5\nambient affine dim=2 vardim\n", ParseError,
+     "line 4: expected key=value, got 'vardim'"),
+    ("# header\n\nfield p=5\nambient affine dim=2 rank=1\n", ParseError,
+     "line 4: ambient line needs dim=<N> vardim=<n>"),
+    ("# header\n\nfield p=5\nambient affine dim=two vardim=1\n", ParseError,
+     "line 4: dim and vardim must be integers"),
+    ("# header\n\nfield p=5\nambient affine vardim=1 dim=-2\n", ParseError,
+     "line 4: dim and vardim must be non-negative"),
+    (_HEAD + "poly X0\n\nequation X1\n", ParseError,
+     "line 7: expected 'poly <expression>', got 'equation X1'"),
+    (_HEAD + "poly X0\n# X1\npolyX1\n", ParseError,
+     "line 7: expected whitespace after 'poly'"),
+], ids=["no-ambient-line", "field-line", "prime-not-int", "prime-not-prime", "ambient-kind",
+        "key-value", "missing-dim", "dim-not-int", "dim-negative", "not-poly", "poly-space"])
+def test_parse_header_and_poly_line_errors_name_their_line(text, error, message):
+    with pytest.raises(error) as info:
+        parse_variety(text)
+    assert str(info.value) == message
+
+
 def test_parse_refuses_huge_expansions_fast():
     start = time.perf_counter()
     with pytest.raises(ParseError,
@@ -540,6 +584,109 @@ def test_count_points_invariant_under_coordinate_permutations():
                     for poly in polys]
                 counts.add(count_points(parse_variety(_system_text(p, permuted, projective)), m))
             assert len(counts) == 1, (polys, counts)
+
+
+def _per_point_count(v, m):
+    """count_points as a per-point loop: at every normalized representative,
+    each polynomial is evaluated by a closure over the Zech tables, a later
+    one only where the earlier ones vanish; no substitution, no tabulation
+    and no quadratic elimination."""
+    field = _IndexedField(v.p, m)
+    q, zech = field.q, field.zech
+    qm1 = q - 1
+
+    def compile_poly(terms):
+        terms = tuple((field.log[c], tuple((u, e % qm1) for u, e in mono)) for mono, c in terms)
+
+        def ev(point):
+            acc = 0
+            for t, varpows in terms:
+                for u, e in varpows:
+                    x = point[u]
+                    if not x:
+                        break
+                    t += e * (x - 1)
+                else:
+                    if acc:
+                        z = zech[(t - acc + 1) % qm1]
+                        acc = (acc + z - 2) % qm1 + 1 if z else 0
+                    else:
+                        acc = t % qm1 + 1
+            return acc
+        return ev
+
+    evals = [compile_poly(poly.terms) for poly in v.polys]
+    n = v.nvars
+    if v.ambient == "affine":
+        strata = [[range(q)] * n]
+    else:
+        strata = [[(0,)] * lead + [(1,)] + [range(q)] * (n - lead - 1) for lead in range(n)]
+    return sum(1 for ranges in strata for pt in product(*ranges)
+               if not any(ev(pt) for ev in evals))
+
+
+def _stratum_poly(rng, p, q, nvars, projective, quadratic):
+    """Random polynomial with terms of every kind the counting loop splits
+    a stratum by, for X_k the last or the second-to-last coordinate: free of
+    both, in one of them alone (exponents up to 2(q-1), q-1 among them), or
+    one of them times others. With quadratic, X_{nvars-1} has degree <= 2,
+    so a lone polynomial over odd p eliminates it."""
+    last = nvars - 1
+    degree = rng.choice((1, 2, 3, q - 1, q + 1))
+    exps_alone = (1, 2, 3, q - 1, q, 2 * (q - 1))
+    others = list(range(nvars - 2))
+    coeffs = {}
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(("outer", "alone", "mixed", "constant"))
+        v = rng.choice((last, last - 1))
+        if projective:
+            if kind == "alone" or not others:
+                exps = Counter({v: degree})
+            else:
+                exps = Counter(rng.choice(others) for _ in range(degree - (kind == "mixed")))
+                exps[v] += kind == "mixed"
+            if quadratic and exps[last] > 2:
+                exps[rng.choice(others or [last - 1])] += exps[last] - 2
+                exps[last] = 2
+        else:
+            exps = Counter()
+            if kind == "alone":
+                exps[v] = rng.choice(exps_alone)
+            elif kind != "constant":
+                for u in rng.sample(others, min(len(others), rng.randint(1, 2))):
+                    exps[u] = rng.choice((1, 2, 3, q - 1))
+                if kind == "mixed":
+                    exps[v] = rng.choice(exps_alone)
+            if quadratic:
+                exps[last] = min(exps[last], 2)
+        coeffs[_monomial(exps)] = rng.randrange(1, p)
+    return MultiPoly.from_dict(nvars, coeffs, p)
+
+
+def test_stratum_split_matches_the_per_point_loop():
+    # P^3, P^4, A^3 and A^4 over fields of 2 to 9 elements, with 1-3
+    # polynomials; projective strata fix their leading coordinate to 1 while
+    # the eliminated X_{n-1} is free, and the stratum before the last has
+    # X_{n-1} as its only free coordinate
+    rng = random.Random(4111)
+    fields = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1))
+    eliminated = 0
+    for case in range(400):
+        p, m = rng.choice(fields)
+        q = p ** m
+        projective = case % 2 == 0
+        # at most 4,096 affine tuples or about as many projective ones
+        nvars = rng.choice([n for n in (3, 4, 5)
+                            if (n < 5 or projective) and q ** (n - projective) <= 4096])
+        size = rng.choice((1, 1, 2, 3))
+        quadratic = size == 1 and rng.random() < 0.7
+        polys = [_stratum_poly(rng, p, q, nvars, projective, quadratic) for _ in range(size)]
+        text = _system_text(p, polys, projective)
+        eliminated += quadratic and p != 2 and not polys[0].is_zero()
+        v = parse_variety(text)
+        assert count_points(v, m) == _per_point_count(v, m), (case, m, text)
+    # single polynomials counted by the quadratic character
+    assert eliminated >= 60
 
 
 def test_multipoly_str_round_trips_through_the_parser():
