@@ -5,10 +5,12 @@ field, normalized so g_1 = 1. Unlike a classical lattice in R^n it is
 dense in R once b >= 2, which the density_witness construction certifies
 by producing arbitrarily small positive elements from continued fractions.
 
-The endomorphism ring {alpha : alpha L <= L} is computed exactly: writing
-alpha in the generator basis and demanding integer coordinates for every
-alpha*g_i turns End(L) into the projection of an integer kernel lattice,
-and a Hermite normal form gives its canonical Z-basis.
+The endomorphism ring {alpha : alpha L <= L} is computed exactly. In the
+generator basis it is the integer vectors x for which every alpha*g_i has
+integer coordinates. Eliminating the generators and their products turns
+that into congruences modulo one integer N, a Hermite normal form with
+entries reduced modulo N gives their solutions, and a last Hermite normal
+form gives the canonical Z-basis.
 """
 
 from math import floor, lcm
@@ -27,67 +29,35 @@ def rank_rational(A):
     return len(echelon(A, len(A[0]) if A else 0)[1])
 
 
-def identity_int(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def hnf_with_transform(M):
-    """Row Hermite normal form H of M with unimodular U such that U M = H.
-
-    Pivots are positive, entries above each pivot reduced to [0, pivot).
-    Zero rows sink to the bottom.
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
+def hnf_rows(M):
+    """Nonzero rows of the row Hermite normal form of M, the canonical basis
+    of the lattice its rows span: pivots positive, entries above each pivot
+    reduced to [0, pivot)."""
     H = [list(row) for row in M]
-    U = identity_int(m)
+    m = len(H)
     r = 0
-    for c in range(n):
+    for c in range(len(H[0]) if m else 0):
         piv = next((i for i in range(r, m) if H[i][c] != 0), None)
         if piv is None:
             continue
         H[r], H[piv] = H[piv], H[r]
-        U[r], U[piv] = U[piv], U[r]
         for i in range(r + 1, m):
             # euclidean steps on rows r and i in column c
             while H[i][c] != 0:
                 q = H[r][c] // H[i][c]
                 H[r] = [a - q * b for a, b in zip(H[r], H[i])]
-                U[r] = [a - q * b for a, b in zip(U[r], U[i])]
                 H[r], H[i] = H[i], H[r]
-                U[r], U[i] = U[i], U[r]
         if H[r][c] < 0:
             H[r] = [-a for a in H[r]]
-            U[r] = [-a for a in U[r]]
         for j in range(r):
             q = H[j][c] // H[r][c]
             if q:
                 H[j] = [a - q * b for a, b in zip(H[j], H[r])]
-                U[j] = [a - q * b for a, b in zip(U[j], U[r])]
         r += 1
         if r == m:
             break
-    return H, U
-
-
-def hnf_rows(M):
-    """Nonzero rows of the row Hermite normal form (canonical lattice basis)."""
-    H, _ = hnf_with_transform(M)
-    return [row for row in H if any(v != 0 for v in row)]
-
-
-def kernel_int(A):
-    """Basis of the integer kernel {x in Z^n : A x = 0} for integer A.
-
-    Returned as rows; the basis spans every integer solution.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    At = [[A[i][j] for i in range(m)] for j in range(n)]
-    H, U = hnf_with_transform(At)
-    return [U[i] for i in range(n) if all(v == 0 for v in H[i])]
+    # rows from r on are zero in every column
+    return H[:r]
 
 
 class PseudoLattice:
@@ -178,33 +148,55 @@ def endo_matrix(L, alpha):
 def endo_ring_basis(L):
     """Canonical Z-basis of End(L) = {alpha : alpha L <= L}.
 
-    Since g_1 = 1, any endomorphism alpha = alpha*g_1 lies in L, so alpha
-    has integer generator coordinates x. The condition alpha*g_i in L for
-    every i is linear in x and in the unknown integer coordinate vectors
-    y_i of the images, giving one integer kernel computation. The
-    projection of that kernel onto x, in Hermite normal form, is the
-    basis.
+    Since g_1 = 1, an endomorphism alpha = alpha*g_1 lies in L: it is
+    sum_j x_j g_j with x in Z^b, and alpha*g_i = sum_j x_j g_j g_i. In one
+    elimination of the generators and the b^2 products, as in _int_coords,
+    every pivot row holds the last pivot P, and the column of g_j g_i holds
+    P times its generator coordinates in the rows k < b and its part outside
+    the span of L in the rest. So x gives an endomorphism exactly when, for
+    every i, sum_j x_j M[k][(j, i)] is 0 mod P for k < b and 0 for k >= b.
+    A second elimination solves the exact equations as x = W c / Q, c the
+    free coordinates and Q its last pivot, so with N = |P Q| every
+    condition reads E c = 0 mod N; those of i = 1, where g_j g_1 = g_j, say
+    that x is integral. Those c are the lattice dual to the span of the
+    rows of E / N and Z^k: the columns of N H^-1, H the Hermite normal form
+    of [E mod N; N I] (H. Cohen, GTM 138, 2.4; P. D. Domich, R. Kannan and
+    L. E. Trotter, Math. Oper. Res. 12, 1987). So no entry grows far past
+    N, and the Hermite normal form of the x they give is the basis.
     """
     b = L.rank
     gens = L.generators
-    # x_j * (g_j * g_i) - sum_k y_{i,k} * g_k = 0, all over one denominator
-    cols = _scaled([g * h for h in gens for g in gens] + list(gens))
-    # unknowns: x_1..x_b, then y_{i,k} for i,k = 1..b
-    rows = [[cols[i * b + j][t] for j in range(b)] + [0] * (i * b)
-            + [-cols[b * b + k][t] for k in range(b)] + [0] * ((b - 1 - i) * b)
-            for i in range(b) for t in range(L.field.degree)]
-    kernel = kernel_int(rows)
-    projected = [vec[:b] for vec in kernel]
-    basis_rows = hnf_rows(projected)
-    elements = []
-    for row in basis_rows:
-        acc = L.field.zero()
-        for c, g in zip(row, L.generators):
-            acc = acc + c * g
-        elements.append(acc)
-    if not elements:
-        raise InternalError("endomorphism ring lost the identity")
-    return tuple(elements)
+    # column b + i*b + j is g_j * g_i
+    M, _, _ = echelon(list(zip(*_scaled((*gens, *(g * h for h in gens for g in gens))))), b)
+    P = M[0][0]
+    products = [[row[b + i * b: b + i * b + b] for row in M] for i in range(b)]
+    exact, pivots, _ = echelon([row for rows in products for row in rows[b:]], b)
+    Q = exact[0][pivots[0]] if pivots else 1
+    # W's columns: the solution of each free coordinate, times Q
+    W = []
+    for f in range(b):
+        if f not in pivots:
+            w = [0] * b
+            w[f] = Q
+            for row, c in zip(exact, pivots):
+                w[c] = -row[f]
+            W.append(w)
+    N = abs(P * Q)
+    E = [[sum(a * v for a, v in zip(row, w)) % N for w in W]
+         for rows in products for row in rows[:b]]
+    k = len(W)
+    H = hnf_rows(E + [[N if s == t else 0 for s in range(k)] for t in range(k)])
+    solutions = []
+    for t in range(k):
+        # H y = N e_t by back-substitution; each division is exact
+        y = [0] * k
+        for r in range(t, -1, -1):
+            y[r] = ((N if r == t else 0)
+                    - sum(H[r][s] * y[s] for s in range(r + 1, t + 1))) // H[r][r]
+        solutions.append([sum(w[j] * v for w, v in zip(W, y)) // Q for j in range(b)])
+    # x = e_1 solves the exact equations, so k >= 1 and the basis is not empty
+    return tuple(sum((c * g for c, g in zip(row, gens)), L.field.zero())
+                 for row in hnf_rows(solutions))
 
 
 def endo_ring_rank(L):

@@ -2,8 +2,8 @@
 
 One fraction-free Gauss-Jordan elimination on ints (rows of Fractions are
 scaled first), off which callers read ranks, determinants, solutions and
-kernels; as_int; the integer matrix product. HNF and integer kernels live
-in pseudolattice, charpoly and det in dimgroup, beside their callers.
+kernels; as_int; the integer matrix product. The Hermite normal form
+lives in pseudolattice, charpoly and det in dimgroup, beside their callers.
 """
 
 from math import lcm

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -189,6 +190,38 @@ def test_hostile_lattice_literals_fail_fast_in_a_fresh_process(tmp_path, text, m
     assert done.returncode == 2, done.stderr[-2000:]
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith(f"error: {message}"), done.stderr[-2000:]
+    assert elapsed < 2.0
+
+
+def _long_quartic_lattice(digits):
+    """Z + three generators in Q(2^(1/4)) whose coordinates are drawn from
+    [-10^digits, 10^digits] by random.Random(1)."""
+    rng = random.Random(1)
+    return "field minpoly=-2 0 0 0 1\nroot in [1, 2]\ngen 1 0 0 0\n" + "".join(
+        "gen " + " ".join(str(rng.randint(-10 ** digits, 10 ** digits)) for _ in range(4)) + "\n"
+        for _ in range(3))
+
+
+# the endomorphism ring of each has full rank; before its entries were
+# kept below a modulus, the first two took 2-7 s and the last over a minute
+@pytest.mark.parametrize("digits, code, expected", [
+    (30, 0, "endomorphism ring rank: 4\n"),
+    (100, 0, "endomorphism ring rank: 4\n"),
+    (999, 2, "error: InvalidInput: a number in the report is too long to print"),
+], ids=["30-digit", "100-digit", "999-digit"])
+def test_rank_4_lattice_with_long_coordinates_ends_fast_in_a_fresh_process(tmp_path, digits,
+                                                                          code, expected):
+    path = tmp_path / "long.lattice"
+    path.write_text(_long_quartic_lattice(digits))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", "lattice", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == code, done.stderr[-2000:]
+    assert expected in (done.stdout if code == 0 else done.stderr), done.stderr[-2000:]
+    assert "Traceback" not in done.stderr
     assert elapsed < 2.0
 
 

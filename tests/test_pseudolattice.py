@@ -1,5 +1,6 @@
 """Tests for pseudo-lattices, endomorphism rings, and density witnesses."""
 
+import random
 import re
 from fractions import Fraction as F
 
@@ -27,9 +28,13 @@ from weilzeta.pseudolattice import (
     parse_lattice,
     point_count_from_frobenius,
 )
-from weilzeta import pseudolattice
+from weilzeta import pseudolattice as pl
 from weilzeta.qlinalg import echelon, mat_mul_int
 from weilzeta.realalg import RealNumberField
+
+
+def _frac_matrix(rows):
+    return [[F(x) for x in row] for row in rows]
 
 
 def _sqrt_lattice(d):
@@ -103,11 +108,24 @@ def test_endo_matrix_and_is_endomorphism_take_one_elimination(monkeypatch):
         calls.append(ncols)
         return echelon(rows, ncols)
 
-    monkeypatch.setattr(pseudolattice, "echelon", counting)
+    monkeypatch.setattr(pl, "echelon", counting)
     assert endo_matrix(L, t) == ((0, 0, 0, 2), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
     assert calls == [4]
     assert not is_endomorphism(L, t * K.from_rational(F(1, 2)))
     assert calls == [4, 4]
+
+
+def test_rank_rational():
+    assert pl.rank_rational(_frac_matrix([[1, 2], [2, 4]])) == 1
+    assert pl.rank_rational(_frac_matrix([[1, 0], [0, 1]])) == 2
+    assert pl.rank_rational([]) == 0
+
+
+def test_hnf_rows_canonical_form():
+    assert pl.hnf_rows([[2, 4], [1, 1]]) == [[1, 1], [0, 2]]
+    assert pl.hnf_rows([[0, 2], [1, 0], [0, 0]]) == [[1, 0], [0, 2]]
+    # already canonical input is a fixed point
+    assert pl.hnf_rows([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
 
 
 def test_endo_ring_rank_quadratic():
@@ -139,6 +157,137 @@ def test_endo_ring_cubic_generator_pair_is_rank_one():
     rank, basis = endo_ring_rank(L)
     assert rank == 1
     assert coordinates(L, basis[0]) == (1, 0)
+
+
+def _old_hnf(M):
+    """Row Hermite normal form H of M and a unimodular U with U M = H, by
+    Euclidean steps on rows; U is never reduced, so its entries grow."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    H = [list(row) for row in M]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if H[i][c] != 0), None)
+        if piv is None:
+            continue
+        H[r], H[piv] = H[piv], H[r]
+        U[r], U[piv] = U[piv], U[r]
+        for i in range(r + 1, m):
+            while H[i][c] != 0:
+                q = H[r][c] // H[i][c]
+                H[r] = [a - q * b for a, b in zip(H[r], H[i])]
+                U[r] = [a - q * b for a, b in zip(U[r], U[i])]
+                H[r], H[i] = H[i], H[r]
+                U[r], U[i] = U[i], U[r]
+        if H[r][c] < 0:
+            H[r] = [-a for a in H[r]]
+            U[r] = [-a for a in U[r]]
+        for j in range(r):
+            q = H[j][c] // H[r][c]
+            if q:
+                H[j] = [a - q * b for a, b in zip(H[j], H[r])]
+                U[j] = [a - q * b for a, b in zip(U[j], U[r])]
+        r += 1
+        if r == m:
+            break
+    return H, U
+
+
+def _kernel_route(L):
+    """Generator coordinates of End(L)'s canonical basis by the kernel
+    route: the integer kernel of the (b*D) x (b + b^2) system
+    x_j g_j g_i - sum_k y_{i,k} g_k = 0, read off U of the transposed
+    system, then the Hermite normal form of its projection onto x."""
+    b = L.rank
+    gens = L.generators
+    cols = pl._scaled([g * h for h in gens for g in gens] + list(gens))
+    rows = [[cols[i * b + j][t] for j in range(b)] + [0] * (i * b)
+            + [-cols[b * b + k][t] for k in range(b)] + [0] * ((b - 1 - i) * b)
+            for i in range(b) for t in range(L.field.degree)]
+    H, U = _old_hnf([list(col) for col in zip(*rows)])
+    kernel = [u[:b] for u, h in zip(U, H) if not any(h)]
+    return [row for row in _old_hnf(kernel)[0] if any(row)]
+
+
+# Q(sqrt 2), Q(2^(1/3)), x^3 - x - 1, Q(2^(1/4)), Q(sqrt 2 + sqrt 3),
+# Q(2^(1/5)), x^5 - x - 1
+_DIFFERENTIAL_FIELDS = [
+    ((-2, 0, 1), (1, 2)),
+    ((-2, 0, 0, 1), (1, 2)),
+    ((-1, -1, 0, 1), (1, 2)),
+    ((-2, 0, 0, 0, 1), (1, 2)),
+    ((1, 0, -10, 0, 1), (3, 4)),
+    ((-2, 0, 0, 0, 0, 1), (1, 2)),
+    ((-1, -1, 0, 0, 0, 1), (1, 2)),
+]
+
+
+def _coordinate(rng, kind):
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "fraction":
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+    return rng.randint(-999999, 999999)
+
+
+def _seeded_lattices():
+    """Two lattices per field, rank 1..D and coordinate kind. A lattice of
+    full rank has generators theta^k (times 1/n for fractions) plus integer
+    multiples of lower powers: the kernel route takes minutes on dense ones,
+    or ones with fractions below the diagonal, in degree 5."""
+    rng = random.Random(20261020)
+    for minpoly, root in _DIFFERENTIAL_FIELDS:
+        K = RealNumberField(minpoly, root)
+        D = K.degree
+        for b in range(1, D + 1):
+            for kind in ("int", "fraction", "6-digit"):
+                for _ in range(2):
+                    if b < D:
+                        gens = [[_coordinate(rng, kind) for _ in range(D)] for _ in range(1, b)]
+                    else:
+                        gens = [[_coordinate(rng, "int" if kind == "fraction" else kind)
+                                 for _ in range(k)]
+                                + [F(1, rng.randint(1, 4)) if kind == "fraction" else 1]
+                                + [0] * (D - 1 - k) for k in range(1, D)]
+                    try:
+                        yield PseudoLattice(K, (K.one(), *map(K.element, gens)))
+                    except DependentGenerators:
+                        pass
+
+
+def _sub_orders():
+    """Z + Z t^2, Z + Z t^2/2 and Z + Z t^2 + Z t^3 in Q(t), t = 2^(1/4);
+    Z + Z sqrt(2) in Q(s), s = sqrt(2) + sqrt(3), sqrt(2) = (s^3 - 9 s)/2;
+    Z + Z u + Z (u^3 - u)/2 + Z u^4 in Q(u), u = 2^(1/6), where End(L) is
+    spanned by 1 and 2 sqrt(2) = 2 g_2 + 4 g_3, not by generators; then
+    seeded Z + Z (a + c sqrt(2)) in Q(t) and Q(s)."""
+    K = RealNumberField((-2, 0, 0, 0, 1), (1, 2))
+    t = K.gen()
+    S = RealNumberField((1, 0, -10, 0, 1), (3, 4))
+    U = RealNumberField((-2, 0, 0, 0, 0, 0, 1), (1, 2))
+    u = U.gen()
+    lattices = [PseudoLattice(K, (K.one(), t * t)),
+                PseudoLattice(K, (K.one(), t * t * K.from_rational(F(1, 2)))),
+                PseudoLattice(K, (K.one(), t * t, t * t * t)),
+                PseudoLattice(S, (S.one(), S.element((0, F(-9, 2), 0, F(1, 2))))),
+                PseudoLattice(U, (U.one(), u, U.element((0, F(-1, 2), 0, F(1, 2), 0, 0)),
+                                  u * u * u * u))]
+    rng = random.Random(4)
+    for kind in ("int", "fraction", "6-digit"):
+        for _ in range(2):
+            a, c = _coordinate(rng, kind), _coordinate(rng, kind) or 1
+            lattices.append(PseudoLattice(K, (K.one(), K.element((a, 0, c, 0)))))
+            lattices.append(PseudoLattice(S, (S.one(), S.element((a, F(-9, 2) * c, 0, F(c, 2))))))
+    return lattices
+
+
+def test_endo_ring_basis_matches_the_kernel_route():
+    seeded = list(_seeded_lattices())
+    for L in seeded + _sub_orders():
+        assert [list(coordinates(L, e)) for e in endo_ring_basis(L)] == _kernel_route(L)
+    assert len(seeded) >= 150
+    assert [endo_ring_rank(L)[0] for L in _sub_orders()] == [2, 2, 1] + [2] * 14
 
 
 def test_endo_matrices_commute():
