@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import gc
 import os
 import random
 import subprocess
@@ -678,3 +679,72 @@ def test_weil_over_a_prime_beyond_doubles_fails_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [
         "error: InvalidInput: q^(0/2) with q of 1101 bits overflows a double"]
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def _untimed(text):
+    return [line for line in text.splitlines() if not line.startswith("# timing")]
+
+
+# runs weilzeta.cli as `python -m` does, with an atexit hook that reports
+# the freeze count after cli.run has ended the program
+_FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+print("frozen at start:", gc.get_freeze_count() > 0, file=sys.stderr)
+sys.argv[0] = "weilzeta"
+runpy.run_module("weilzeta.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", str(SAMPLES / "ell_f5.variety"), "--mmax", "1"], 0),
+    (["weil", str(SAMPLES / "affine_conic_f5.variety"), "--mmax", "4"], 1),
+    (["count", str(SAMPLES / "bad_token.variety")], 2),
+    (["count", str(SAMPLES / "ell_f5.variety"), "--mmax", "1", "--budget", "5"], 3),
+    (["frobnicate"], 2),
+], ids=["pass", "fail", "invalid-input", "budget", "usage-error"])
+def test_command_line_run_freezes_the_heap_before_exit(argv, code):
+    done = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr[-2000:]
+    lines = done.stderr.splitlines()
+    assert (lines[0], lines[-1]) == ("frozen at start: False", "frozen at exit: True")
+
+
+def test_main_called_from_python_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert main(["count", str(SAMPLES / "ell_f5.variety"), "--mmax", "1"]) == 0
+    assert main(["count", str(SAMPLES / "bad_token.variety")]) == 2
+    with pytest.raises(SystemExit):
+        main(["frobnicate"])
+    assert gc.get_freeze_count() == before
+
+
+def test_report_over_64_kib_arrives_whole_through_a_pipe_and_out(capsys, tmp_path):
+    # the eigenvector entries of a seeded 16 x 16 matrix make a report of
+    # about 70 KB, more than a pipe buffer holds
+    rng = random.Random(0)
+    path = tmp_path / "m16.matrix"
+    path.write_text("".join(" ".join(str(rng.randint(0, 3)) for _ in range(16)) + "\n"
+                            for _ in range(16)))
+    argv = ["dimgroup", str(path)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and len(out.encode()) > 64 * 1024
+    piped = subprocess.run([sys.executable, "-m", "weilzeta.cli", *argv], env=_src_env(),
+                           capture_output=True, text=True, timeout=60)
+    report = tmp_path / "report.txt"
+    written = subprocess.run([sys.executable, "-m", "weilzeta.cli", *argv, "--out", str(report)],
+                             env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert (piped.returncode, written.returncode, written.stdout) == (0, 0, "")
+    assert _untimed(piped.stdout) == _untimed(report.read_text()) == _untimed(out)
+
+
+def test_installed_script_enters_through_run():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.splitlines() == ['weilzeta = "weilzeta.cli:run"']
