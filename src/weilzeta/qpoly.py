@@ -157,7 +157,8 @@ def factor_int(p):
     Algebra, ch. 14-16): factor each square-free part modulo a small odd
     prime by Berlekamp's algorithm, Hensel-lift the modular factors past
     twice the Landau-Mignotte bound and recombine them in subsets
-    (Zassenhaus).
+    (Zassenhaus). A quadratic part needs none of it: its discriminant
+    decides and gives the split.
     """
     p = trim(p)
     if not p:
@@ -193,6 +194,16 @@ def _square_free_factors(f):
     """Irreducible factors of a primitive square-free f with f(0) != 0."""
     if len(f) <= 2:
         return [f]
+    if len(f) == 3:
+        # a x^2 + b x + c splits over Q exactly when b^2 - 4ac is a square
+        # s^2, into (2a x + b - s)(2a x + b + s) / 4a; a > 0 here, and both
+        # factors over their content multiply back to the primitive f
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        s = isqrt(max(disc, 0))
+        if s * s != disc:
+            return [f]
+        return [_content_free((b - s, 2 * a)), _content_free((b + s, 2 * a))]
     p, modular = _modular_factors(f)
     if len(modular) == 1:
         return [f]

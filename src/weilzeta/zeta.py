@@ -616,23 +616,41 @@ def point_count_from_zeta(z, m):
     return int(value)
 
 
-def _pipeline_candidate(series, n, q, num_deg, den_deg):
+def _pipeline_candidate(series, n, q, num_deg, den_deg, screen=False):
     """Run pade -> weights -> FE -> RH, recording how far we got.
 
     Returns (score, result dict, failure or None). Score counts fully
-    passed stages so candidate degree pairs can be ranked.
+    passed stages so candidate degree pairs can be ranked. The FE stage
+    runs first, as a screen right after the fit: a split with no
+    misplaced factor has chi = deg den - deg num, so the check for that
+    chi is the FE stage's own, and the stage takes its verdict. With
+    screen, a split that fails it stops there with score None, and
+    _weigh(result, q, n, failure) finishes it later.
     """
     result = {"num_deg": num_deg, "den_deg": den_deg}
-    score = 0
     try:
         z = result["z"] = pade_reconstruct(series, num_deg, den_deg)
-        score = 1
-        fact = result["fact"] = weight_split(z, q, n)
+    except MathCheckError as exc:
+        return 0, result, exc
+    try:
+        sign = functional_equation_check(z, q, n, len(z.den) - len(z.num))
+    except FunctionalEquationViolated as exc:
+        return (None, result, exc) if screen else _weigh(result, q, n, exc)
+    return _weigh(result, q, n, None, sign)
+
+
+def _weigh(result, q, n, violation, sign=None):
+    """Weights -> FE -> RH on a fitted split, given the screen's verdict:
+    its FunctionalEquationViolated, or None and its sign."""
+    score = 1
+    try:
+        fact = result["fact"] = weight_split(result["z"], q, n)
         if not fact.parity_ok:
             raise MathCheckError(
                 "factor weights contradict their numerator/denominator side")
         score = 2
-        sign = functional_equation_check(z, q, n, fact.chi)
+        if violation is not None:
+            return 2, result, violation
         result["fact"] = with_sign(fact, sign)
         result["sign"] = sign
         score = 3
@@ -644,26 +662,41 @@ def _pipeline_candidate(series, n, q, num_deg, den_deg):
     return 4, result, None
 
 
+def _best_split(series, n, q, mmax):
+    """(score, result, failure) of the Pade split num + den = mmax that
+    weil reports: the first from num 0 up that passes every stage, else
+    the best by (score, den_deg). A split that fails the FE screen cannot
+    pass every stage, so it is weighed only when no split does, and only
+    if no earlier split had its fit: equal fits score alike, and the
+    earlier has the larger den_deg."""
+    candidates, screened_out = [], {}
+    for num_deg in range(mmax + 1):
+        score, result, failure = _pipeline_candidate(
+            series, n, q, num_deg, mmax - num_deg, screen=True)
+        if score == 4:
+            return score, result, failure
+        if score is None:
+            screened_out.setdefault(result["z"], (result, failure))
+        else:
+            candidates.append((score, result, failure))
+    candidates += [_weigh(result, q, n, violation)
+                   for result, violation in screened_out.values()]
+    return max(candidates, key=lambda c: (c[0], c[1]["den_deg"]))
+
+
 def weil_report(report, counts, q, n, mmax, betti):
     """Add the weil lines after the counts of an n-dimensional variety over
-    F_q to report; returns whether every check passed."""
+    F_q to report; returns whether every check passed.
+
+    A Pade split whose fit fails the FE screen is factored only when no
+    split passes every stage (_best_split).
+    """
     series = zeta_series(counts)
     report.kv("zeta series", qpoly.poly_str(series.coeffs))
 
     t0 = perf_counter()
-    best = None
-    for num_deg in range(mmax + 1):
-        den_deg = mmax - num_deg
-        score, result, failure = _pipeline_candidate(
-            series, n, q, num_deg, den_deg)
-        key = (score, den_deg)
-        if best is None or key > best[0]:
-            best = (key, result, failure)
-        if score == 4:
-            # den_deg only falls from here on, so no later candidate wins
-            break
+    _, result, failure = _best_split(series, n, q, mmax)
     report.timing("pipeline", perf_counter() - t0)
-    _, result, failure = best
     report.kv("pade degrees",
               f"num {result['num_deg']}, den {result['den_deg']} "
               f"(scanned num+den = {mmax})")

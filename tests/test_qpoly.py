@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -214,6 +215,38 @@ def test_factor_int_matches_sympy():
     inputs += [_x_power_minus_one(n) for n in range(1, 31)]
     inputs += list(_SWINNERTON_DYER) + list(_BENCHMARK_INPUTS)
     assert len(inputs) == 235
+    for p in inputs:
+        assert qp.factor_int(p) == _sympy_factor_list(p), p
+
+
+def _random_quadratics(rng, count):
+    """Quadratics with square and non-square discriminants, either leading
+    sign, and coefficients up to 10^12."""
+    inputs = []
+    for _ in range(count):
+        size = rng.choice((9, 10 ** 3, 10 ** 6))
+        # a product of two linear factors, sometimes one squared
+        lin = [(rng.randint(-size, size), rng.choice((-1, 1)) * rng.randint(1, size))
+               for _ in range(2)]
+        inputs.append(qp.mul(lin[0], lin[rng.randrange(4) and 1]))
+        bound = rng.choice((9, 10 ** 6, 10 ** 12))
+        c, b = rng.randint(-bound, bound) or 1, rng.randint(-bound, bound)
+        inputs.append((c, b, rng.choice((-1, 1)) * rng.randint(1, bound)))
+    return inputs
+
+
+def test_factor_int_quadratics_match_sympy():
+    # square-free quadratic parts split by the square root of their
+    # discriminant; Yun's pass hands them over alone, with a repeated
+    # factor, or next to a power of x
+    rng = random.Random(20261021)
+    quadratics = _random_quadratics(rng, 200)
+    squares = sum(isqrt(max(b * b - 4 * a * c, 0)) ** 2 == b * b - 4 * a * c
+                  for c, b, a in quadratics)
+    assert 150 < squares < 250
+    assert sum(a < 0 for _, _, a in quadratics) > 150
+    inputs = quadratics + [qp.mul(qp.mul(p, p), r) for p, r in zip(quadratics, quadratics[1:50])]
+    inputs += [(0,) + p for p in quadratics[:30]]
     for p in inputs:
         assert qp.factor_int(p) == _sympy_factor_list(p), p
 

@@ -1,6 +1,7 @@
 """Tests for zeta series, rational reconstruction, and Weil checks."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -8,6 +9,7 @@ from math import isqrt
 import pytest
 
 from weilzeta import qpoly, zeta
+from weilzeta.cli import Report
 from weilzeta.errors import (
     DimensionMismatch,
     EmptySeries,
@@ -15,6 +17,7 @@ from weilzeta.errors import (
     InsufficientPrecision,
     InternalError,
     InvalidInput,
+    MathCheckError,
     MixedWeightFactor,
     NoRationalFit,
     NotIntegral,
@@ -801,3 +804,135 @@ def test_round_scaled_rounds_like_round_of_a_fraction():
         cases.append((x, rng.randint(-80, 300)))
     for x, e in cases:
         assert zeta._round_scaled(x, e) == round(Fraction(x) * Fraction(2) ** e), (x, e)
+
+
+def _unscreened_best_split(series, n, q, mmax):
+    """The scan without the FE screen: each split in turn is fitted,
+    factored and checked until one passes every stage, and the best by
+    (score, den_deg) is kept."""
+    best = None
+    for num_deg in range(mmax + 1):
+        den_deg = mmax - num_deg
+        result = {"num_deg": num_deg, "den_deg": den_deg}
+        score, failure = 0, None
+        try:
+            z = result["z"] = zeta.pade_reconstruct(series, num_deg, den_deg)
+            score = 1
+            fact = result["fact"] = zeta.weight_split(z, q, n)
+            if not fact.parity_ok:
+                raise MathCheckError(
+                    "factor weights contradict their numerator/denominator side")
+            score = 2
+            sign = zeta.functional_equation_check(z, q, n, fact.chi)
+            result["fact"] = with_sign(fact, sign)
+            result["sign"] = sign
+            score = 3
+            result["rh"] = [(i, rh_check(poly, q, i)) for i, poly in fact.factors]
+            if not all(rep.passed for _, rep in result["rh"]):
+                raise MathCheckError("root modulus bound violated")
+            score = 4
+        except MathCheckError as exc:
+            failure = exc
+        if best is None or (score, den_deg) > best[0]:
+            best = (score, den_deg), (score, result, failure)
+        if score == 4:
+            break
+    return best[1]
+
+
+def _weil_report_outcome(counts, q, n, mmax, betti=None):
+    report = Report("weilzeta weil")
+    try:
+        ok = zeta.weil_report(report, counts, q, n, mmax, betti)
+    except WeilZetaError as exc:
+        return type(exc).__name__, str(exc)
+    return ok, [line for line in report.lines if not line.startswith("# timing")]
+
+
+CONIC_F5_COUNTS = PointCountSeries(5, (4, 24, 124, 624))
+
+
+@pytest.mark.parametrize("counts, fitted, weighed", [
+    # (0, 4) and (1, 3) fail the screen and (2, 2) wins
+    (E5_COUNTS, [(0, 4), (1, 3), (2, 2)], [(2, 2)]),
+    # the affine conic x^2 + y^2 = 1: every split fails the screen, and
+    # (1, 3), (2, 2) and (3, 1) fit the same (1 - t) / (1 - 5t), which is
+    # weighed once
+    (CONIC_F5_COUNTS, [(k, 4 - k) for k in range(5)], [(0, 4), (1, 3), (4, 0)]),
+])
+def test_weil_report_fits_and_weighs_each_split_once(monkeypatch, counts, fitted, weighed):
+    fits, weighs, split_of = [], [], {}
+
+    def fit(series, num_deg, den_deg):
+        fits.append((num_deg, den_deg))
+        z = pade_reconstruct(series, num_deg, den_deg)
+        split_of[id(z)] = (num_deg, den_deg), z   # keeps z, and so its id, alive
+        return z
+
+    def weigh(z, q, n):
+        weighs.append(split_of[id(z)][0])
+        return weight_split(z, q, n)
+
+    monkeypatch.setattr(zeta, "pade_reconstruct", fit)
+    monkeypatch.setattr(zeta, "weight_split", weigh)
+    _weil_report_outcome(counts, 5, 1, 4)
+    assert (fits, weighs) == (fitted, weighed)
+
+
+def test_a_screened_out_split_is_factored_only_when_no_split_wins(monkeypatch):
+    # a root-finding failure on the fit 1 / (1 - 4t - 4t^2 - 4t^3 - 4t^4)
+    # or 1 / (1 - 8t + 16t^2 + 8t^3 - 96t^4), the (0, 4) splits, which fail
+    # the screen: the unscreened scan factored them first and raised
+    def weigh(z, q, n):
+        if len(z.den) == 5:
+            raise InternalError("no roots")
+        return weight_split(z, q, n)
+
+    monkeypatch.setattr(zeta, "weight_split", weigh)
+    ok, lines = _weil_report_outcome(E5_COUNTS, 5, 1, 4)
+    assert ok and "pade degrees: num 2, den 2 (scanned num+den = 4)" in lines
+    assert _weil_report_outcome(CONIC_F5_COUNTS, 5, 1, 4) == ("InternalError", "no roots")
+    monkeypatch.setattr(zeta, "_best_split", _unscreened_best_split)
+    assert _weil_report_outcome(E5_COUNTS, 5, 1, 4) == ("InternalError", "no roots")
+
+
+def _screen_case(rng):
+    """(counts, q, n, mmax): curve counts, some with one trace outside the
+    Hasse range or with closed points of one degree added or removed, or a
+    variety's counts as _weil_style_zeta draws them; mmax may be too small
+    for the fit."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        z, q, n = _weil_style_zeta(rng)
+        mmax = len(z.num) + len(z.den) - 2 + rng.randint(-1, 2)
+    else:
+        q = rng.choice((2, 3, 4, 5, 7, 9, 25, 27))
+        bound = isqrt(4 * q)
+        traces = [rng.randint(-bound, bound) for _ in range(rng.randint(1, 3))]
+        if kind == 0:
+            traces[rng.randrange(len(traces))] = rng.choice((-1, 1)) * (bound + rng.randint(1, 3))
+        z, n = RationalFunctionQ(_weil_numerator(q, traces), (1, -(q + 1), q)), 1
+        mmax = 2 * len(traces) + rng.randint(1, 4)
+    counts = [point_count_from_zeta(z, m) for m in range(1, mmax + 1)]
+    if kind == 1:
+        # e closed points of degree d more (or fewer): a factor (1 - t^d)^-e,
+        # so the series stays integral
+        d, e = rng.randint(1, mmax), rng.choice((-2, -1, 1, 2))
+        for m in range(d, mmax + 1, d):
+            counts[m - 1] += e * d
+    return tuple(counts), q, n, mmax
+
+
+def test_screened_scan_matches_the_unscreened_scan(monkeypatch):
+    rng = random.Random(20261029)
+    cases = [_screen_case(rng) for _ in range(200)]
+    got = [_weil_report_outcome(*case) for case in cases]
+    monkeypatch.setattr(zeta, "_best_split", _unscreened_best_split)
+    for case, outcome in zip(cases, got):
+        assert outcome == _weil_report_outcome(*case), case
+    # both ends of the scan are reached: winners, and reports of a losing
+    # split that failed the screen, at the FE stage or before it
+    failures = Counter(line.split(":")[1].strip() for ok, lines in got if ok is False
+                       for line in lines if line.startswith("pipeline failure"))
+    assert sum(ok is True for ok, _ in got) > 40
+    assert failures["MixedWeightFactor"] > 50 and failures["FunctionalEquationViolated"] > 2
