@@ -395,29 +395,22 @@ class _IndexedField:
         self.p = p
         self.q = q = p ** m
         gen = self._find_generator(p, m, f)
+        lead, rest = gen[-1], gen[-2::-1]
+        low = f[:m]
+        weights = [p ** i for i in range(m)]
         log = [0] * q
-        if m == 1:
-            # the index of an element of F_p is its value
-            g, cur = gen[0], 1
-            for k in range(p - 1):
-                log[cur] = k
-                cur = cur * g % p
-        else:
-            lead, rest = gen[-1], gen[-2::-1]
-            low = f[:m]
-            weights = [p ** i for i in range(m)]
-            # g^k as m base-p digits, low first. Times g is a Horner pass
-            # over g's coefficients, high first: each step shifts by x and
-            # folds x^m back as -(f_0 + f_1 x + ... + f_{m-1} x^(m-1)); the
-            # digits are reduced mod p once per power
-            cur = [1] + [0] * (m - 1)
-            for k in range(q - 1):
-                log[sum(map(mul, cur, weights))] = k
-                acc = [lead * d for d in cur]
-                for c in rest:
-                    top = acc[-1]
-                    acc = [a + c * d - top * fi for a, d, fi in zip([0, *acc], cur, low)]
-                cur = [a % p for a in acc]
+        # g^k as m base-p digits, low first. Times g is a Horner pass over
+        # g's coefficients, high first: each step shifts by x and folds x^m
+        # back as -(f_0 + f_1 x + ... + f_{m-1} x^(m-1)); the digits are
+        # reduced mod p once per power
+        cur = [1] + [0] * (m - 1)
+        for k in range(q - 1):
+            log[sum(map(mul, cur, weights))] = k
+            acc = [lead * d for d in cur]
+            for c in rest:
+                top = acc[-1]
+                acc = [a + c * d - top * fi for a, d, fi in zip([0, *acc], cur, low)]
+            cur = [a % p for a in acc]
         zech = [0] * (q - 1)
         for idx in range(1, q):
             # adding 1 changes only the constant digit, the lowest base-p digit

@@ -616,32 +616,29 @@ def point_count_from_zeta(z, m):
     return int(value)
 
 
-def _pipeline_candidate(series, n, q, num_deg, den_deg, screen=False):
-    """Run pade -> weights -> FE -> RH, recording how far we got.
-
-    Returns (score, result dict, failure or None). Score counts fully
-    passed stages so candidate degree pairs can be ranked. The FE stage
-    runs first, as a screen right after the fit: a split with no
-    misplaced factor has chi = deg den - deg num, so the check for that
-    chi is the FE stage's own, and the stage takes its verdict. With
-    screen, a split that fails it stops there with score None, and
-    _weigh(result, q, n, failure) finishes it later.
-    """
+def _fit_screened(series, n, q, num_deg, den_deg):
+    """Fit a Pade split and screen the fit (_best_split). Returns (result
+    dict, the screen's FunctionalEquationViolated or None, the sign), or
+    the candidate (0, result, failure) when the fit fails."""
     result = {"num_deg": num_deg, "den_deg": den_deg}
     try:
         z = result["z"] = pade_reconstruct(series, num_deg, den_deg)
     except MathCheckError as exc:
         return 0, result, exc
     try:
-        sign = functional_equation_check(z, q, n, len(z.den) - len(z.num))
+        return result, None, functional_equation_check(z, q, n, len(z.den) - len(z.num))
     except FunctionalEquationViolated as exc:
-        return (None, result, exc) if screen else _weigh(result, q, n, exc)
-    return _weigh(result, q, n, None, sign)
+        return result, exc, None
 
 
-def _weigh(result, q, n, violation, sign=None):
-    """Weights -> FE -> RH on a fitted split, given the screen's verdict:
-    its FunctionalEquationViolated, or None and its sign."""
+def _weigh(q, n, result, violation, sign):
+    """Run weights -> FE -> RH on a fitted split, the FE stage taking the
+    screen's verdict (its violation, or None and its sign).
+
+    Returns the candidate (score, result dict, failure or None). Score
+    counts fully passed stages, the fit included, so candidate degree
+    pairs can be ranked.
+    """
     score = 1
     try:
         fact = result["fact"] = weight_split(result["z"], q, n)
@@ -665,22 +662,37 @@ def _weigh(result, q, n, violation, sign=None):
 def _best_split(series, n, q, mmax):
     """(score, result, failure) of the Pade split num + den = mmax that
     weil reports: the first from num 0 up that passes every stage, else
-    the best by (score, den_deg). A split that fails the FE screen cannot
-    pass every stage, so it is weighed only when no split does, and only
-    if no earlier split had its fit: equal fits score alike, and the
-    earlier has the larger den_deg."""
-    candidates, screened_out = [], {}
+    the best by (score, den_deg).
+
+    Each fit is screened by the FE check for chi = deg den - deg num. A
+    split with no misplaced factor has that chi, so the screen is the FE
+    stage of any split that reaches it, and a split that fails the screen
+    cannot pass every stage. Splits that pass are weighed at once; those
+    that fail are weighed only when no split wins, after all the others.
+    So a screened-out split beaten by a later winner is never factored,
+    and when no split wins, an exception outside MathCheckError raised by
+    weighing a split that passed comes before any raised by a screened-out
+    one. A fit equal to an earlier one is skipped: equal fits score alike,
+    and the earlier has the larger den_deg.
+    """
+    candidates, screened_out, seen = [], [], set()
     for num_deg in range(mmax + 1):
-        score, result, failure = _pipeline_candidate(
-            series, n, q, num_deg, mmax - num_deg, screen=True)
-        if score == 4:
-            return score, result, failure
-        if score is None:
-            screened_out.setdefault(result["z"], (result, failure))
-        else:
-            candidates.append((score, result, failure))
-    candidates += [_weigh(result, q, n, violation)
-                   for result, violation in screened_out.values()]
+        fitted = _fit_screened(series, n, q, num_deg, mmax - num_deg)
+        if fitted[0] == 0:
+            candidates.append(fitted)
+            continue
+        z = fitted[0]["z"]
+        if z in seen:
+            continue
+        seen.add(z)
+        if fitted[1] is not None:
+            screened_out.append(fitted)
+            continue
+        candidate = _weigh(q, n, *fitted)
+        if candidate[0] == 4:
+            return candidate
+        candidates.append(candidate)
+    candidates += [_weigh(q, n, *fitted) for fitted in screened_out]
     return max(candidates, key=lambda c: (c[0], c[1]["den_deg"]))
 
 
@@ -688,8 +700,8 @@ def weil_report(report, counts, q, n, mmax, betti):
     """Add the weil lines after the counts of an n-dimensional variety over
     F_q to report; returns whether every check passed.
 
-    A Pade split whose fit fails the FE screen is factored only when no
-    split passes every stage (_best_split).
+    Each Pade split is screened by the functional equation before it is
+    factored (_best_split).
     """
     series = zeta_series(counts)
     report.kv("zeta series", qpoly.poly_str(series.coeffs))

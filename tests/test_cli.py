@@ -15,7 +15,7 @@ from weilzeta.cli import _COMMANDS, main, parse_args
 from weilzeta.errors import FunctionalEquationViolated
 from weilzeta.ffield import DEFAULT_BUDGET, is_prime, primes_in_range
 from weilzeta.variety import PointCountSeries
-from weilzeta.zeta import (RationalFunctionQ, _pipeline_candidate, point_count_from_zeta,
+from weilzeta.zeta import (RationalFunctionQ, _fit_screened, _weigh, point_count_from_zeta,
                            zeta_series)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -285,11 +285,13 @@ def test_weil_wrong_vardim_fails(capsys, tmp_path):
 
 
 def _candidate(num, den, q, num_deg, den_deg):
-    """_pipeline_candidate on the series of the curve zeta function num/den."""
+    """One Pade split of the series of the curve zeta function num/den
+    through every stage: the fit and its FE screen, then weights, FE, RH."""
     z = RationalFunctionQ(num, den)
     counts = tuple(point_count_from_zeta(z, m) for m in range(1, num_deg + den_deg + 1))
     series = zeta_series(PointCountSeries(q, counts))
-    return _pipeline_candidate(series, 1, q, num_deg, den_deg)
+    fitted = _fit_screened(series, 1, q, num_deg, den_deg)
+    return fitted if fitted[0] == 0 else _weigh(q, 1, *fitted)
 
 
 def _trivial_den(q):

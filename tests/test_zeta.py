@@ -850,17 +850,24 @@ def _weil_report_outcome(counts, q, n, mmax, betti=None):
 
 
 CONIC_F5_COUNTS = PointCountSeries(5, (4, 24, 124, 624))
+# a "curve" over F_5 of trace 5, outside the Hasse range: no split wins
+TRACE5_F5_COUNTS = PointCountSeries(5, (1, 11, 76, 451, 2501, 13376))
 
 
-@pytest.mark.parametrize("counts, fitted, weighed", [
+@pytest.mark.parametrize("counts, mmax, fitted, weighed", [
     # (0, 4) and (1, 3) fail the screen and (2, 2) wins
-    (E5_COUNTS, [(0, 4), (1, 3), (2, 2)], [(2, 2)]),
+    (E5_COUNTS, 4, [(0, 4), (1, 3), (2, 2)], [(2, 2)]),
     # the affine conic x^2 + y^2 = 1: every split fails the screen, and
     # (1, 3), (2, 2) and (3, 1) fit the same (1 - t) / (1 - 5t), which is
     # weighed once
-    (CONIC_F5_COUNTS, [(k, 4 - k) for k in range(5)], [(0, 4), (1, 3), (4, 0)]),
+    (CONIC_F5_COUNTS, 4, [(k, 4 - k) for k in range(5)], [(0, 4), (1, 3), (4, 0)]),
+    # (2, 4), (3, 3) and (4, 2) pass the screen with the same fit
+    # (1 - 5t + 5t^2) / ((1 - t)(1 - 5t)), which is weighed once and fails;
+    # (0, 6) and (6, 0) fail the screen and are weighed after it
+    (TRACE5_F5_COUNTS, 6, [(k, 6 - k) for k in range(7)], [(2, 4), (0, 6), (6, 0)]),
 ])
-def test_weil_report_fits_and_weighs_each_split_once(monkeypatch, counts, fitted, weighed):
+def test_weil_report_fits_and_weighs_each_split_once(monkeypatch, counts, mmax, fitted,
+                                                     weighed):
     fits, weighs, split_of = [], [], {}
 
     def fit(series, num_deg, den_deg):
@@ -875,7 +882,7 @@ def test_weil_report_fits_and_weighs_each_split_once(monkeypatch, counts, fitted
 
     monkeypatch.setattr(zeta, "pade_reconstruct", fit)
     monkeypatch.setattr(zeta, "weight_split", weigh)
-    _weil_report_outcome(counts, 5, 1, 4)
+    _weil_report_outcome(counts, 5, 1, mmax)
     assert (fits, weighs) == (fitted, weighed)
 
 
@@ -894,6 +901,22 @@ def test_a_screened_out_split_is_factored_only_when_no_split_wins(monkeypatch):
     assert _weil_report_outcome(CONIC_F5_COUNTS, 5, 1, 4) == ("InternalError", "no roots")
     monkeypatch.setattr(zeta, "_best_split", _unscreened_best_split)
     assert _weil_report_outcome(E5_COUNTS, 5, 1, 4) == ("InternalError", "no roots")
+
+
+def test_a_split_that_passed_the_screen_raises_before_a_screened_out_one(monkeypatch):
+    # with no winner, (0, 4) fails the screen and (2, 2) passes it; when
+    # both raise, the screened scan weighs (2, 2) first and reports its
+    # exception, the unscreened scan that of (0, 4)
+    def weigh(z, q, n):
+        raise InternalError(f"no roots of a denominator of degree {len(z.den) - 1}")
+
+    monkeypatch.setattr(zeta, "weight_split", weigh)
+    counts = TRACE5_F5_COUNTS.counts[:4]
+    assert _weil_report_outcome(counts, 5, 1, 4) == (
+        "InternalError", "no roots of a denominator of degree 2")
+    monkeypatch.setattr(zeta, "_best_split", _unscreened_best_split)
+    assert _weil_report_outcome(counts, 5, 1, 4) == (
+        "InternalError", "no roots of a denominator of degree 4")
 
 
 def _screen_case(rng):
