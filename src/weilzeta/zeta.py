@@ -672,8 +672,8 @@ def _best_split(series, n, q, mmax):
     So a screened-out split beaten by a later winner is never factored,
     and when no split wins, an exception outside MathCheckError raised by
     weighing a split that passed comes before any raised by a screened-out
-    one. A fit equal to an earlier one is skipped: equal fits score alike,
-    and the earlier has the larger den_deg.
+    one. A split whose fit equals an earlier split's is not weighed: equal
+    fits score alike, and the earlier has the larger den_deg.
     """
     candidates, screened_out, seen = [], [], set()
     for num_deg in range(mmax + 1):
