@@ -4,7 +4,8 @@ Every error derives from WeilZetaError and carries an ``exit_code`` used by
 the command line driver: 2 for invalid input or violated preconditions,
 1 for a mathematical check that ran and failed, 3 for exceeded enumeration
 budgets. read_text, which every input file loader uses, reports a file
-that is not UTF-8 as a ParseError.
+that is not UTF-8 as a ParseError; the lattice and matrix parsers refuse a
+number past LITERAL_DIGITS digits.
 """
 
 
@@ -145,6 +146,10 @@ class HasseViolation(MathCheckError):
 
 class NotRepresentable(MathCheckError):
     pass
+
+
+# The most digits a number in a lattice or matrix file may have
+LITERAL_DIGITS = 1000
 
 
 def read_text(path):

@@ -1,10 +1,13 @@
 """Prime tests, polynomials over F_p and the moduli of F_{p^m}.
 
 Polynomials over F_p are int tuples, low degree first, trimmed of zero
-leading coefficients. make_field picks the modulus of F_{p^m}: the
-lexicographically smallest monic irreducible polynomial of degree m, so
-identical inputs always give identical fields. Arithmetic in F_{p^m}
-itself lives in the Zech-logarithm tables of variety._IndexedField.
+leading coefficients. _berlekamp is the one entry point of Berlekamp's
+algorithm, and its matrix never leaves it: the factor count decides
+irreducibility, and qpoly asks for the factors themselves. make_field
+picks the modulus of F_{p^m}: the lexicographically smallest monic
+irreducible polynomial of degree m, so identical inputs always give
+identical fields. Arithmetic in F_{p^m} itself lives in the Zech-logarithm
+tables of variety._IndexedField.
 """
 
 from itertools import product
@@ -99,14 +102,21 @@ def _ppowmod(base, e, f, p):
     return result
 
 
-def _berlekamp_matrix(f, p):
-    """Berlekamp matrix of monic f over F_p, or None when f is not
-    square-free mod p.
+def _berlekamp(f, p):
+    """Berlekamp's algorithm on monic f over F_p: None when f is not
+    square-free mod p, else (k, factors) with k the number of irreducible
+    factors of f and factors() the list of them, monic.
 
     The v of degree < deg f with v^p = v mod f form an F_p-space, the
-    kernel of this matrix, with one dimension per irreducible factor of a
-    square-free f, and each v is a constant mod every factor (Berlekamp
-    1967; Knuth, TAOCP vol. 2, 4.6.2). Column i is x^(i p) - x^i mod f.
+    kernel of the matrix whose column i is x^(i p) - x^i mod f, with one
+    dimension per irreducible factor of a square-free f, and each v is a
+    constant mod every factor (Berlekamp 1967; Knuth, TAOCP vol. 2, 4.6.2).
+    One forward elimination gives k. factors() is deferred, since counting
+    alone needs no kernel: it reads the basis off the reduced matrix by
+    back-substitution, each free column set to 1 and the others to 0, and
+    splits with one vector at a time. gcd(h, v - s) over s in F_p splits h
+    by the values v takes on its factors; the basis tells every two factors
+    apart, so splitting stops once there are k parts.
     """
     if _pgcd(f, _ptrim(tuple(k * f[k] % p for k in range(1, len(f)))), p) != (1,):
         return None
@@ -116,90 +126,56 @@ def _berlekamp_matrix(f, p):
     for i in range(n):
         cols.append([(c - (j == i)) % p for j, c in enumerate(power + (0,) * (n - len(power)))])
         power = _pmod(_pmul(power, xp, p), f, p)
-    return [list(row) for row in zip(*cols)]
-
-
-def _berlekamp_nullity(m, p):
-    """Dimension of the kernel of m over F_p (the number of irreducible
-    factors when m is a Berlekamp matrix), by forward elimination alone.
-
-    m is reduced in place; row operations keep its kernel, so
-    _berlekamp_kernel(m, p) still gives the same basis afterwards.
-    """
-    n = len(m)
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, n) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        inv = pow(top[col], -1, p)
-        for i in range(rank + 1, n):
-            c = m[i][col] * inv % p
-            if c:
-                m[i] = [(a - c * b) % p for a, b in zip(m[i], top)]
-        rank += 1
-    return n - rank
-
-
-def _berlekamp_kernel(m, p):
-    """Basis of the kernel of the Berlekamp matrix m, read from its reduced
-    row echelon form, to which Gauss-Jordan brings m in place."""
-    n = len(m)
-    pivots = []
+    m = [list(row) for row in zip(*cols)]
+    pivots = []  # (column, inverse of the pivot) of rows 0, 1, ...
     for col in range(n):
         r = len(pivots)
         piv = next((i for i in range(r, n) if m[i][col]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i, row in enumerate(m):
-            if i != r and row[col]:
-                m[i] = [(a - row[col] * b) % p for a, b in zip(row, m[r])]
-        pivots.append(col)
-    basis = []
-    for free in range(n):
-        if free not in pivots:
+        top = m[r]
+        inv = pow(top[col], -1, p)
+        for i in range(r + 1, n):
+            c = m[i][col] * inv % p
+            if c:
+                m[i] = [(a - c * b) % p for a, b in zip(m[i], top)]
+        pivots.append((col, inv))
+    k = n - len(pivots)
+
+    def factors():
+        parts = [f]
+        pivot_cols = {col for col, _ in pivots}
+        upward = list(zip(m, pivots))[::-1]
+        for free in range(n):
+            if len(parts) == k:
+                break
+            if free in pivot_cols:
+                continue
             v = [0] * n
             v[free] = 1
-            for row, col in zip(m, pivots):
-                v[col] = -row[free] % p
-            basis.append(_ptrim(tuple(v)))
-    return basis
+            for row, (col, inv) in upward:
+                v[col] = -sum(a * b for a, b in zip(row[col + 1:], v[col + 1:])) * inv % p
+            v = _ptrim(tuple(v))
+            split = []
+            for h in parts:
+                for s in range(p):
+                    c = _pgcd(h, _psub(v, (s,), p), p)
+                    if 1 < len(c) < len(h):
+                        split.append(c)
+                        h = _pdivmod(h, c, p)[0]
+                split.append(h)
+            parts = split
+        return parts
 
-
-def _berlekamp_split(f, basis, p):
-    """Monic irreducible factors of square-free monic f over F_p, given the
-    _berlekamp_kernel basis of its Berlekamp matrix.
-
-    gcd(h, v - s) over s in F_p splits h by the values v takes on its
-    factors. The basis tells every two factors apart and has one vector
-    per factor, so splitting stops once there are as many parts.
-    """
-    factors = [f]
-    for v in basis:
-        if len(factors) == len(basis):
-            break
-        split = []
-        for h in factors:
-            for s in range(p):
-                c = _pgcd(h, _psub(v, (s,), p), p)
-                if 1 < len(c) < len(h):
-                    split.append(c)
-                    h = _pdivmod(h, c, p)[0]
-            split.append(h)
-        factors = split
-    return factors
+    return k, factors
 
 
 def _is_irreducible(f, p):
     """Deterministic test for monic f over F_p: f is irreducible exactly
     when it is square-free and its Berlekamp space is the constants alone."""
-    m = _berlekamp_matrix(f, p)
-    return m is not None and _berlekamp_nullity(m, p) == 1
+    found = _berlekamp(f, p)
+    return found is not None and found[0] == 1
 
 
 def _pdivmod(a, b, p):

@@ -16,8 +16,8 @@ form gives the canonical Z-basis.
 from math import floor, lcm
 from time import perf_counter
 
-from .errors import (DependentGenerators, DimensionMismatch, FieldMismatch,
-                     InternalError, InvalidInput, NotEndomorphism,
+from .errors import (LITERAL_DIGITS, DependentGenerators, DimensionMismatch,
+                     FieldMismatch, InternalError, InvalidInput, NotEndomorphism,
                      NotNormalized, ParseError, read_text)
 from .qlinalg import as_int, echelon, mat_mul_int
 from .realalg import (RealAlgebraic, RealNumberField, algebraic_str, interval_str,
@@ -290,8 +290,6 @@ def density_witness(L, eps=None):
 
 # --- text format ---
 
-# The most digits a numerator or denominator in a lattice file may have
-LITERAL_DIGITS = 1000
 _LITERAL_BOUND = 10 ** LITERAL_DIGITS
 
 

@@ -5,16 +5,15 @@ polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
 Everything here is exact, never floats, and runs on ints alone: the gcd,
 the exact quotient, factorization, and Sturm chains with signs and root
 counts at integer numerators over one positive denominator.
-Factorization of integer polynomials is pure Python: modular factors come
-from Berlekamp's algorithm in ``ffield``, and are lifted and recombined
-here.
+Factorization of integer polynomials is pure Python: ``ffield._berlekamp``
+gives the number of factors modulo each prime tried and the factors
+modulo the best one, which are lifted and recombined here.
 """
 
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .ffield import (_berlekamp_kernel, _berlekamp_matrix, _berlekamp_nullity, _berlekamp_split,
-                     _pmod, _pmul, _ppowmod, is_prime)
+from .ffield import _berlekamp, _pmod, _pmul, _ppowmod, is_prime
 
 
 def trim(coeffs):
@@ -224,8 +223,7 @@ def _modular_factors(f):
     Of the first five odd primes that keep f's degree and leave it
     square-free, p is the one whose Berlekamp space is smallest: the fewest
     factors keep the subsets that recombination tries few. Each prime costs
-    one forward elimination for the dimension; only p's space gets a basis
-    and is split.
+    one forward elimination for the dimension; only p's factors are found.
     """
     best = None
     tries = 5
@@ -235,20 +233,17 @@ def _modular_factors(f):
         if not is_prime(p) or f[-1] % p == 0:
             continue
         inv = pow(f[-1], -1, p)
-        fp = _mod(tuple(c * inv for c in f), p)
-        m = _berlekamp_matrix(fp, p)
-        if m is None:
+        found = _berlekamp(_mod(tuple(c * inv for c in f), p), p)
+        if found is None:
             continue
-        k = _berlekamp_nullity(m, p)
-        if best is None or k < best[0]:
-            best = k, p, fp, m
+        k, factors = found
+        if best is None or k < best[1]:
+            best = p, k, factors
         if k == 1:
             break
         tries -= 1
-    k, p, fp, m = best
-    if k == 1:
-        return p, [fp]
-    return p, _berlekamp_split(fp, _berlekamp_kernel(m, p), p)
+    p, _, factors = best
+    return p, factors()
 
 
 def _hensel_lift(f, factors, p, bound):

@@ -191,11 +191,6 @@ class RealNumberField:
                 f"root in [{qpoly.ratio_str(lo, d)}, {qpoly.ratio_str(hi, d)}])")
 
     @classmethod
-    def rationals(cls):
-        """The degree-1 field Q, generator 0."""
-        return cls((0, 1), (0, 0))
-
-    @classmethod
     def quadratic(cls, d):
         """Q(sqrt(d)) for a non-square integer d >= 2."""
         from math import isqrt

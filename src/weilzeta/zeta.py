@@ -509,8 +509,6 @@ def weight_split(z, q, n):
                 raise NotNormalized(
                     f"irreducible factor {qpoly.poly_str(fac)} has constant term {fac[0]}")
             weights = [-2 * log(abs(rho)) / log(q) for rho in _numeric_roots(fac)]
-            if not weights:
-                continue
             if max(weights) - min(weights) > WEIGHT_TOL:
                 raise MixedWeightFactor(
                     f"roots of {qpoly.poly_str(fac)} span weights "

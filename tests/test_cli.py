@@ -194,6 +194,37 @@ def test_hostile_lattice_literals_fail_fast_in_a_fresh_process(tmp_path, text, m
     assert elapsed < 2.0
 
 
+def _run_long_matrix(tmp_path, digits):
+    """(completed process, seconds) of dimgroup on [[9...9, 1], [1, 1]] with a
+    first entry of the given number of digits, in a fresh process."""
+    path = tmp_path / "long.matrix"
+    path.write_text("9" * digits + " 1\n1 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", "dimgroup", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    return done, time.perf_counter() - start
+
+
+# before entries were bounded, 4,200 digits ran build for 30 s before the
+# report refused a number too long to print, and 5,000 digits, past int()'s
+# limit, exited with "entries must be integers"
+@pytest.mark.parametrize("digits", [4200, 5000])
+def test_long_matrix_entries_fail_fast_in_a_fresh_process(tmp_path, digits):
+    done, elapsed = _run_long_matrix(tmp_path, digits)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stderr.startswith(
+        "error: ParseError: line 1: a number has more than 1000 digits"), done.stderr[-2000:]
+    assert elapsed < 2.0
+
+
+def test_matrix_entry_of_1000_digits_is_accepted(tmp_path):
+    done, _ = _run_long_matrix(tmp_path, 1000)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "lambda minpoly: " in done.stdout
+
+
 def _long_quartic_lattice(digits):
     """Z + three generators in Q(2^(1/4)) whose coordinates are drawn from
     [-10^digits, 10^digits] by random.Random(1)."""

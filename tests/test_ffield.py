@@ -8,10 +8,7 @@ import pytest
 from weilzeta import ffield
 from weilzeta.errors import InvalidDegree, InvalidPrime
 from weilzeta.ffield import (
-    _berlekamp_kernel,
-    _berlekamp_matrix,
-    _berlekamp_nullity,
-    _berlekamp_split,
+    _berlekamp,
     _is_irreducible,
     is_prime,
     make_field,
@@ -108,18 +105,28 @@ def test_berlekamp_splits_square_free_products():
         f = (1,)
         for g in chosen:
             f = _mul_mod(f, g, p)
-        m = _berlekamp_matrix(f, p)
-        k = _berlekamp_nullity(m, p)
-        basis = _berlekamp_kernel(m, p)
-        factors = _berlekamp_split(f, basis, p)
-        assert len(factors) == len(basis) == k == len(chosen)
-        assert basis == _berlekamp_kernel(_berlekamp_matrix(f, p), p)
+        k, split = _berlekamp(f, p)
+        factors = split()
+        assert len(factors) == k == len(chosen)
         assert all(_is_irreducible(g, p) for g in factors)
         prod = (1,)
         for g in factors:
             prod = _mul_mod(prod, g, p)
         assert prod == f
         assert set(factors) == chosen
+
+
+@pytest.mark.parametrize("f, p", [
+    ((1, 2, 1), 3),        # (x + 1)^2
+    ((0, 0, 1, 1), 5),     # x^2 (x + 1)
+    ((1, 0, 1), 2),        # x^2 + 1 = (x + 1)^2 over F_2
+    ((0, 0, 0, 1), 7),     # x^3
+    ((2, 0, 0, 1), 3),     # x^3 + 2 = (x + 2)^3 over F_3
+    ((4, 4, 4, 4, 1, 1), 5),  # (x^2 + 2)^2 (x + 1), the square irreducible
+])
+def test_berlekamp_refuses_a_square_factor(f, p):
+    assert _berlekamp(f, p) is None
+    assert not _is_irreducible(f, p)
 
 
 def test_make_field_rejects_bad_arguments():

@@ -83,6 +83,22 @@ def test_fractions_is_imported_only_where_lattice_literals_enter():
     assert sites == ["pseudolattice._rational"]
 
 
+def test_private_names_cross_modules_only_where_pinned():
+    # a private name that another module imports is part of a protocol
+    # between the two; qpoly gets its modular factors from one Berlekamp
+    # call and shares only polynomial helpers, so ffield's matrix stays in
+    # ffield
+    imports = set()
+    for path in sorted((ROOT / "src" / "weilzeta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports.update((path.stem, node.module, alias.name) for alias in node.names
+                               if alias.name.startswith("_"))
+    assert imports == {("qpoly", "ffield", "_berlekamp"), ("qpoly", "ffield", "_pmod"),
+                       ("qpoly", "ffield", "_pmul"), ("qpoly", "ffield", "_ppowmod"),
+                       ("variety", "ffield", "_ppowmod")}
+
+
 def test_every_private_definition_has_a_caller():
     # a top-level def or class outside __all__ must be used somewhere in
     # src; one that only tests call, or that a move left behind, fails here

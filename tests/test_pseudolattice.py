@@ -29,6 +29,7 @@ from weilzeta.pseudolattice import (
     point_count_from_frobenius,
 )
 from weilzeta import pseudolattice as pl
+from weilzeta.dimgroup import parse_matrix
 from weilzeta.qlinalg import echelon, mat_mul_int
 from weilzeta.realalg import RealNumberField
 
@@ -362,7 +363,7 @@ def test_density_witness_golden_convergent():
 
 
 def test_density_witness_requires_dense_lattice():
-    Q = RealNumberField.rationals()
+    Q = RealNumberField((0, 1), (0, 0))
     L1 = PseudoLattice(Q, (Q.one(),))
     with pytest.raises(InvalidInput):
         density_witness(L1)
@@ -384,6 +385,43 @@ def test_parse_lattice_errors():
         parse_lattice("root in [1, 2]\ngen 1 0\n")
     with pytest.raises(ParseError):
         parse_lattice("field minpoly=-2 0 1\ngen 1 0\ngen 0 1\n")
+
+
+# a comment and a blank line first, so every line number counts them
+_FIELD = "# header\n\nfield minpoly=-2 0 1\n"
+_ROOT = "root in [1, 2]\n"
+_GENS = "gen 1 0\ngen 0 1\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_lattice, "# header\n\nfield -2 0 1\n" + _ROOT + _GENS,
+     "line 3: expected 'field minpoly=<coeffs>'"),
+    (parse_lattice, "# header\n\nfield minpoly=-2 x 1\n" + _ROOT + _GENS,
+     "line 3: minpoly coefficients must be integers"),
+    (parse_lattice, "# header\n\nfield minpoly=\n" + _ROOT + _GENS,
+     "line 3: minpoly needs at least one coefficient"),
+    (parse_lattice, _FIELD + "root in 1, 2\n" + _GENS, "line 4: expected 'root in [a, b]'"),
+    (parse_lattice, _FIELD + "root in [1]\n" + _GENS, "line 4: interval needs two endpoints"),
+    (parse_lattice, _FIELD + "root in [1, 2, 3]\n" + _GENS,
+     "line 4: interval needs two endpoints"),
+    (parse_lattice, _FIELD + "root in [1, two]\n" + _GENS, "line 4: endpoints must be rationals"),
+    (parse_lattice, _FIELD + "root in [1/0, 2]\n" + _GENS,
+     "line 4: endpoints must be rationals"),
+    (parse_lattice, _FIELD + _ROOT + "gen 1 0\ngen 0 1.5.\n",
+     "line 6: coordinates must be rationals"),
+    (parse_lattice, _FIELD + _ROOT + "gen 1 0\ngen 0 1/0\n",
+     "line 6: coordinates must be rationals"),
+    (parse_lattice, _FIELD + _ROOT + "basis 1 0\n", "line 5: unrecognized line 'basis 1 0'"),
+    (parse_lattice, _FIELD + _ROOT, "<string>: no generators"),
+    (parse_matrix, "# header\n\n3 1\n", "<string>: matrix must be square, got 1x2"),
+], ids=["field-line", "minpoly-not-int", "minpoly-empty", "root-brackets", "one-endpoint",
+        "three-endpoints", "endpoint-not-rational", "endpoint-over-zero",
+        "coordinate-not-rational", "coordinate-over-zero", "unrecognized", "no-gen",
+        "matrix-not-square"])
+def test_lattice_and_matrix_parse_errors_name_their_line(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_constructor_messages():
