@@ -19,9 +19,9 @@ from functools import reduce
 from operator import or_
 
 from . import qpoly
-from .errors import (LITERAL_DIGITS, DegenerateSpectrum, DimensionMismatch,
-                     InternalError, InvalidInput, NotPrimitive, NotRepresentable,
-                     ParseError, read_text)
+from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
+                     InvalidInput, NotPrimitive, NotRepresentable, ParseError,
+                     data_lines, read_text)
 from .qlinalg import as_int, echelon, mat_mul_int
 from .realalg import (RealNumberField, algebraic_str, interval_str, matrix_str,
                       num_str, poly_x_str, refine_bracket)
@@ -383,18 +383,12 @@ def frobenius_shift_matches_eigenvalue(G, a, ell):
 
 def parse_matrix(text, path="<string>", ell=None):
     """Whitespace-separated integer rows, one per line; '#' lines skipped.
-    An entry has at most LITERAL_DIGITS digits, checked before int() reads
-    it. When ell is given the matrix must be symmetric with determinant ell."""
+    An entry has at most LITERAL_DIGITS digits (errors.data_lines). When ell
+    is given the matrix must be symmetric with determinant ell."""
     rows = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        entries = line.split()
-        if any(len(v.lstrip("+-")) > LITERAL_DIGITS for v in entries):
-            raise ParseError(f"line {no}: a number has more than {LITERAL_DIGITS} digits")
+    for no, line in data_lines(text):
         try:
-            rows.append([int(v) for v in entries])
+            rows.append([int(v) for v in line.split()])
         except ValueError:
             raise ParseError(f"line {no}: entries must be integers") from None
     if not rows:

@@ -4,8 +4,8 @@ Every error derives from WeilZetaError and carries an ``exit_code`` used by
 the command line driver: 2 for invalid input or violated preconditions,
 1 for a mathematical check that ran and failed, 3 for exceeded enumeration
 budgets. read_text, which every input file loader uses, reports a file
-that is not UTF-8 as a ParseError; the lattice and matrix parsers refuse a
-number past LITERAL_DIGITS digits.
+that is not UTF-8 as a ParseError; data_lines, which every input parser
+reads its lines from, refuses a number past LITERAL_DIGITS digits.
 """
 
 
@@ -148,7 +148,7 @@ class NotRepresentable(MathCheckError):
     pass
 
 
-# The most digits a number in a lattice or matrix file may have
+# The most digits a number in any input file may have
 LITERAL_DIGITS = 1000
 
 
@@ -160,3 +160,21 @@ def read_text(path):
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def data_lines(text):
+    """(line number, stripped line) for each line of text that is neither
+    blank nor a '#' comment. A ParseError names the first line holding a
+    run of more than LITERAL_DIGITS characters that int() would read as one
+    number, decimal digits (str.isdecimal) and '_', before any parser does."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if len(line) > LITERAL_DIGITS:
+            run = 0
+            for ch in line:
+                run = run + 1 if ch.isdecimal() or ch == "_" else 0
+                if run > LITERAL_DIGITS:
+                    raise ParseError(f"line {no}: a number has more than {LITERAL_DIGITS} digits")
+        yield no, line

@@ -18,7 +18,7 @@ from time import perf_counter
 
 from .errors import (LITERAL_DIGITS, DependentGenerators, DimensionMismatch,
                      FieldMismatch, InternalError, InvalidInput, NotEndomorphism,
-                     NotNormalized, ParseError, read_text)
+                     NotNormalized, ParseError, data_lines, read_text)
 from .qlinalg import as_int, echelon, mat_mul_int
 from .realalg import (RealAlgebraic, RealNumberField, algebraic_str, interval_str,
                       matrix_str, num_str, poly_x_str)
@@ -314,15 +314,12 @@ def parse_lattice(text, path="<string>"):
     Lines: ``field minpoly=<ints low-to-high>``, ``root in [a, b]`` with
     rational endpoints, then one ``gen <coords>`` line per generator with
     exactly field-degree rational coordinates. '#' lines and blanks are
-    skipped.
+    skipped, and a number past LITERAL_DIGITS digits is a ParseError.
     """
     minpoly = None
     interval = None
     gens_raw = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in data_lines(text):
         if line.startswith("field"):
             rest = line[len("field"):].strip()
             if not rest.startswith("minpoly="):

@@ -5,7 +5,9 @@ an affine or projective ambient space and a declared dimension. The parser
 builds each polynomial as sparse monomials, tuples of (variable, exponent)
 pairs that the counting loop reads as they are, so parsing costs time and
 memory in the text and its products (one limit per file), not in the
-declared dimension. Counting over F_{p^m}, p^m within the budget, runs over
+declared dimension. Lines come from errors.data_lines, which bounds each
+number, and int() reads every integer token: a run of decimal digits.
+Counting over F_{p^m}, p^m within the budget, runs over
 normalized representatives (projective: first nonzero coordinate equal to
 1, earlier coordinates zero). Each stratum of them substitutes its fixed
 coordinates once; terms without the last free coordinate X_k are evaluated
@@ -28,7 +30,7 @@ from operator import mul
 
 from .errors import (EnumerationBudgetExceeded, InternalError, InvalidDegree,
                      InvalidInput, InvalidPrime, NotHomogeneous, ParseError,
-                     read_text)
+                     data_lines, read_text)
 from .ffield import DEFAULT_BUDGET, _ppowmod, is_prime, make_field
 
 
@@ -137,18 +139,6 @@ _MAX_TERM_PAIRS = 1 << 18
 _MAX_NESTING = 100
 
 
-def _literal(digits, line_no, col):
-    """Value of a digit run, or a ParseError.
-
-    str.isdigit admits characters that int() refuses, such as superscripts,
-    and int() refuses runs longer than sys.get_int_max_str_digits().
-    """
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(f"line {line_no} col {col}: invalid integer {digits[:20]!r}") from None
-
-
 def _tokenize(text, line_no, col_offset):
     tokens = []
     i = 0
@@ -160,19 +150,16 @@ def _tokenize(text, line_no, col_offset):
         elif ch in "+-*^()":
             tokens.append((ch, None, col))
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", _literal(text[i:j], line_no, col), col))
-            i = j
-        elif ch == "X":
+        elif ch == "X" or ch.isdecimal():
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            if j == i + 1:
+            if ch != "X":
+                tokens.append(("int", int(text[i:j]), col))
+            elif j > i + 1:
+                tokens.append(("var", int(text[i + 1:j]), col))
+            else:
                 raise ParseError(f"line {line_no} col {col}: variable X needs an index")
-            tokens.append(("var", _literal(text[i + 1:j], line_no, col), col))
             i = j
         else:
             raise ParseError(f"line {line_no} col {col}: unexpected character {ch!r}")
@@ -266,8 +253,6 @@ class _ExprParser:
             kind, value, vcol = self.take()
             if kind != "int":
                 self.fail(vcol, "exponent must be an integer literal")
-            if value < 0:
-                self.fail(vcol, "exponent must be non-negative")
             result = {(): 1}
             while value:
                 if value & 1:
@@ -318,10 +303,10 @@ def parse_variety(text, path="<string>"):
     Line 1: ``field p=<prime>``; line 2: ``ambient projective|affine
     dim=<N> vardim=<n>``; remaining lines: ``poly <expression>`` in
     variables X0..X<N> (projective) or X0..X<N-1> (affine). Blank lines
-    and lines starting with '#' are ignored.
+    and lines starting with '#' are ignored, and a number past
+    LITERAL_DIGITS digits is a ParseError (errors.data_lines).
     """
-    lines = [(i + 1, raw) for i, raw in enumerate(text.splitlines())]
-    content = [(no, ln.strip()) for no, ln in lines if ln.strip() and not ln.strip().startswith("#")]
+    content = list(data_lines(text))
     if len(content) < 2:
         raise ParseError(f"{path}: expected a field line and an ambient line")
 

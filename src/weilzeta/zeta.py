@@ -296,7 +296,7 @@ def functional_equation_check(z, q, n, chi):
     identity is verified and the sign stays undetermined (None). A negative
     power of q moves to the other side, so the residuals are integral too.
     """
-    num, den = z.num, z.den
+    num, den = _ints(z.num, "coefficients"), _ints(z.den, "coefficients")
     qn = q ** n
     lhs = qpoly.mul(qpoly.compose_linear(qpoly.reverse(num), qn), den)
     rhs = qpoly.mul(num, qpoly.compose_linear(qpoly.reverse(den), qn))
@@ -559,7 +559,7 @@ def rh_check(P, q, i):
     numeric modulus bound alone, in doubles: InvalidInput when q^(i/2)
     leaves their range.
     """
-    coeffs = qpoly.trim(P)
+    coeffs = qpoly.trim(_ints(P, "coefficients"))
     if not coeffs or coeffs[0] != 1:
         raise NotNormalized("weight factor must have constant term 1")
     d = qpoly.degree(coeffs)

@@ -225,6 +225,58 @@ def test_matrix_entry_of_1000_digits_is_accepted(tmp_path):
     assert "lambda minpoly: " in done.stdout
 
 
+def _octic_lattice(coefficient, exponent):
+    """Z + Z theta for theta the real root near 10^exponent of x^8 - c, c
+    the given digit text."""
+    return (f"field minpoly=-{coefficient} 0 0 0 0 0 0 0 1\n"
+            f"root in [1e{exponent - 1}, 1e{exponent + 1}]\n"
+            "gen 1 0 0 0 0 0 0 0\ngen 0 1 0 0 0 0 0 0\n")
+
+
+# every number of every input format passes errors.data_lines before int()
+# reads it. Before that, the octic lattices ran for 70-90 s and exited 0, and
+# the 5,000-digit variety and lattice numbers, past int()'s limit, exited with
+# "prime must be an integer", "dim and vardim must be integers", "invalid
+# integer" and "endpoints must be rationals"
+@pytest.mark.parametrize("command, text, line", [
+    ("count", "field p=" + "9" * 5000 + "\nambient affine dim=1 vardim=1\n", 1),
+    ("count", "field p=5\nambient affine dim=" + "9" * 5000 + " vardim=1\n", 2),
+    ("count", "field p=5\nambient affine dim=1 vardim=1\npoly X0 - " + "9" * 5000 + "\n", 3),
+    ("lattice", _sqrt2_lattice(root="1, " + "9" * 5000), 2),
+    ("lattice", _octic_lattice("9" * 4200, 525), 1),
+    ("lattice", _octic_lattice("9_" * 3999 + "9", 500), 1),
+    ("dimgroup", "1 1\n" + "9" * 5000 + " 1\n", 2),
+    ("dimgroup", "9_" * 3999 + "9 1\n1 1\n", 1),
+], ids=["variety-prime", "variety-dim", "variety-coefficient", "lattice-endpoint",
+        "octic-minpoly", "octic-minpoly-underscores", "matrix-entry", "matrix-underscores"])
+def test_long_numbers_fail_fast_in_every_format_in_a_fresh_process(tmp_path, command, text,
+                                                                     line):
+    path = tmp_path / "long.input"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", command, str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stderr == (f"error: ParseError: line {line}: a number has more than "
+                           "1000 digits\n"), done.stderr[-2000:]
+    assert elapsed < 2.0
+
+
+def test_minpoly_coefficient_of_1000_digits_is_accepted(tmp_path):
+    path = tmp_path / "cubic.lattice"
+    path.write_text("field minpoly=-2" + "0" * 999 + " 0 0 1\nroot in [1e333, 2e333]\n"
+                    "gen 1 0 0\ngen 0 1 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", "lattice", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "endomorphism ring rank: " in done.stdout
+
+
 def _long_quartic_lattice(digits):
     """Z + three generators in Q(2^(1/4)) whose coordinates are drawn from
     [-10^digits, 10^digits] by random.Random(1)."""

@@ -239,6 +239,18 @@ def test_equivalent_relations():
     assert not equivalent(G, ((1, 0), 0), ((1, 0), 1))
 
 
+def test_equivalent_pushes_further_when_the_matrix_is_singular():
+    # [[1, 1], [1, 1]] is primitive with det 0: vectors that differ by its
+    # kernel meet one level up, and only then
+    G = build(make_matrix([[1, 1], [1, 1]]))
+    assert G.matrix.det() == 0
+    assert equivalent(G, ((1, 0), 0), ((0, 1), 0))
+    assert equivalent(G, ((1, -1), 0), ((0, 0), 0))
+    assert equivalent(G, ((2, 0), 1), ((1, 1), 1))
+    assert not equivalent(G, ((1, 0), 0), ((2, 0), 0))
+    assert not equivalent(G, ((1, 0), 0), ((1, 0), 1))
+
+
 def test_unit_decomposition_hecke_example():
     G = _hecke_group()
     ud = unit_decomposition(G, 2)

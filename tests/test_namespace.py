@@ -83,6 +83,23 @@ def test_fractions_is_imported_only_where_lattice_literals_enter():
     assert sites == ["pseudolattice._rational"]
 
 
+def test_only_data_lines_splits_input_into_lines():
+    # every parser reads its lines from errors.data_lines, which bounds each
+    # number before int() reads it; a parser that split its own lines would
+    # bypass the bound
+    sites = []
+    for path in sorted((ROOT / "src" / "weilzeta").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "splitlines":
+                inner = max((d for d in defs if d.lineno <= node.lineno <= d.end_lineno),
+                            key=lambda d: d.lineno, default=None)
+                sites.append(f"{path.stem}.{inner.name if inner else '<module>'}")
+    assert sites == ["errors.data_lines"]
+
+
 def test_private_names_cross_modules_only_where_pinned():
     # a private name that another module imports is part of a protocol
     # between the two; qpoly gets its modular factors from one Berlekamp

@@ -160,6 +160,21 @@ def test_parse_header_and_poly_line_errors_name_their_line(text, error, message)
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("X + 1", "col 6: variable X needs an index"),
+    ("X0 X1", "col 9: unexpected token 'var'"),
+    ("X0^X1", "col 9: exponent must be an integer literal"),
+    ("X0 + X2", "col 11: variable X2 out of range, expected X0..X1"),
+    ("(X0 + 1", "col 13: expected ')'"),
+    ("X0 + * X1", "col 11: unexpected token '*'"),
+], ids=["bare-x", "trailing-token", "exponent-not-literal", "variable-range", "unclosed",
+        "atom-token"])
+def test_parse_expression_errors_name_their_line_and_column(expr, message):
+    with pytest.raises(ParseError) as info:
+        parse_variety(_HEAD + "poly X0\n\npoly " + expr + "\n")
+    assert str(info.value) == "line 7 " + message
+
+
 def test_parse_refuses_huge_expansions_fast():
     start = time.perf_counter()
     with pytest.raises(ParseError,
@@ -211,10 +226,17 @@ def test_parse_refuses_deep_nesting():
 
 def test_parse_rejects_unreadable_integers():
     head = "field p=5\nambient affine dim=1 vardim=0\n"
-    with pytest.raises(ParseError, match="line 3 col 9: invalid integer"):
+    with pytest.raises(ParseError, match="^line 3: a number has more than 1000 digits$"):
         parse_variety(head + "poly X0^" + "9" * 5000 + "\n")
-    with pytest.raises(ParseError, match="line 3 col 6: invalid integer"):
+    with pytest.raises(ParseError, match="^line 3 col 8: unexpected character '\u00b2'$"):
         parse_variety(head + "poly X0\u00b2 - 1\n")
+
+
+def test_parse_reads_every_decimal_digit_as_int_does():
+    # fullwidth digits are decimal, so int() reads them as it reads ASCII
+    head = "field p=\uff15\nambient affine dim=1 vardim=0\n"
+    v = parse_variety(head + "poly X\uff10^\uff12 + \uff13\n")
+    assert v.p == 5 and str(v.polys[0]) == "3 + X0^2"
 
 
 def test_projective_polynomials_must_be_homogeneous():

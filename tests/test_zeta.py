@@ -759,6 +759,12 @@ def test_library_inputs_that_are_not_integral_raise_with_their_messages():
         pade_reconstruct([1, Fraction(1, 2)], 1, 0)
     with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
         rational_function((Fraction(1, 2), 0, 1), (1, 1))
+    for P in ((1, 0.5), (1, Fraction(1, 2)), (1, Fraction(2))):
+        with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
+            rh_check(P, 5, 1)
+    for num, den in (((1, Fraction(1, 2)), (1,)), ((1,), (1, -1.0)), ((1, 2), (Fraction(1), -5))):
+        with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
+            functional_equation_check(RationalFunctionQ(num, den), 5, 1, 0)
     with pytest.raises(NotIntegral, match=r"^numerator constant term 1/2 != 1$"):
         rational_function((1, 1), (2, 1))
     with pytest.raises(NotIntegral, match=r"^numerator constant term -1/2 != 1$"):
