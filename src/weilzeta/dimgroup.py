@@ -412,9 +412,10 @@ def dimgroup_report(report, path, det_check=None):
     whether the trace is coherent across levels and scales under shift."""
     T = load_matrix(path, ell=det_check)
     G = build(T)
+    det = T.det()
     report.kv("input", path)
     report.kv("matrix", matrix_str(T.rows))
-    report.kv("determinant", num_str(T.det()))
+    report.kv("determinant", num_str(det))
     if det_check is not None:
         report.kv("det check", f"symmetric with determinant {det_check}: ok")
     report.kv("lambda minpoly", poly_x_str(G.field.minpoly))
@@ -435,9 +436,8 @@ def dimgroup_report(report, path, det_check=None):
     scaling = trace_value(G, shift(G, x)) == G.lam * trace_value(G, x)
     report.kv("shift scaling tau(shift x) = lambda*tau(x)", "exact" if scaling else "FAIL")
     ell = det_check
-    if ell is None:
-        d = abs(T.det())
-        ell = d if d >= 2 else None
+    if ell is None and abs(det) >= 2:
+        ell = abs(det)
     if ell is None:
         report.kv("unit decomposition", "skipped (no determinant >= 2 available)")
     else:

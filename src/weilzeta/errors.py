@@ -5,8 +5,11 @@ the command line driver: 2 for invalid input or violated preconditions,
 1 for a mathematical check that ran and failed, 3 for exceeded enumeration
 budgets. read_text, which every input file loader uses, reports a file
 that is not UTF-8 as a ParseError; data_lines, which every input parser
-reads its lines from, refuses a number past LITERAL_DIGITS digits.
+reads its lines from, refuses a number past LITERAL_DIGITS digits, or past
+the interpreter's int-to-str limit when that is lower.
 """
+
+import sys
 
 
 class WeilZetaError(Exception):
@@ -165,16 +168,21 @@ def read_text(path):
 def data_lines(text):
     """(line number, stripped line) for each line of text that is neither
     blank nor a '#' comment. A ParseError names the first line holding a
-    run of more than LITERAL_DIGITS characters that int() would read as one
-    number, decimal digits (str.isdecimal) and '_', before any parser does."""
+    run of characters that int() would read as one number, decimal digits
+    (str.isdecimal) and '_', longer than the bound: LITERAL_DIGITS, or the
+    interpreter's int-to-str limit when that is lower, so that no parser's
+    int() refuses a number that passed here. The limit is 0 for none, and
+    Pythons before 3.10.7 have none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = min(LITERAL_DIGITS, limit) if limit else LITERAL_DIGITS
     for no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if len(line) > LITERAL_DIGITS:
+        if len(line) > bound:
             run = 0
             for ch in line:
                 run = run + 1 if ch.isdecimal() or ch == "_" else 0
-                if run > LITERAL_DIGITS:
-                    raise ParseError(f"line {no}: a number has more than {LITERAL_DIGITS} digits")
+                if run > bound:
+                    raise ParseError(f"line {no}: a number has more than {bound} digits")
         yield no, line

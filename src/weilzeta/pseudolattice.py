@@ -24,11 +24,6 @@ from .realalg import (RealAlgebraic, RealNumberField, algebraic_str, interval_st
                       matrix_str, num_str, poly_x_str)
 
 
-def rank_rational(A):
-    """Rank of a matrix with int or Fraction entries."""
-    return len(echelon(A, len(A[0]) if A else 0)[1])
-
-
 def hnf_rows(M):
     """Nonzero rows of the row Hermite normal form of M, the canonical basis
     of the lattice its rows span: pivots positive, entries above each pivot
@@ -76,7 +71,7 @@ class PseudoLattice:
         if generators[0] != 1:
             raise NotNormalized("first generator must be 1")
         # scaling a row by its denominator keeps the rank
-        if rank_rational([g.nums for g in generators]) != len(generators):
+        if len(echelon([g.nums for g in generators], field.degree)[1]) != len(generators):
             raise DependentGenerators(
                 "generators are linearly dependent over the rationals")
 

@@ -1,12 +1,10 @@
 """Exact linear algebra over Q and Z, in arbitrary precision.
 
-One fraction-free Gauss-Jordan elimination on ints (rows of Fractions are
-scaled first), off which callers read ranks, determinants, solutions and
-kernels; as_int; the integer matrix product. The Hermite normal form
-lives in pseudolattice, charpoly and det in dimgroup, beside their callers.
+One fraction-free Gauss-Jordan elimination on ints, off which callers read
+ranks, determinants, solutions and kernels over Q; as_int; the integer
+matrix product. The Hermite normal form lives in pseudolattice, charpoly
+and det in dimgroup, beside their callers.
 """
-
-from math import lcm
 
 from .errors import InvalidInput
 
@@ -14,13 +12,13 @@ from .errors import InvalidInput
 def echelon(rows, ncols):
     """Fraction-free Gauss-Jordan elimination, pivoting in the first ncols columns.
 
-    Rows of ints or Fractions are scaled to integers by the lcm of their
-    denominators. In each column the first nonzero row at or below the next
-    pivot row becomes the pivot row p, and every other row becomes
-    (p[c] * row - row[c] * p) / d, d the previous pivot (E. H. Bareiss,
-    Math. Comp. 22, 1968; G. C. Nakos, P. R. Turner and R. M. Williams,
-    SIGSAM Bull. 31, 1997). Each division is exact: every entry is a minor
-    of the row-scaled input on the pivot rows and columns so far, bordered
+    Rows hold ints; a caller with rational rows scales each to integers
+    first, which keeps the row space. In each column the first nonzero row
+    at or below the next pivot row becomes the pivot row p, and every other
+    row becomes (p[c] * row - row[c] * p) / d, d the previous pivot (E. H.
+    Bareiss, Math. Comp. 22, 1968; G. C. Nakos, P. R. Turner and R. M.
+    Williams, SIGSAM Bull. 31, 1997). Each division is exact: every entry is
+    a minor of the input on the pivot rows and columns so far, bordered
     by its own row and column, or in a pivot row with its own column in
     place of that row's pivot column; Sylvester's identity makes d divide
     the cross product, with skipped columns and any rank.
@@ -30,10 +28,7 @@ def echelon(rows, ncols):
     is the reduced row echelon form; later rows are zero in the first ncols
     columns; sign is the parity of the row swaps.
     """
-    M = []
-    for row in rows:
-        s = lcm(*(v.denominator for v in row))
-        M.append([v.numerator * (s // v.denominator) for v in row])
+    M = [list(row) for row in rows]
     pivots = []
     sign = prev = 1
     for c in range(ncols):

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over the integers and the rationals.
+"""Dense univariate polynomials over the integers.
 
 Coefficients are stored low degree first in plain tuples, so the zero
 polynomial is the empty tuple and ``p[k]`` is the coefficient of ``x^k``.
@@ -11,7 +11,7 @@ modulo the best one, which are lifted and recombined here.
 """
 
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .ffield import _berlekamp, _pmod, _pmul, _ppowmod, is_prime
 
@@ -129,15 +129,12 @@ def _content_free(p):
 
 
 def primitive_int(p):
-    """Clear denominators and content; leading coefficient made positive.
-
-    Returns a tuple of ints proportional to p with gcd of entries 1.
-    """
+    """The integer polynomial p over its content, leading coefficient made
+    positive: a tuple of ints proportional to p with gcd of entries 1."""
     p = trim(p)
     if not p:
         return ()
-    den = lcm(*(c.denominator for c in p))
-    ints = _content_free(tuple(c.numerator * (den // c.denominator) for c in p))
+    ints = _content_free(p)
     return ints if ints[-1] > 0 else neg(ints)
 
 
@@ -382,17 +379,15 @@ def sturm_chain(p):
 
 
 def _sign_at(p, x, d=1):
-    """Sign of p(x/d) for integer coefficients, x an int or a rational a/e
-    and d a positive int.
+    """Sign of p(x/d) for integer coefficients, an int x and a positive int d.
 
-    It is the sign of the integer (e*d)^n * p(a/(e*d)) = sum of
-    c_i a^i (e*d)^(n-i), taken by homogeneous Horner; no gcd is computed.
+    It is the sign of the integer d^n * p(x/d) = sum of c_i x^i d^(n-i),
+    taken by homogeneous Horner; no gcd is computed.
     """
-    a, d = x.numerator, x.denominator * d
     acc = 0
     dpow = 1
     for c in reversed(p):
-        acc = acc * a + c * dpow
+        acc = acc * x + c * dpow
         dpow *= d
     return (acc > 0) - (acc < 0)
 
@@ -405,7 +400,7 @@ def _variations(chain, x, d):
 def count_roots(p, lo, hi, chain=None, d=1):
     """Number of distinct real roots of square-free p in (lo/d, hi/d].
 
-    Endpoints are exact rationals over the positive int d; p(lo/d) may be
+    Endpoints are ints lo and hi over the positive int d; p(lo/d) may be
     zero (the root at lo is then excluded by the half-open convention of
     Sturm's theorem).
     """

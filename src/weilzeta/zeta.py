@@ -499,9 +499,10 @@ def weight_split(z, q, n):
         raise InvalidInput("q must be at least 2")
     if n < 0:
         raise InvalidInput("dimension must be non-negative")
+    num, den = _ints(z.num, "coefficients"), _ints(z.den, "coefficients")
     buckets = {i: (1,) for i in range(2 * n + 1)}
     misplaced = []
-    for side, poly in (("num", z.num), ("den", z.den)):
+    for side, poly in (("num", num), ("den", den)):
         for fac, mult in qpoly.factor_int(poly)[1]:
             if fac[0] == -1:
                 fac = qpoly.neg(fac)
@@ -602,16 +603,13 @@ def point_count_from_zeta(z, m):
     """Coefficient of t^m in t * Z'(t)/Z(t), the m-th point count.
 
     Computed exactly as coefficient m-1 of the series divisions num'/num
-    and den'/den; a non-integer coefficient means z was not a zeta
-    function.
+    and den'/den, which stay integral on integer coefficients.
     """
     if m < 1:
         raise InvalidInput("m must be >= 1")
-    value = (_series_div(qpoly.deriv(z.num), z.num, m - 1)[m - 1]
-             - _series_div(qpoly.deriv(z.den), z.den, m - 1)[m - 1])
-    if value.denominator != 1:
-        raise NotIntegral(f"N_{m} = {value} is not an integer")
-    return int(value)
+    num, den = _ints(z.num, "coefficients"), _ints(z.den, "coefficients")
+    return (_series_div(qpoly.deriv(num), num, m - 1)[m - 1]
+            - _series_div(qpoly.deriv(den), den, m - 1)[m - 1])
 
 
 def _fit_screened(series, n, q, num_deg, den_deg):

@@ -265,6 +265,29 @@ def test_long_numbers_fail_fast_in_every_format_in_a_fresh_process(tmp_path, com
     assert elapsed < 2.0
 
 
+# under a lowered int-to-str limit errors.data_lines bounds each number by
+# that limit; before, a 700-digit number gave a ValueError traceback in a
+# variety file and the wrong reason in a lattice or matrix file
+@pytest.mark.parametrize("command, text, line", [
+    ("count", "field p=5\nambient affine dim=1 vardim=1\npoly X0 - " + "9" * 700 + "\n", 3),
+    ("lattice", _sqrt2_lattice(gen="0 " + "9" * 700), 4),
+    ("dimgroup", "1 1\n" + "9" * 700 + " 1\n", 2),
+], ids=["variety", "lattice", "matrix"])
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str limit before Python 3.10.7")
+def test_numbers_past_a_lowered_int_limit_fail_in_a_fresh_process(tmp_path, command, text, line):
+    path = tmp_path / "long.input"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m",
+                           "weilzeta.cli", command, str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stderr == (f"error: ParseError: line {line}: a number has more than "
+                           "640 digits\n"), done.stderr[-2000:]
+
+
 def test_minpoly_coefficient_of_1000_digits_is_accepted(tmp_path):
     path = tmp_path / "cubic.lattice"
     path.write_text("field minpoly=-2" + "0" * 999 + " 0 0 1\nroot in [1e333, 2e333]\n"
@@ -356,6 +379,17 @@ def test_weil_betti_mismatch_fails(capsys):
     assert code == 1
     assert "verdict: FAIL" in out
     assert "b_1: FAIL" in out
+
+
+def test_weil_betti_count_mismatch_is_reported_and_fails(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["weil", str(SAMPLES / "ell_f5.variety"), "--mmax", "4", "--betti", "1,2"],
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert "betti check: error: expected 3 Betti numbers, got 2" in lines
+    assert "verdict: FAIL" in lines
 
 
 def test_weil_wrong_vardim_fails(capsys, tmp_path):

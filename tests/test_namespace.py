@@ -76,11 +76,24 @@ def _fractions_imports(path):
 
 
 def test_fractions_is_imported_only_where_lattice_literals_enter():
-    # library functions take Fractions by numerator and denominator and
-    # return none; only the lattice parser builds them, from its literals
+    # a Fraction is read only at the input doors (realalg's fields and
+    # elements, qlinalg.as_int, pseudolattice._rational) and returned by no
+    # library function; only the lattice parser builds one, from its literals
     sites = [site for path in sorted((ROOT / "src" / "weilzeta").glob("*.py"))
              for site in _fractions_imports(path)]
     assert sites == ["pseudolattice._rational"]
+
+
+def test_integer_kernels_read_no_numerator_or_denominator():
+    # qpoly, qlinalg and zeta take ints alone, so nothing in them reads a
+    # Fraction's parts; the doors above turn rationals into ints first
+    sites = []
+    for stem in ("qpoly", "qlinalg", "zeta"):
+        path = ROOT / "src" / "weilzeta" / f"{stem}.py"
+        sites += [f"{stem}.py:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")]
+    assert sites == []
 
 
 def test_only_data_lines_splits_input_into_lines():

@@ -2,9 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from weilzeta import dimgroup as dg
-from weilzeta import pseudolattice as pl
 from weilzeta import qlinalg as la
 
 
@@ -12,11 +12,21 @@ def _frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _int_rows(rows):
+    """Each rational row times the lcm of its denominators: integer rows
+    with the same row space, as echelon takes them."""
+    out = []
+    for row in rows:
+        s = lcm(*(Fraction(v).denominator for v in row))
+        out.append([int(v * s) for v in row])
+    return out
+
+
 def _solve_right(A, b):
     """A x = b over Q read off echelon as zeta.pade_reconstruct reads it:
     None when inconsistent, free unknowns zero."""
     n = len(A[0]) if A else 0
-    M, pivots, _ = la.echelon([list(row) + [rhs] for row, rhs in zip(A, b)], n)
+    M, pivots, _ = la.echelon(_int_rows([list(row) + [rhs] for row, rhs in zip(A, b)]), n)
     if any(row[n] for row in M[len(pivots):]):
         return None
     x = [Fraction(0)] * n
@@ -29,7 +39,7 @@ def _nullspace(A):
     """Kernel basis of A over Q read off echelon, one vector per free
     column; realalg.minimal_polynomial reads the first one."""
     n = len(A[0]) if A else 0
-    M, pivots, _ = la.echelon(A, n)
+    M, pivots, _ = la.echelon(_int_rows(A), n)
     basis = []
     for f in sorted(set(range(n)) - set(pivots)):
         v = [Fraction(0)] * n
@@ -176,14 +186,14 @@ def test_elimination_matches_sympy_over_qq():
         S = sympy.Matrix(m, n, lambda i, j: sympy.Rational(A[i][j].numerator,
                                                           A[i][j].denominator))
         R, piv = S.rref()
-        M, pivots, _ = la.echelon(A, n)
+        M, pivots, _ = la.echelon(_int_rows(A), n)
         assert tuple(pivots) == piv
         for i in range(m):
             expect = [_from_sympy(v) for v in R.row(i)]
             got = ([Fraction(v, M[i][pivots[i]]) for v in M[i]] if i < len(pivots)
                    else M[i])
             assert got == expect, (A, i)
-        assert pl.rank_rational(A) == S.rank()
+        assert len(pivots) == S.rank()
         deficient += S.rank() < min(m, n)
         assert _nullspace(A) == [[_from_sympy(v) for v in vec] for vec in S.nullspace()]
 

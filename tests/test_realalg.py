@@ -329,19 +329,21 @@ def _eval_at(p, x):
 
 
 def test_sign_at_matches_exact_evaluation():
-    # _sign_at takes integer coefficients; every caller passes integers
+    # _sign_at takes integer coefficients and an integer point over a
+    # positive integer denominator; every caller passes integers
     rng = random.Random(20260419)
     for _ in range(3000):
         degree = rng.randint(0, 6)
         p = tuple(rng.choice((rng.randint(-20, 20), rng.randint(-10**9, 10**9)))
                   for _ in range(degree + 1))
-        x = rng.choice((0, rng.randint(-9, 9), F(rng.randint(-10**4, 10**4), rng.randint(1, 999))))
-        v = _eval_at(p, x)
-        assert qpoly._sign_at(p, x) == (v > 0) - (v < 0), (p, x)
+        x, d = rng.choice(((0, 1), (rng.randint(-9, 9), 1),
+                           (rng.randint(-10**4, 10**4), rng.randint(1, 999))))
+        v = _eval_at(p, F(x, d))
+        assert qpoly._sign_at(p, x, d) == (v > 0) - (v < 0), (p, x, d)
     # exact roots, from a factor (q*x - r) with rational r = a/q
-    for r in (F(3, 7), F(-5, 2), 0, 4):
+    for r in (F(3, 7), F(-5, 2), F(0), F(4)):
         p = qpoly.mul((-r.numerator, r.denominator), (1, 2, 5))
-        assert qpoly._sign_at(p, r) == 0
+        assert qpoly._sign_at(p, r.numerator, r.denominator) == 0
 
 
 def _ref_divmod(num, den):

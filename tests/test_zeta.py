@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -328,7 +328,7 @@ def test_point_count_recovery_round_trip():
 
 def test_point_count_from_zeta_requires_integer_counts():
     z = RationalFunctionQ((1,), (1, Fraction(-1, 2)))
-    with pytest.raises(NotIntegral):
+    with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
         point_count_from_zeta(z, 1)
 
 
@@ -556,6 +556,12 @@ def test_two_seeds_on_one_root_raise_internal_error(monkeypatch):
         _numeric_roots((1, 1, 1))
 
 
+def test_polish_gives_up_on_a_seed_that_is_not_finite_or_has_no_newton_step():
+    # a NaN seed, and the seed 0 of 1 + t^2, where P' = 2t vanishes
+    assert zeta._polish((1, 0, 1), complex("nan"), 0, 256) is None
+    assert zeta._polish((1, 0, 1), 0j, 0, 256) is None
+
+
 def _mpmath_roots(coeffs):
     # the root finder zeta used before its pure-Python one: mpmath.polyroots
     # at 60 digits, escalating once to 120, each root checked by its
@@ -612,10 +618,19 @@ def _differential_cases():
     return cases
 
 
+def _ref_primitive(p):
+    """Fractions to the proportional integers with content 1 and a positive
+    leading coefficient."""
+    s = lcm(*(c.denominator for c in p))
+    ints = [int(c * s) for c in p]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
 def _radical(P):
     """P / gcd(P, P') in primitive form, on Fractions; P when square-free."""
     g = _ref_gcd(P, qpoly.deriv(P))
-    return qpoly.primitive_int(_ref_divmod(P, g)[0]) if len(g) > 1 else P
+    return _ref_primitive(_ref_divmod(P, g)[0]) if len(g) > 1 else P
 
 
 def _weil_outcome(P, q, i):
@@ -733,12 +748,12 @@ def test_gcd_and_radical_match_the_fraction_reference(monkeypatch):
         a = qpoly.mul(common or (1,), tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))))
         b = qpoly.mul(common or (1,), tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))))
         if rng.randrange(3) == 0:
-            a = qpoly.scale(a, Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            a = qpoly.scale(a, rng.choice((-1, 1)) * rng.randint(2, 5))
         g = qpoly.gcd_poly(a, b)
         if not qpoly.trim(a) and not qpoly.trim(b):
             assert g == ()
             continue
-        assert all(type(c) is int for c in g) and g[-1] > 0 and qpoly.primitive_int(g) == g
+        assert all(type(c) is int for c in g) and g[-1] > 0 and _ref_primitive(g) == g
         assert tuple(Fraction(c, g[-1]) for c in g) == _ref_gcd(a, b)
         # P(0) = 1, often with repeated factors; rh_check hands the root
         # finder P / gcd(P, P') in primitive form, or P itself
@@ -763,8 +778,16 @@ def test_library_inputs_that_are_not_integral_raise_with_their_messages():
         with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
             rh_check(P, 5, 1)
     for num, den in (((1, Fraction(1, 2)), (1,)), ((1,), (1, -1.0)), ((1, 2), (Fraction(1), -5))):
+        z = RationalFunctionQ(num, den)
         with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
-            functional_equation_check(RationalFunctionQ(num, den), 5, 1, 0)
+            functional_equation_check(z, 5, 1, 0)
+        with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
+            point_count_from_zeta(z, 1)
+    for num in ((1, Fraction(2), 5), (1, 2.0, 5), (1, Fraction(1, 2))):
+        with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
+            weight_split(RationalFunctionQ(num, (1,)), 5, 1)
+        with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
+            weight_split(RationalFunctionQ((1,), num), 5, 1)
     with pytest.raises(NotIntegral, match=r"^numerator constant term 1/2 != 1$"):
         rational_function((1, 1), (2, 1))
     with pytest.raises(NotIntegral, match=r"^numerator constant term -1/2 != 1$"):
