@@ -22,11 +22,13 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .errors import EnumerationBudgetExceeded, InvalidInput, WeilZetaError
-from .ffield import DEFAULT_BUDGET, is_prime
+from .errors import (DEFAULT_BUDGET, EnumerationBudgetExceeded, InvalidInput,
+                     WeilZetaError)
 
 # Each command imports the modules it runs and finds its code there, so a
-# job loads and compiles only that. count and cm stay here because
+# job loads and compiles only that: ffield, for one, loads in count, weil
+# and cm, and in lattice and dimgroup only when qpoly.factor_int meets a
+# square-free part of degree 3 or more. count and cm stay here because
 # perfbench/tracer.py times them by patching the five functions below on
 # this module: each delegates to its library function through a local
 # import. They go when a structured trace recorder replaces that patching.
@@ -119,6 +121,8 @@ def cmd_weil(args):
 # --- cm ---
 
 def cmd_cm(args):
+    from .ffield import is_prime
+
     if args.pmin > args.pmax:
         raise InvalidInput("pmin must not exceed pmax")
     # one ec_count sweep visits p x-values, so the default budget caps the

@@ -3,10 +3,13 @@
 Every error derives from WeilZetaError and carries an ``exit_code`` used by
 the command line driver: 2 for invalid input or violated preconditions,
 1 for a mathematical check that ran and failed, 3 for exceeded enumeration
-budgets. read_text, which every input file loader uses, reports a file
-that is not UTF-8 as a ParseError; data_lines, which every input parser
-reads its lines from, refuses a number past LITERAL_DIGITS digits, or past
-the interpreter's int-to-str limit when that is lower.
+budgets. Two input bounds live here too, so that a job reads them
+without loading the module that enforces them: LITERAL_DIGITS, the most
+digits a number in an input file may have, and DEFAULT_BUDGET, the default
+cap on enumeration work. read_text, which every input file loader uses,
+reports a file that is not UTF-8 as a ParseError; data_lines, which every
+input parser reads its lines from, refuses a number past LITERAL_DIGITS
+digits, or past the interpreter's int-to-str limit when that is lower.
 """
 
 import sys
@@ -153,6 +156,10 @@ class NotRepresentable(MathCheckError):
 
 # The most digits a number in any input file may have
 LITERAL_DIGITS = 1000
+
+# The default cap on ambient representatives and field sizes (count, weil)
+# and on the x-values of a cm sweep
+DEFAULT_BUDGET = 1 << 24
 
 
 def read_text(path):

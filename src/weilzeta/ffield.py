@@ -12,9 +12,7 @@ tables of variety._IndexedField.
 
 from itertools import product
 
-from .errors import InternalError, InvalidDegree, InvalidPrime
-
-DEFAULT_BUDGET = 1 << 24
+from .errors import InternalError, InvalidDegree, InvalidInput, InvalidPrime
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -203,6 +201,9 @@ def make_field(p, m):
     Coefficient tuples (c_0, ..., c_{m-1}) of candidate moduli are compared
     low degree first; for m = 1 the modulus is x, (0, 1), by convention.
     """
+    for name, value in (("p", p), ("m", m)):
+        if not isinstance(value, int):
+            raise InvalidInput(f"{name} must be an integer")
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
     if m < 1:

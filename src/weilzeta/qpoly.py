@@ -7,13 +7,13 @@ the exact quotient, factorization, and Sturm chains with signs and root
 counts at integer numerators over one positive denominator.
 Factorization of integer polynomials is pure Python: ``ffield._berlekamp``
 gives the number of factors modulo each prime tried and the factors
-modulo the best one, which are lifted and recombined here.
+modulo the best one, which are lifted and recombined here. Only those
+three steps import ffield, each where it runs, so a job that factors no
+square-free part of degree 3 or more never loads it.
 """
 
 from itertools import combinations
 from math import gcd, isqrt
-
-from .ffield import _berlekamp, _pmod, _pmul, _ppowmod, is_prime
 
 
 def trim(coeffs):
@@ -222,6 +222,8 @@ def _modular_factors(f):
     factors keep the subsets that recombination tries few. Each prime costs
     one forward elimination for the dimension; only p's factors are found.
     """
+    from .ffield import _berlekamp, is_prime
+
     best = None
     tries = 5
     p = 2
@@ -252,6 +254,8 @@ def _hensel_lift(f, factors, p, bound):
     s_i = (prod of the other factors)^-1 mod g_i, an inverse in the field
     F_p[x]/(g_i) taken as a power.
     """
+    from .ffield import _pmod, _pmul, _ppowmod
+
     inverses = []
     for i, g in enumerate(factors):
         others = (1,)
@@ -288,6 +292,8 @@ def _recombine(f, lifted, pk, bound):
     quotient: a true candidate g has lc(g) = lc(f) and lc(f) * f / g is
     the integer lc(h) * f / h for its primitive part h.
     """
+    from .ffield import _pmul
+
     factors = []
     s = 1
     while 2 * s <= len(lifted):

@@ -28,10 +28,10 @@ from functools import lru_cache
 from itertools import product, repeat
 from operator import mul
 
-from .errors import (EnumerationBudgetExceeded, InternalError, InvalidDegree,
-                     InvalidInput, InvalidPrime, NotHomogeneous, ParseError,
-                     data_lines, read_text)
-from .ffield import DEFAULT_BUDGET, _ppowmod, is_prime, make_field
+from .errors import (DEFAULT_BUDGET, EnumerationBudgetExceeded, InternalError,
+                     InvalidDegree, InvalidInput, InvalidPrime, NotHomogeneous,
+                     ParseError, data_lines, read_text)
+from .ffield import _ppowmod, is_prime, make_field
 
 
 class MultiPoly:
@@ -530,6 +530,14 @@ def _count_roots(cs, bs, as_, field):
     return total
 
 
+def _check_degree(m, what):
+    """InvalidInput unless m is an int, InvalidDegree unless it is >= 1."""
+    if not isinstance(m, int):
+        raise InvalidInput(f"{what} must be an integer")
+    if m < 1:
+        raise InvalidDegree(f"{what} must be >= 1")
+
+
 def _budget_check(v, m, budget):
     """Representatives over F_{p^m}, q^n affine or 1 + q + ... + q^(n-1)
     projective; EnumerationBudgetExceeded once they or q = p^m pass budget.
@@ -537,8 +545,9 @@ def _budget_check(v, m, budget):
     The sum grows one coordinate at a time, so that a huge ambient space
     stops after a few steps instead of building a number of millions of
     digits."""
-    if m < 1:
-        raise InvalidDegree("extension degree must be >= 1")
+    if not isinstance(v.p, int):
+        raise InvalidInput("field characteristic must be an integer")
+    _check_degree(m, "extension degree")
     q = v.p ** m
     step = 1 if v.ambient == "projective" else 0
     total = 1 - step
@@ -619,8 +628,7 @@ def count_points(v, m, budget=DEFAULT_BUDGET):
 def count_series(v, m_max, budget=DEFAULT_BUDGET):
     """PointCountSeries with counts[m-1] = count_points(v, m); every m is
     checked against the budget before any is counted."""
-    if m_max < 1:
-        raise InvalidDegree("m_max must be >= 1")
+    _check_degree(m_max, "m_max")
     for m in range(1, m_max + 1):
         _budget_check(v, m, budget)
     counts = tuple(count_points(v, m, budget) for m in range(1, m_max + 1))

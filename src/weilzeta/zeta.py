@@ -161,6 +161,14 @@ def _ints(values, what):
     return values
 
 
+def _int_args(**values):
+    """InvalidInput naming the first of the scalar arguments values that is
+    not an int."""
+    for name, value in values.items():
+        if not isinstance(value, int):
+            raise InvalidInput(f"{name} must be an integer")
+
+
 def _series_div(num, den, order):
     """Coefficients c_0..c_order of the power series num/den.
 
@@ -220,6 +228,7 @@ def pade_reconstruct(s, num_deg, den_deg):
     rows; every pivot row there ends in the same last pivot d, so the
     solution (free unknowns zero) over d is an integer den with den(0) = d.
     """
+    _int_args(num_deg=num_deg, den_deg=den_deg)
     coeffs = _ints(s.coeffs if isinstance(s, PowerSeriesQ) else s, "series coefficients")
     order = len(coeffs) - 1
     if order < num_deg + den_deg:
@@ -262,6 +271,7 @@ def curve_numerator(counts, g, mode="full"):
     """
     if mode not in ("full", "symmetric"):
         raise InvalidInput(f"unknown mode {mode!r}")
+    _int_args(genus=g)
     if g < 0:
         raise InvalidInput("genus must be non-negative")
     if g == 0:
@@ -296,6 +306,7 @@ def functional_equation_check(z, q, n, chi):
     identity is verified and the sign stays undetermined (None). A negative
     power of q moves to the other side, so the residuals are integral too.
     """
+    _int_args(q=q, n=n, chi=chi)
     num, den = _ints(z.num, "coefficients"), _ints(z.den, "coefficients")
     qn = q ** n
     lhs = qpoly.mul(qpoly.compose_linear(qpoly.reverse(num), qn), den)
@@ -495,6 +506,7 @@ def weight_split(z, q, n):
     even weights from the denominator; factors on the wrong side are
     reported as misplaced rather than merged, clearing parity_ok.
     """
+    _int_args(q=q, n=n)
     if q < 2:
         raise InvalidInput("q must be at least 2")
     if n < 0:
@@ -558,8 +570,11 @@ def rh_check(P, q, i):
     sign * q^{i*d/2} * a_j, a necessary condition available whenever i*d
     is even; reciprocal_ok is None when i*d is odd. Overall pass is the
     numeric modulus bound alone, in doubles: InvalidInput when q^(i/2)
-    leaves their range.
+    leaves their range. q and i are ints, i >= 0.
     """
+    _int_args(q=q, i=i)
+    if i < 0:
+        raise InvalidInput("i must be non-negative")
     coeffs = qpoly.trim(_ints(P, "coefficients"))
     if not coeffs or coeffs[0] != 1:
         raise NotNormalized("weight factor must have constant term 1")
@@ -605,6 +620,7 @@ def point_count_from_zeta(z, m):
     Computed exactly as coefficient m-1 of the series divisions num'/num
     and den'/den, which stay integral on integer coefficients.
     """
+    _int_args(m=m)
     if m < 1:
         raise InvalidInput("m must be >= 1")
     num, den = _ints(z.num, "coefficients"), _ints(z.den, "coefficients")

@@ -12,8 +12,8 @@ import pytest
 
 from weilzeta import qpoly
 from weilzeta.cli import _COMMANDS, main, parse_args
-from weilzeta.errors import FunctionalEquationViolated
-from weilzeta.ffield import DEFAULT_BUDGET, is_prime, primes_in_range
+from weilzeta.errors import DEFAULT_BUDGET, FunctionalEquationViolated
+from weilzeta.ffield import is_prime, primes_in_range
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import (RationalFunctionQ, _fit_screened, _weigh, point_count_from_zeta,
                            zeta_series)
@@ -694,19 +694,22 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
     # runs as __main__, so it is not among them)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    base = {"weilzeta", "weilzeta.errors", "weilzeta.ffield"}
-    counting = base | {"weilzeta.variety"}
-    algebra = base | {"weilzeta.qpoly", "weilzeta.qlinalg"}
+    base = {"weilzeta", "weilzeta.errors"}
+    fp = base | {"weilzeta.ffield"}
+    algebra = base | {"weilzeta.qpoly", "weilzeta.qlinalg", "weilzeta.realalg"}
     expected = {
-        ("count", str(SAMPLES / "p1_f3.variety")): counting,
+        ("count", str(SAMPLES / "p1_f3.variety")): fp | {"weilzeta.variety"},
         # cm counts its curve with cmcurve's own ec_count, without variety
-        ("cm", "5", "13"): base | {"weilzeta.cmcurve"},
-        ("lattice", str(SAMPLES / "sqrt2.lattice")):
-            algebra | {"weilzeta.realalg", "weilzeta.pseudolattice"},
-        ("dimgroup", str(SAMPLES / "hecke_3111.matrix")):
-            algebra | {"weilzeta.realalg", "weilzeta.dimgroup"},
+        ("cm", "5", "13"): fp | {"weilzeta.cmcurve"},
+        # ffield loads only where qpoly.factor_int factors a square-free
+        # part of degree 3 or more by its modular factors: x^3 - 2 does,
+        # x^2 - 2 and the quadratics of hecke_3111 do not
+        ("lattice", str(SAMPLES / "sqrt2.lattice")): algebra | {"weilzeta.pseudolattice"},
+        ("lattice", str(SAMPLES / "cbrt2.lattice")):
+            algebra | {"weilzeta.ffield", "weilzeta.pseudolattice"},
+        ("dimgroup", str(SAMPLES / "hecke_3111.matrix")): algebra | {"weilzeta.dimgroup"},
         ("weil", str(SAMPLES / "ell_f3.variety"), "--mmax", "4"):
-            algebra | {"weilzeta.variety", "weilzeta.zeta"},
+            fp | {"weilzeta.qpoly", "weilzeta.qlinalg", "weilzeta.variety", "weilzeta.zeta"},
     }
     for argv, ours in expected.items():
         done = subprocess.run(
@@ -716,7 +719,7 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
         assert done.returncode == 0, (argv, done.stderr[-2000:])
         loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
                   if line.startswith("import time:")}
-        assert {m for m in loaded if m.split(".")[0] == "weilzeta"} == ours, argv[0]
+        assert {m for m in loaded if m.split(".")[0] == "weilzeta"} == ours, argv
         assert not {m for m in loaded if m.split(".")[0] in ("sympy", "mpmath")}, argv[0]
         # cli reads argv against its own command table
         assert not loaded & {"argparse", "gettext", "locale"}, argv[0]

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from weilzeta import ffield
-from weilzeta.errors import InvalidDegree, InvalidPrime
+from weilzeta.errors import InvalidDegree, InvalidInput, InvalidPrime
 from weilzeta.ffield import (
     _berlekamp,
     _is_irreducible,
@@ -134,3 +134,7 @@ def test_make_field_rejects_bad_arguments():
         make_field(4, 1)
     with pytest.raises(InvalidDegree):
         make_field(5, 0)
+    # a float that equals a prime or a degree is refused before any work
+    for p, m, name in ((3, 2.0, "m"), (3.0, 2, "p"), (3.0, 1, "p"), (5, 1.0, "m")):
+        with pytest.raises(InvalidInput, match=f"^{name} must be an integer$"):
+            make_field(p, m)

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from weilzeta.variety import (
     _IndexedField,
     count_points,
     count_series,
+    load_variety,
     parse_variety,
     weierstrass_variety,
 )
@@ -390,6 +392,23 @@ def test_variety_spec_and_count_series_constructors_check_their_fields():
         count_points(v, 0)
     with pytest.raises(InvalidDegree, match="^m_max must be >= 1$"):
         count_series(v, 0)
+
+
+def test_counters_refuse_a_characteristic_or_degree_that_is_not_an_int():
+    # both counters enter through _budget_check; a float degree used to
+    # pass it and fail in range(), a float characteristic passes is_prime
+    v = load_variety(str(Path(__file__).resolve().parent.parent / "samples" / "ell_f3.variety"))
+    for call, message in ((lambda: count_points(v, 2.0), "extension degree"),
+                          (lambda: count_points(v, 1.0, 10), "extension degree"),
+                          (lambda: count_series(v, 2.0), "m_max"),
+                          (lambda: count_series(v, 1.0), "m_max")):
+        with pytest.raises(InvalidInput, match=f"^{message} must be an integer$"):
+            call()
+    floaty = VarietySpec(3.0, v.ambient, v.ambient_dim, v.vardim, v.polys)
+    for call in (lambda: count_points(floaty, 1), lambda: count_series(floaty, 2)):
+        with pytest.raises(InvalidInput, match="^field characteristic must be an integer$"):
+            call()
+    assert count_series(v, 2).counts == (count_points(v, 1), count_points(v, 2))
 
 
 def test_multipoly_equality_and_hash_follow_the_fields():

@@ -788,6 +788,25 @@ def test_library_inputs_that_are_not_integral_raise_with_their_messages():
             weight_split(RationalFunctionQ(num, (1,)), 5, 1)
         with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
             weight_split(RationalFunctionQ((1,), num), 5, 1)
+    # scalar arguments are ints too: a float q, n, i, degree or m is
+    # refused before any arithmetic, as is a negative weight i
+    z = RationalFunctionQ((1, 2, 3), (1, -3))
+    for call, message in (
+            (lambda: weight_split(z, 3, 1.0), "n must be an integer"),
+            (lambda: weight_split(z, 3.0, 1), "q must be an integer"),
+            (lambda: pade_reconstruct((1, 2, 3, 4), 2.0, 1), "num_deg must be an integer"),
+            (lambda: pade_reconstruct((1, 2, 3, 4), 2, 1.0), "den_deg must be an integer"),
+            (lambda: point_count_from_zeta(z, 2.0), "m must be an integer"),
+            (lambda: rh_check((1, -3), 3, 2.0), "i must be an integer"),
+            (lambda: rh_check((1, -3), 3.0, 2), "q must be an integer"),
+            (lambda: rh_check((1, -3), 3, -2), "i must be non-negative"),
+            (lambda: rh_check((1, 0, 9), 3, -2), "i must be non-negative"),
+            (lambda: functional_equation_check(z, 3.0, 1, 1), "q must be an integer"),
+            (lambda: functional_equation_check(z, 3, 1.0, 1), "n must be an integer"),
+            (lambda: functional_equation_check(z, 3, 1, 1.0), "chi must be an integer"),
+            (lambda: curve_numerator(PointCountSeries(3, (4, 10)), 1.0), "genus must be an integer")):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            call()
     with pytest.raises(NotIntegral, match=r"^numerator constant term 1/2 != 1$"):
         rational_function((1, 1), (2, 1))
     with pytest.raises(NotIntegral, match=r"^numerator constant term -1/2 != 1$"):
