@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it; a submodule maps to itself
 _SOURCE = {name: module for module, names in (
     ("errors", ("errors", "DEFAULT_BUDGET")),
-    ("ffield", ("make_field", "is_prime", "primes_in_range")),
+    ("primes", ("is_prime", "primes_in_range")),
+    ("ffield", ("make_field",)),
     ("variety", ("MultiPoly", "VarietySpec", "PointCountSeries",
                  "parse_variety", "load_variety", "count_points",
                  "count_series", "weierstrass_variety")),

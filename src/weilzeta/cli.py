@@ -26,12 +26,14 @@ from .errors import (DEFAULT_BUDGET, EnumerationBudgetExceeded, InvalidInput,
                      WeilZetaError)
 
 # Each command imports the modules it runs and finds its code there, so a
-# job loads and compiles only that: ffield, for one, loads in count, weil
-# and cm, and in lattice and dimgroup only when qpoly.factor_int meets a
-# square-free part of degree 3 or more. count and cm stay here because
-# perfbench/tracer.py times them by patching the five functions below on
-# this module: each delegates to its library function through a local
-# import. They go when a structured trace recorder replaces that patching.
+# job loads and compiles only that: ffield, for one, loads only for F_p[x]
+# work, in count and weil when they build a table of F_{p^m} with m >= 2,
+# and in lattice and dimgroup when qpoly.factor_int meets a square-free
+# part of degree 3 or more; cm and prime-field counts test primality with
+# primes alone. count and cm stay here because perfbench/tracer.py times
+# them by patching the five functions below on this module: each delegates
+# to its library function through a local import. They go when a
+# structured trace recorder replaces that patching.
 
 
 def load_variety(path):
@@ -121,7 +123,7 @@ def cmd_weil(args):
 # --- cm ---
 
 def cmd_cm(args):
-    from .ffield import is_prime
+    from .primes import is_prime
 
     if args.pmin > args.pmax:
         raise InvalidInput("pmin must not exceed pmax")

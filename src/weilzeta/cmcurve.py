@@ -13,7 +13,7 @@ from math import isqrt
 
 from .errors import (HasseViolation, InternalError, InvalidInput, InvalidPrime,
                      SingularCurve, UnsupportedCharacteristic)
-from .ffield import is_prime
+from .primes import is_prime
 
 
 class GaussianInt:

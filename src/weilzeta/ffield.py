@@ -1,4 +1,4 @@
-"""Prime tests, polynomials over F_p and the moduli of F_{p^m}.
+"""Polynomials over F_p and the moduli of F_{p^m}.
 
 Polynomials over F_p are int tuples, low degree first, trimmed of zero
 leading coefficients. _berlekamp is the one entry point of Berlekamp's
@@ -8,45 +8,16 @@ picks the modulus of F_{p^m}: the lexicographically smallest monic
 irreducible polynomial of degree m, so identical inputs always give
 identical fields. Arithmetic in F_{p^m} itself lives in the Zech-logarithm
 tables of variety._IndexedField.
+
+Only F_p[x] work loads this module: counts over F_{p^m} with m >= 2 and
+qpoly's modular factors. Primality lives in primes, so a count over a
+prime field or a cm sweep never compiles it.
 """
 
 from itertools import product
 
 from .errors import InternalError, InvalidDegree, InvalidInput, InvalidPrime
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n):
-    """Deterministic Miller-Rabin; exact for every n below 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def primes_in_range(lo, hi):
-    """Primes p with lo <= p <= hi, ascending."""
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+from .primes import is_prime
 
 
 # --- polynomial helpers over F_p, coefficients as int tuples ---

@@ -222,7 +222,8 @@ def _modular_factors(f):
     factors keep the subsets that recombination tries few. Each prime costs
     one forward elimination for the dimension; only p's factors are found.
     """
-    from .ffield import _berlekamp, is_prime
+    from .ffield import _berlekamp
+    from .primes import is_prime
 
     best = None
     tries = 5

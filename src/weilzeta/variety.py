@@ -21,7 +21,10 @@ representation of the field: 0 is zero and k+1 is g^k for a fixed
 multiplicative generator g. A monomial is a sum of logarithms, and a sum
 of two powers of g is one Zech lookup. The log and Zech tables are built
 once per field by walking the powers of g as vectors of base-p digits,
-O(m deg g) integer operations per power.
+O(m deg g) integer operations per power. Only m >= 2 loads ffield, for
+the modulus and the generator test in F_p[x]; over F_p itself g is the
+smallest primitive root mod p, tested with int pow, so a prime-field
+count compiles no F_p[x] code.
 """
 
 from functools import lru_cache
@@ -31,7 +34,7 @@ from operator import mul
 from .errors import (DEFAULT_BUDGET, EnumerationBudgetExceeded, InternalError,
                      InvalidDegree, InvalidInput, InvalidPrime, NotHomogeneous,
                      ParseError, data_lines, read_text)
-from .ffield import _ppowmod, is_prime, make_field
+from .primes import is_prime
 
 
 class MultiPoly:
@@ -94,6 +97,8 @@ class VarietySpec:
         self.ambient_dim = ambient_dim
         self.vardim = vardim
         self.polys = polys
+        if not isinstance(p, int):
+            raise InvalidInput("field characteristic must be an integer")
         if not is_prime(p):
             raise InvalidPrime(f"field characteristic {p} is not prime")
         if ambient not in ("projective", "affine"):
@@ -364,19 +369,27 @@ def load_variety(path):
 
 # --- Zech-logarithm field arithmetic for the counting loop ---
 
+def make_field(p, m):
+    # ffield loads only where a modulus is searched, m >= 2;
+    # perfbench/tracer.py times the search by patching this name
+    from .ffield import make_field
+    return make_field(p, m)
+
+
 class _IndexedField:
     """Zech-logarithm arithmetic on F_{p^m}.
 
     Elements are codes: 0 is zero and k+1 is g^k, where g is the
     smallest-index generator of the multiplicative group. The enumeration
     index of an element is the base-p value of its coefficients over the
-    modulus f = make_field(p, m), low degree first. log[i] is the discrete
-    logarithm of the element with index i != 0, and zech[k] is the code of
-    1 + g^k, so g^a + g^b = g^a * (1 + g^(b-a)).
+    modulus f = make_field(p, m), low degree first; F_p itself needs no
+    search, its modulus is x. log[i] is the discrete logarithm of the
+    element with index i != 0, and zech[k] is the code of 1 + g^k, so
+    g^a + g^b = g^a * (1 + g^(b-a)).
     """
 
     def __init__(self, p, m):
-        f = make_field(p, m)
+        f = make_field(p, m) if m > 1 else (0, 1)
         self.p = p
         self.q = q = p ** m
         gen = self._find_generator(p, m, f)
@@ -421,15 +434,19 @@ class _IndexedField:
             d += 1
         if n > 1:
             factors.append(n)
+        if m > 1:
+            from .ffield import _ppowmod
         # for m >= 2 the constants, indices 1..p-1, have order dividing
-        # p - 1 < order, so the search starts at x, index p
+        # p - 1 < order, so the search starts at x, index p; for m = 1 a
+        # candidate is (g,), and its powers are ints mod p
         for idx in range(p if m > 1 else 1, order + 1):
             digits = []
             while idx:
                 digits.append(idx % p)
                 idx //= p
             cand = tuple(digits)
-            if all(_ppowmod(cand, order // r, f, p) != (1,) for r in factors):
+            if all(_ppowmod(cand, order // r, f, p) != (1,) if m > 1
+                   else pow(cand[0], order // r, p) != 1 for r in factors):
                 return cand
         raise InternalError("multiplicative group has a generator")
 
@@ -545,8 +562,6 @@ def _budget_check(v, m, budget):
     The sum grows one coordinate at a time, so that a huge ambient space
     stops after a few steps instead of building a number of millions of
     digits."""
-    if not isinstance(v.p, int):
-        raise InvalidInput("field characteristic must be an integer")
     _check_degree(m, "extension degree")
     q = v.p ** m
     step = 1 if v.ambient == "projective" else 0

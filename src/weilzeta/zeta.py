@@ -229,6 +229,8 @@ def pade_reconstruct(s, num_deg, den_deg):
     solution (free unknowns zero) over d is an integer den with den(0) = d.
     """
     _int_args(num_deg=num_deg, den_deg=den_deg)
+    if num_deg < 0 or den_deg < 0:
+        raise InvalidInput("num_deg and den_deg must be non-negative")
     coeffs = _ints(s.coeffs if isinstance(s, PowerSeriesQ) else s, "series coefficients")
     order = len(coeffs) - 1
     if order < num_deg + den_deg:

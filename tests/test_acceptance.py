@@ -27,7 +27,7 @@ from weilzeta.errors import (
     NotIntegral,
     ParseError,
 )
-from weilzeta.ffield import primes_in_range
+from weilzeta.primes import primes_in_range
 from weilzeta.pseudolattice import (
     PseudoLattice,
     endo_matrix,

@@ -13,7 +13,7 @@ import pytest
 from weilzeta import qpoly
 from weilzeta.cli import _COMMANDS, main, parse_args
 from weilzeta.errors import DEFAULT_BUDGET, FunctionalEquationViolated
-from weilzeta.ffield import is_prime, primes_in_range
+from weilzeta.primes import is_prime, primes_in_range
 from weilzeta.variety import PointCountSeries
 from weilzeta.zeta import (RationalFunctionQ, _fit_screened, _weigh, point_count_from_zeta,
                            zeta_series)
@@ -695,10 +695,16 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     base = {"weilzeta", "weilzeta.errors"}
-    fp = base | {"weilzeta.ffield"}
+    fp = base | {"weilzeta.primes"}
+    fpx = fp | {"weilzeta.ffield"}
     algebra = base | {"weilzeta.qpoly", "weilzeta.qlinalg", "weilzeta.realalg"}
+    ell_f5 = str(SAMPLES / "ell_f5.variety")
     expected = {
+        # ffield is F_p[x] code: a count loads it only for a table of
+        # F_{p^m} with m >= 2, and P^1 needs no table at all
         ("count", str(SAMPLES / "p1_f3.variety")): fp | {"weilzeta.variety"},
+        ("count", ell_f5, "--mmax", "1"): fp | {"weilzeta.variety"},
+        ("count", ell_f5, "--mmax", "2"): fpx | {"weilzeta.variety"},
         # cm counts its curve with cmcurve's own ec_count, without variety
         ("cm", "5", "13"): fp | {"weilzeta.cmcurve"},
         # ffield loads only where qpoly.factor_int factors a square-free
@@ -706,10 +712,10 @@ def test_no_command_loads_sympy_or_mpmath(tmp_path):
         # x^2 - 2 and the quadratics of hecke_3111 do not
         ("lattice", str(SAMPLES / "sqrt2.lattice")): algebra | {"weilzeta.pseudolattice"},
         ("lattice", str(SAMPLES / "cbrt2.lattice")):
-            algebra | {"weilzeta.ffield", "weilzeta.pseudolattice"},
+            algebra | fpx | {"weilzeta.pseudolattice"},
         ("dimgroup", str(SAMPLES / "hecke_3111.matrix")): algebra | {"weilzeta.dimgroup"},
         ("weil", str(SAMPLES / "ell_f3.variety"), "--mmax", "4"):
-            fp | {"weilzeta.qpoly", "weilzeta.qlinalg", "weilzeta.variety", "weilzeta.zeta"},
+            fpx | {"weilzeta.qpoly", "weilzeta.qlinalg", "weilzeta.variety", "weilzeta.zeta"},
     }
     for argv, ours in expected.items():
         done = subprocess.run(

@@ -14,7 +14,7 @@ from weilzeta.cmcurve import (
     grossencharacter_trace_d1,
 )
 from weilzeta.errors import HasseViolation, InvalidInput, InvalidPrime
-from weilzeta.ffield import primes_in_range
+from weilzeta.primes import primes_in_range
 from weilzeta.variety import count_points, weierstrass_variety
 
 

@@ -1,4 +1,4 @@
-"""Tests for prime tests, F_p[x] helpers and the moduli of F_{p^m}."""
+"""Tests for F_p[x] helpers and the moduli of F_{p^m}."""
 
 import random
 from itertools import product
@@ -7,33 +7,7 @@ import pytest
 
 from weilzeta import ffield
 from weilzeta.errors import InvalidDegree, InvalidInput, InvalidPrime
-from weilzeta.ffield import (
-    _berlekamp,
-    _is_irreducible,
-    is_prime,
-    make_field,
-    primes_in_range,
-)
-
-
-def test_is_prime_small_table():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(50):
-        assert is_prime(n) == (n in primes)
-
-
-def test_is_prime_rejects_carmichael_numbers():
-    for n in (561, 1105, 1729, 2465, 2821, 6601):
-        assert not is_prime(n)
-    assert is_prime(997)
-    assert is_prime(2**31 - 1)
-
-
-def test_primes_in_range_inclusive():
-    assert primes_in_range(5, 13) == [5, 7, 11, 13]
-    assert primes_in_range(14, 16) == []
-    assert primes_in_range(2, 2) == [2]
-    assert len(primes_in_range(5, 997)) == 166
+from weilzeta.ffield import _berlekamp, _is_irreducible, make_field
 
 
 def test_make_field_prime_field_identity_modulus():

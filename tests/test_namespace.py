@@ -129,17 +129,17 @@ def test_private_names_cross_modules_only_where_pinned():
                        ("variety", "ffield", "_ppowmod")}
 
 
-def test_only_the_counting_modules_import_ffield_at_module_level():
-    # ffield is F_p code: variety and cmcurve count points over finite
-    # fields and load it with themselves; cli, qpoly and every other module
-    # import it inside the functions that run it, so lattice and dimgroup
-    # jobs that factor no cubic never compile it
+def test_no_module_imports_ffield_at_module_level():
+    # ffield is F_p[x] code: variety imports it only for F_{p^m} with
+    # m >= 2, qpoly only for its modular factors, and every module tests
+    # primality with primes, so prime-field counts, cm, and lattice and
+    # dimgroup jobs that factor no cubic never compile it
     importers = set()
     for path in sorted((ROOT / "src" / "weilzeta").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ffield":
                 importers.add(path.stem)
-    assert importers == {"variety", "cmcurve"}
+    assert importers == set()
 
 
 def test_every_private_definition_has_a_caller():

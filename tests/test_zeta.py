@@ -789,13 +789,17 @@ def test_library_inputs_that_are_not_integral_raise_with_their_messages():
         with pytest.raises(InvalidInput, match=r"^coefficients must be integers$"):
             weight_split(RationalFunctionQ((1,), num), 5, 1)
     # scalar arguments are ints too: a float q, n, i, degree or m is
-    # refused before any arithmetic, as is a negative weight i
+    # refused before any arithmetic, as is a negative weight i or degree
     z = RationalFunctionQ((1, 2, 3), (1, -3))
     for call, message in (
             (lambda: weight_split(z, 3, 1.0), "n must be an integer"),
             (lambda: weight_split(z, 3.0, 1), "q must be an integer"),
             (lambda: pade_reconstruct((1, 2, 3, 4), 2.0, 1), "num_deg must be an integer"),
             (lambda: pade_reconstruct((1, 2, 3, 4), 2, 1.0), "den_deg must be an integer"),
+            (lambda: pade_reconstruct((1, 2, 3, 4), -1, 2),
+             "num_deg and den_deg must be non-negative"),
+            (lambda: pade_reconstruct((1, 2, 3, 4), 2, -1),
+             "num_deg and den_deg must be non-negative"),
             (lambda: point_count_from_zeta(z, 2.0), "m must be an integer"),
             (lambda: rh_check((1, -3), 3, 2.0), "i must be an integer"),
             (lambda: rh_check((1, -3), 3.0, 2), "q must be an integer"),
