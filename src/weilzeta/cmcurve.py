@@ -12,7 +12,7 @@ Both routes are kept separate so one can cross-check the other.
 from math import isqrt
 
 from .errors import (HasseViolation, InternalError, InvalidInput, InvalidPrime,
-                     SingularCurve, UnsupportedCharacteristic)
+                     SingularCurve, UnsupportedCharacteristic, check_int)
 from .primes import is_prime
 
 
@@ -43,12 +43,6 @@ class GaussianInt:
         return GaussianInt(self.re * other.re - self.im * other.im,
                            self.re * other.im + self.im * other.re)
 
-    def conjugate(self):
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self):
-        return self.re * self.re + self.im * self.im
-
     def trace(self):
         return 2 * self.re
 
@@ -66,13 +60,13 @@ class FrobeniusData:
     __slots__ = ("a", "q", "disc")
 
     def __init__(self, a, q):
-        self.a = a
-        self.q = q
+        self.a = check_int("a", a)
+        self.q = check_int("q", q)
         self.disc = a * a - 4 * q
 
     def power_sum(self, m):
         """s_m = lambda1^m + lambda2^m by the integer recurrence."""
-        if m < 0:
+        if check_int("m", m) < 0:
             raise InvalidInput("power sum index must be non-negative")
         s_prev, s_cur = 2, self.a
         if m == 0:
@@ -110,7 +104,9 @@ def ec_count(A, B, p):
     Computed as p + 1 + sum over x of chi(x^3 + Ax + B) with chi the
     quadratic character.
     """
-    if not is_prime(p):
+    check_int("A", A)
+    check_int("B", B)
+    if not is_prime(check_int("p", p)):
         raise InvalidPrime(f"{p} is not prime")
     if p <= 3:
         raise UnsupportedCharacteristic("short Weierstrass form needs p > 3")
@@ -142,7 +138,7 @@ def cornacchia_two_squares(p):
     non-residue, then runs the descending Euclid step until the remainder
     drops below sqrt(p).
     """
-    if not is_prime(p):
+    if not is_prime(check_int("p", p)):
         raise InvalidPrime(f"{p} is not prime")
     if p % 4 != 1:
         raise InvalidInput(f"{p} is not 1 mod 4")
@@ -171,7 +167,7 @@ def grossencharacter_psi(p):
     (not a unit times a prime) is returned for the supersingular primes
     p = 3 (mod 4), where the trace vanishes.
     """
-    if not is_prime(p) or p <= 3:
+    if not is_prime(check_int("p", p)) or p <= 3:
         raise InvalidPrime(f"need a prime p > 3, got {p}")
     if p % 4 == 3:
         return GaussianInt(0, 0)
@@ -192,7 +188,8 @@ def grossencharacter_trace_d1(p):
 
 def count_via_character(a, q):
     """|E(F_q)| = 1 - a + q from the trace, guarded by the Hasse bound."""
-    if q < 1:
+    check_int("a", a)
+    if check_int("q", q) < 1:
         raise HasseViolation(f"Hasse bound needs q >= 1, got q={q}")
     if a * a > 4 * q:
         raise HasseViolation(f"|a| = {abs(a)} exceeds 2*sqrt({q})")

@@ -21,8 +21,8 @@ from operator import or_
 from . import qpoly
 from .errors import (DegenerateSpectrum, DimensionMismatch, InternalError,
                      InvalidInput, NotPrimitive, NotRepresentable, ParseError,
-                     data_lines, read_text)
-from .qlinalg import as_int, echelon, mat_mul_int
+                     check_int, check_ints, data_lines, read_text)
+from .qlinalg import echelon, mat_mul_int
 from .realalg import (RealNumberField, algebraic_str, interval_str, matrix_str,
                       num_str, poly_x_str, refine_bracket)
 
@@ -73,7 +73,7 @@ class HeckeLikeMatrix:
         self.b = b
         self.rows = rows
         self.ell = ell
-        if b < 1 or len(rows) != b:
+        if check_int("b", b) < 1 or len(rows) != b:
             raise DimensionMismatch(f"expected {b} rows")
         for row in rows:
             if len(row) != b:
@@ -93,6 +93,7 @@ class HeckeLikeMatrix:
             raise NotPrimitive(
                 f"no power up to {bound} has all entries positive")
         if ell is not None:
+            check_int("ell", ell)
             if any(rows[i][j] != rows[j][i] for i in range(b) for j in range(b)):
                 raise InvalidInput("determinant-tagged matrix must be symmetric")
             d = det_int(rows)
@@ -110,8 +111,7 @@ class HeckeLikeMatrix:
 
 
 def make_matrix(rows, ell=None):
-    rows = tuple(tuple(as_int(v, "entries must be non-negative integers") for v in row)
-                 for row in rows)
+    rows = tuple(map(tuple, rows))
     return HeckeLikeMatrix(b=len(rows), rows=rows, ell=ell)
 
 
@@ -250,11 +250,10 @@ def build(T):
 
 def _check_element(G, x):
     v, k = x
-    v = tuple(as_int(c, "vector entries must be integers") for c in v)
+    v = check_ints("vector entries", v)
     if len(v) != G.b:
         raise DimensionMismatch(f"vector must have length {G.b}")
-    k = as_int(k, "level must be an integer")
-    if k < 0:
+    if check_int("level", k) < 0:
         raise InvalidInput("level must be non-negative")
     return v, k
 
@@ -325,8 +324,7 @@ def unit_decomposition(G, ell):
     integers (algebraic integer) with constant term +-1 (invertible). The
     verdict is reported, never assumed; it fails for most matrices.
     """
-    ell = as_int(ell, "ell must be an integer")
-    if ell < 2:
+    if check_int("ell", ell) < 2:
         raise InvalidInput("ell must be at least 2")
     lam_unit = G.lam * G.field.from_rational(1, ell)
     # x |-> ell*x keeps lambda's minimal polynomial f irreducible, so that
@@ -345,9 +343,8 @@ def hecke_companion(a, ell):
     matrix has real spectrum), reported as NotRepresentable.
     """
     from math import isqrt
-    a = as_int(a, "the trace must be an integer")
-    ell = as_int(ell, "ell must be an integer")
-    if ell < 2:
+    check_int("the trace", a)
+    if check_int("ell", ell) < 2:
         raise InvalidInput("ell must be at least 2")
     if a * a < 4 * ell:
         raise NotRepresentable(
@@ -377,7 +374,8 @@ def frobenius_shift_matches_eigenvalue(G, a, ell):
     has no real root to match, and one with a repeated root is reducible,
     so both fail the comparison.
     """
-    ell, a = as_int(ell, "ell must be an integer"), as_int(a, "the trace must be an integer")
+    check_int("ell", ell)
+    check_int("the trace", a)
     return G.field.minpoly == qpoly.primitive_int((ell, -a, 1))
 
 

@@ -10,6 +10,9 @@ cap on enumeration work. read_text, which every input file loader uses,
 reports a file that is not UTF-8 as a ParseError; data_lines, which every
 input parser reads its lines from, refuses a number past LITERAL_DIGITS
 digits, or past the interpreter's int-to-str limit when that is lower.
+check_int and check_ints are the one test of an integer argument: an int
+(bool included) passes, anything else, 3.0 or Fraction(3) too, is
+InvalidInput naming the argument and the value.
 """
 
 import sys
@@ -193,3 +196,20 @@ def data_lines(text):
                 if run > bound:
                     raise ParseError(f"line {no}: a number has more than {bound} digits")
         yield no, line
+
+
+def check_int(name, value):
+    """value when it is an int; InvalidInput naming name otherwise."""
+    if not isinstance(value, int):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_ints(name, values):
+    """values as a tuple when every one is an int; InvalidInput naming name
+    and the first that is not otherwise."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int):
+            raise InvalidInput(f"{name} must be integers, got {v!r}")
+    return values

@@ -16,7 +16,7 @@ prime field or a cm sweep never compiles it.
 
 from itertools import product
 
-from .errors import InternalError, InvalidDegree, InvalidInput, InvalidPrime
+from .errors import InternalError, InvalidDegree, InvalidPrime, check_int
 from .primes import is_prime
 
 
@@ -172,9 +172,8 @@ def make_field(p, m):
     Coefficient tuples (c_0, ..., c_{m-1}) of candidate moduli are compared
     low degree first; for m = 1 the modulus is x, (0, 1), by convention.
     """
-    for name, value in (("p", p), ("m", m)):
-        if not isinstance(value, int):
-            raise InvalidInput(f"{name} must be an integer")
+    check_int("p", p)
+    check_int("m", m)
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
     if m < 1:

@@ -4,7 +4,7 @@ Kept apart from ffield, so that a job that only checks a characteristic
 or sweeps primes (count over a prime field, cm) loads no F_p[x] code.
 """
 
-from .errors import InvalidInput
+from .errors import check_int
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -12,9 +12,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n):
     """Deterministic Miller-Rabin; exact for every n below 3.3 * 10^24.
     InvalidInput unless n is an int, so that 3.0 is refused, not prime."""
-    if not isinstance(n, int):
-        raise InvalidInput("n must be an integer")
-    if n < 2:
+    if check_int("n", n) < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
@@ -40,5 +38,7 @@ def is_prime(n):
 
 
 def primes_in_range(lo, hi):
-    """Primes p with lo <= p <= hi, ascending."""
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    """Primes p with lo <= p <= hi, ascending; InvalidInput unless lo and hi
+    are ints."""
+    return [p for p in range(max(check_int("lo", lo), 2), check_int("hi", hi) + 1)
+            if is_prime(p)]

@@ -18,8 +18,9 @@ from time import perf_counter
 
 from .errors import (LITERAL_DIGITS, DependentGenerators, DimensionMismatch,
                      FieldMismatch, InternalError, InvalidInput, NotEndomorphism,
-                     NotNormalized, ParseError, data_lines, read_text)
-from .qlinalg import as_int, echelon, mat_mul_int
+                     NotNormalized, ParseError, check_int, check_ints, data_lines,
+                     read_text)
+from .qlinalg import echelon, mat_mul_int
 from .realalg import (RealAlgebraic, RealNumberField, algebraic_str, interval_str,
                       matrix_str, num_str, poly_x_str)
 
@@ -202,7 +203,7 @@ def endo_ring_rank(L):
 
 def curve_trace_cohomology(g, thetas):
     """(H^0, H^1, H^2) for a genus-g curve with H^1 = Z + sum Z theta_i."""
-    if g < 1:
+    if check_int("genus", g) < 1:
         raise InvalidInput("genus must be at least 1")
     thetas = tuple(thetas)
     if len(thetas) != 2 * g - 1:
@@ -226,11 +227,11 @@ def point_count_from_frobenius(L, omega, q):
     of the right size, used when the Frobenius eigenvalues are complex and
     no real multiplier realizes them.
     """
+    check_int("q", q)
     if isinstance(omega, RealAlgebraic):
         matrix = endo_matrix(L, omega)
     else:
-        matrix = tuple(tuple(as_int(v, "Frobenius matrix entries must be integers")
-                             for v in row) for row in omega)
+        matrix = tuple(check_ints("Frobenius matrix entries", row) for row in omega)
         if len(matrix) != L.rank or any(len(row) != L.rank for row in matrix):
             raise DimensionMismatch(
                 f"Frobenius matrix must be {L.rank}x{L.rank}")

@@ -1,12 +1,11 @@
 """Exact linear algebra over Q and Z, in arbitrary precision.
 
 One fraction-free Gauss-Jordan elimination on ints, off which callers read
-ranks, determinants, solutions and kernels over Q; as_int; the integer
-matrix product. The Hermite normal form lives in pseudolattice, charpoly
-and det in dimgroup, beside their callers.
+ranks, determinants, solutions and kernels over Q; the integer matrix
+product. The Hermite normal form lives in pseudolattice, charpoly and det
+in dimgroup, beside their callers; callers check their integer inputs
+with errors.check_int and check_ints.
 """
-
-from .errors import InvalidInput
 
 
 def echelon(rows, ncols):
@@ -53,18 +52,6 @@ def echelon(rows, ncols):
 
 
 # --- integer matrices ---
-
-def as_int(v, what):
-    """v as an int when int(v) == v, as for 3.0 or Fraction(3); anything
-    else is InvalidInput, worded as what and the value."""
-    try:
-        n = int(v)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != v:
-        raise InvalidInput(f"{what}, got {v!r}")
-    return n
-
 
 def mat_mul_int(A, B):
     n, k = len(A), len(B[0])

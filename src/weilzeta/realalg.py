@@ -7,13 +7,15 @@ numerators over one positive denominator in the power basis 1, theta,
 ..., theta^(D-1) (Cohen, GTM 138, 4.2), and the interval is integer
 endpoints over one common denominator.
 
-Arithmetic is exact and runs on ints. Inputs may be ints or Fractions,
-read by their numerator and denominator; nothing returns a Fraction, so
-callers read nums/den and the field's bracket. Comparisons are decided by
-an exact zero test on the coordinates followed by interval refinement,
-never by fixed-precision floating point. The isolating interval narrows
-monotonically as a shared cache; the numeric identity of every value is
-immutable.
+Arithmetic is exact and runs on ints. Rational inputs (interval ends,
+coordinates, operands) may be ints or Fractions, read by their numerator
+and denominator; integer ones (minpoly coefficients, d, den, exponents,
+digits) are ints alone (errors.check_int), so 3.0 and Fraction(3) are
+InvalidInput there. Nothing returns a Fraction, so callers read nums/den
+and the field's bracket. Comparisons are decided by an exact zero test on
+the coordinates followed by interval refinement, never by fixed-precision
+floating point. The isolating interval narrows monotonically as a shared
+cache; the numeric identity of every value is immutable.
 """
 
 import sys
@@ -22,8 +24,8 @@ from math import gcd, lcm
 
 from . import qpoly
 from .errors import (DivisionByZero, FieldMismatch, InvalidInput,
-                     InvalidInterval, NotIrreducible)
-from .qlinalg import as_int, echelon
+                     InvalidInterval, NotIrreducible, check_int, check_ints)
+from .qlinalg import echelon
 
 
 def _is_rational(r):
@@ -38,6 +40,13 @@ def _rational(r):
     if not _is_rational(r):
         raise InvalidInput(f"expected an int or a Fraction, got {r!r}")
     return r
+
+
+def _den(den):
+    """den when it is a positive int; InvalidInput otherwise."""
+    if check_int("den", den) < 1:
+        raise InvalidInput(f"den must be positive, got {den}")
+    return den
 
 
 def _interval_eval(nums, den, lo, hi, d):
@@ -127,20 +136,15 @@ class RealNumberField:
 
     def __init__(self, minpoly, interval, den=1):
         # interval: ints or Fractions lo and hi, each divided by den > 0
-        coeffs = qpoly.trim(minpoly)
-        try:
-            minpoly = tuple(int(c) for c in coeffs)
-        except (TypeError, ValueError, OverflowError):
-            minpoly = ()
-        # a coefficient that int() changes or refuses is not an integer
-        if not minpoly or minpoly[-1] != 1 or minpoly != coeffs:
+        minpoly = qpoly.trim(check_ints("minpoly coefficients", minpoly))
+        if not minpoly or minpoly[-1] != 1:
             raise NotIrreducible("minimal polynomial must be monic with integer coefficients")
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
         lo, hi = map(_rational, interval)
         d = lcm(lo.denominator, hi.denominator)
         lo, hi = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-        d *= den
+        d *= _den(den)
         if self.degree == 1:
             root = -minpoly[0]
             if not lo <= root * d <= hi:
@@ -194,7 +198,7 @@ class RealNumberField:
     def quadratic(cls, d):
         """Q(sqrt(d)) for a non-square integer d >= 2."""
         from math import isqrt
-        d = as_int(d, "d must be an integer")
+        check_int("d", d)
         if d < 0:
             raise InvalidInput(f"sqrt({d}) is not real")
         r = isqrt(d)
@@ -224,7 +228,7 @@ class RealNumberField:
         """The rational r/den, for r an int or a Fraction and den > 0."""
         r = _rational(r)
         return RealAlgebraic(self, (r.numerator,) + (0,) * (self.degree - 1),
-                             r.denominator * den)
+                             r.denominator * _den(den))
 
     def element(self, coords):
         """The element with the given int or Fraction coordinates."""
@@ -353,7 +357,7 @@ class RealAlgebraic:
         return o * self.inverse()
 
     def __pow__(self, e):
-        if e < 0:
+        if check_int("e", e) < 0:
             return self.inverse() ** (-e)
         result = self.field.one()
         base = self
@@ -417,6 +421,8 @@ class RealAlgebraic:
         """Deterministic decimal rendering with the given significant digits:
         the midpoint of an enclosure narrower than 10^-(digits+3) times its
         lower end, as Decimal prints it at that precision."""
+        if check_int("digits", digits) < 1:
+            raise InvalidInput(f"digits must be at least 1, got {digits}")
         if self.is_zero():
             return "0"
         if self.sign() < 0:

@@ -33,7 +33,7 @@ from operator import mul
 
 from .errors import (DEFAULT_BUDGET, EnumerationBudgetExceeded, InternalError,
                      InvalidDegree, InvalidInput, InvalidPrime, NotHomogeneous,
-                     ParseError, data_lines, read_text)
+                     ParseError, check_int, data_lines, read_text)
 from .primes import is_prime
 
 
@@ -97,14 +97,16 @@ class VarietySpec:
         self.ambient_dim = ambient_dim
         self.vardim = vardim
         self.polys = polys
-        if not isinstance(p, int):
-            raise InvalidInput("field characteristic must be an integer")
-        if not is_prime(p):
+        if not is_prime(check_int("field characteristic", p)):
             raise InvalidPrime(f"field characteristic {p} is not prime")
         if ambient not in ("projective", "affine"):
             raise ParseError(f"unknown ambient {ambient!r}")
-        if ambient_dim < 0 or vardim < 0:
+        if check_int("dim", ambient_dim) < 0 or check_int("vardim", vardim) < 0:
             raise ParseError("dim and vardim must be non-negative")
+        # a variety has at most the dimension of its ambient space; weil
+        # weighs 2 * vardim + 1 weights on every split
+        if vardim > ambient_dim:
+            raise ParseError(f"vardim {vardim} exceeds dim {ambient_dim}")
         if ambient == "projective":
             for poly in polys:
                 if not poly.is_homogeneous():
@@ -549,9 +551,7 @@ def _count_roots(cs, bs, as_, field):
 
 def _check_degree(m, what):
     """InvalidInput unless m is an int, InvalidDegree unless it is >= 1."""
-    if not isinstance(m, int):
-        raise InvalidInput(f"{what} must be an integer")
-    if m < 1:
+    if check_int(what, m) < 1:
         raise InvalidDegree(f"{what} must be >= 1")
 
 
@@ -563,6 +563,7 @@ def _budget_check(v, m, budget):
     stops after a few steps instead of building a number of millions of
     digits."""
     _check_degree(m, "extension degree")
+    check_int("budget", budget)
     q = v.p ** m
     step = 1 if v.ambient == "projective" else 0
     total = 1 - step

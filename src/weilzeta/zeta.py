@@ -27,7 +27,8 @@ from . import qpoly
 from .errors import (DimensionMismatch, EmptySeries, FunctionalEquationViolated,
                      InsufficientPrecision, InternalError, InvalidInput,
                      MathCheckError, MixedWeightFactor, NoRationalFit,
-                     NotIntegral, NotNormalized, WeightOutOfRange, WeilZetaError)
+                     NotIntegral, NotNormalized, WeightOutOfRange, WeilZetaError,
+                     check_int, check_ints)
 from .qlinalg import echelon
 
 # Fixed, not settable: roots of a zeta function sit on their circles to
@@ -140,7 +141,7 @@ def zeta_series(counts):
     geometric series), so every division is exact; the first that is not
     raises NotIntegral.
     """
-    n_list = _ints(_as_counts(counts), "point counts")
+    n_list = check_ints("point counts", _as_counts(counts))
     if not n_list:
         raise EmptySeries("need at least one point count")
     cs = [1]
@@ -151,22 +152,6 @@ def zeta_series(counts):
                 f"series coefficient c_{k} = {qpoly.ratio_str(acc, k)} is not an integer")
         cs.append(acc // k)
     return PowerSeriesQ(coeffs=tuple(cs))
-
-
-def _ints(values, what):
-    """values as a tuple; InvalidInput unless every one is an int."""
-    values = tuple(values)
-    if not all(isinstance(v, int) for v in values):
-        raise InvalidInput(f"{what} must be integers")
-    return values
-
-
-def _int_args(**values):
-    """InvalidInput naming the first of the scalar arguments values that is
-    not an int."""
-    for name, value in values.items():
-        if not isinstance(value, int):
-            raise InvalidInput(f"{name} must be an integer")
 
 
 def _series_div(num, den, order):
@@ -196,8 +181,8 @@ def rational_function(num, den):
     Takes and works on ints: the primitive gcd leaves integral quotients
     (Gauss's lemma), and the scaling by den(0) is a test of divisibility.
     """
-    num = qpoly.trim(_ints(num, "coefficients"))
-    den = qpoly.trim(_ints(den, "coefficients"))
+    num = qpoly.trim(check_ints("coefficients", num))
+    den = qpoly.trim(check_ints("coefficients", den))
     if not den or den[0] == 0:
         raise NotNormalized("denominator must have nonzero constant term")
     if not num:
@@ -228,10 +213,11 @@ def pade_reconstruct(s, num_deg, den_deg):
     rows; every pivot row there ends in the same last pivot d, so the
     solution (free unknowns zero) over d is an integer den with den(0) = d.
     """
-    _int_args(num_deg=num_deg, den_deg=den_deg)
+    check_int("num_deg", num_deg)
+    check_int("den_deg", den_deg)
     if num_deg < 0 or den_deg < 0:
         raise InvalidInput("num_deg and den_deg must be non-negative")
-    coeffs = _ints(s.coeffs if isinstance(s, PowerSeriesQ) else s, "series coefficients")
+    coeffs = check_ints("series coefficients", s.coeffs if isinstance(s, PowerSeriesQ) else s)
     order = len(coeffs) - 1
     if order < num_deg + den_deg:
         raise InsufficientPrecision(
@@ -273,7 +259,7 @@ def curve_numerator(counts, g, mode="full"):
     """
     if mode not in ("full", "symmetric"):
         raise InvalidInput(f"unknown mode {mode!r}")
-    _int_args(genus=g)
+    check_int("genus", g)
     if g < 0:
         raise InvalidInput("genus must be non-negative")
     if g == 0:
@@ -308,8 +294,10 @@ def functional_equation_check(z, q, n, chi):
     identity is verified and the sign stays undetermined (None). A negative
     power of q moves to the other side, so the residuals are integral too.
     """
-    _int_args(q=q, n=n, chi=chi)
-    num, den = _ints(z.num, "coefficients"), _ints(z.den, "coefficients")
+    check_int("q", q)
+    check_int("n", n)
+    check_int("chi", chi)
+    num, den = check_ints("coefficients", z.num), check_ints("coefficients", z.den)
     qn = q ** n
     lhs = qpoly.mul(qpoly.compose_linear(qpoly.reverse(num), qn), den)
     rhs = qpoly.mul(num, qpoly.compose_linear(qpoly.reverse(den), qn))
@@ -508,12 +496,13 @@ def weight_split(z, q, n):
     even weights from the denominator; factors on the wrong side are
     reported as misplaced rather than merged, clearing parity_ok.
     """
-    _int_args(q=q, n=n)
+    check_int("q", q)
+    check_int("n", n)
     if q < 2:
         raise InvalidInput("q must be at least 2")
     if n < 0:
         raise InvalidInput("dimension must be non-negative")
-    num, den = _ints(z.num, "coefficients"), _ints(z.den, "coefficients")
+    num, den = check_ints("coefficients", z.num), check_ints("coefficients", z.den)
     buckets = {i: (1,) for i in range(2 * n + 1)}
     misplaced = []
     for side, poly in (("num", num), ("den", den)):
@@ -574,10 +563,11 @@ def rh_check(P, q, i):
     numeric modulus bound alone, in doubles: InvalidInput when q^(i/2)
     leaves their range. q and i are ints, i >= 0.
     """
-    _int_args(q=q, i=i)
+    check_int("q", q)
+    check_int("i", i)
     if i < 0:
         raise InvalidInput("i must be non-negative")
-    coeffs = qpoly.trim(_ints(P, "coefficients"))
+    coeffs = qpoly.trim(check_ints("coefficients", P))
     if not coeffs or coeffs[0] != 1:
         raise NotNormalized("weight factor must have constant term 1")
     d = qpoly.degree(coeffs)
@@ -609,7 +599,7 @@ def rh_check(P, q, i):
 
 def betti_check(fact, expected):
     """Compare deg P_i against expected Betti numbers, per weight."""
-    expected = tuple(expected)
+    expected = check_ints("expected Betti numbers", expected)
     if len(expected) != 2 * fact.n + 1:
         raise DimensionMismatch(
             f"expected {2 * fact.n + 1} Betti numbers, got {len(expected)}")
@@ -622,10 +612,10 @@ def point_count_from_zeta(z, m):
     Computed exactly as coefficient m-1 of the series divisions num'/num
     and den'/den, which stay integral on integer coefficients.
     """
-    _int_args(m=m)
+    check_int("m", m)
     if m < 1:
         raise InvalidInput("m must be >= 1")
-    num, den = _ints(z.num, "coefficients"), _ints(z.den, "coefficients")
+    num, den = check_ints("coefficients", z.num), check_ints("coefficients", z.den)
     return (_series_div(qpoly.deriv(num), num, m - 1)[m - 1]
             - _series_div(qpoly.deriv(den), den, m - 1)[m - 1])
 

@@ -143,6 +143,21 @@ def test_hostile_inputs_fail_fast_in_a_fresh_process(tmp_path, text, argv, code,
     assert elapsed < seconds
 
 
+def test_vardim_past_dim_fails_fast_in_a_fresh_process(tmp_path):
+    # a variety has at most its ambient dimension; weil used to weigh
+    # 2 * vardim + 1 weights on every split, 17 s and 862 MB for 10^6
+    path = tmp_path / "vardim.variety"
+    path.write_text("field p=2\nambient projective dim=2 vardim=1234567\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "weilzeta.cli", "weil", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stderr == "error: ParseError: vardim 1234567 exceeds dim 2\n"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_large_imprimitive_matrix_is_refused_fast_in_a_fresh_process(tmp_path):
     # a 60 x 60 cyclic permutation: no power is positive, and deciding that
     # takes 12 squarings of the positivity pattern, not 3,482 products

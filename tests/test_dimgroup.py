@@ -39,12 +39,16 @@ def test_matrix_validation():
         make_matrix([[1, 2]])
     with pytest.raises(InvalidInput):
         make_matrix([[-1, 1], [1, 1]])
-    # a value that int() would change is refused, one it keeps is taken
+    # an entry that is not an int is refused, integral or not; a bool is an int
     with pytest.raises(InvalidInput, match=r"^entries must be non-negative integers, got 1\.5$"):
         make_matrix([[1.5, 1], [1, 1]])
     with pytest.raises(InvalidInput, match=r"got Fraction\(1, 2\)$"):
         make_matrix([[3, F(1, 2)], [1, 1]])
-    assert make_matrix([[3.0, F(1)], [True, 1]]).rows == ((3, 1), (1, 1))
+    with pytest.raises(InvalidInput, match=r"^entries must be non-negative integers, got 3\.0$"):
+        make_matrix([[3.0, 1], [1, 1]])
+    with pytest.raises(InvalidInput, match=r"got Fraction\(1, 1\)$"):
+        make_matrix([[3, F(1)], [1, 1]])
+    assert make_matrix([[3, 1], [True, 1]]).rows == ((3, 1), (1, 1))
     with pytest.raises(NotPrimitive):
         make_matrix([[0, 1], [1, 0]])
     with pytest.raises(NotPrimitive):
@@ -190,9 +194,16 @@ def test_non_integer_inputs_are_invalid_input(call, message):
     G = _hecke_group()
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         call(G)
-    # an integral value of another type is read as its int
-    assert trace_value(G, ((1.0, F(0)), 1.0)) == trace_value(G, ((1, 0), 1))
-    assert frobenius_shift_matches_eigenvalue(G, 4.0, F(2))
+    # an integral value of another type is refused too
+    with pytest.raises(InvalidInput, match=r"^vector entries must be integers, got 1\.0$"):
+        trace_value(G, ((1.0, F(0)), 1))
+    with pytest.raises(InvalidInput, match=r"^level must be an integer, got 1\.0$"):
+        trace_value(G, ((1, 0), 1.0))
+    with pytest.raises(InvalidInput, match=r"^ell must be an integer, got Fraction\(2, 1\)$"):
+        frobenius_shift_matches_eigenvalue(G, 4, F(2))
+    with pytest.raises(InvalidInput, match=r"^the trace must be an integer, got 4\.0$"):
+        frobenius_shift_matches_eigenvalue(G, 4.0, 2)
+    assert frobenius_shift_matches_eigenvalue(G, 4, 2)
 
 
 def test_trace_values_frozen():

@@ -109,6 +109,7 @@ def test_make_field_rejects_bad_arguments():
     with pytest.raises(InvalidDegree):
         make_field(5, 0)
     # a float that equals a prime or a degree is refused before any work
-    for p, m, name in ((3, 2.0, "m"), (3.0, 2, "p"), (3.0, 1, "p"), (5, 1.0, "m")):
-        with pytest.raises(InvalidInput, match=f"^{name} must be an integer$"):
+    for p, m, name, value in ((3, 2.0, "m", "2.0"), (3.0, 2, "p", "3.0"),
+                              (3.0, 1, "p", "3.0"), (5, 1.0, "m", "1.0")):
+        with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got {value}$"):
             make_field(p, m)

@@ -56,8 +56,9 @@ def test_import_loads_no_submodule():
     assert done.stdout.split() == ["['weilzeta']"]
 
 
-def _fractions_imports(path):
-    """Dotted names of the scopes in a source file that import fractions."""
+def _scopes(path, matches):
+    """Dotted names of the scopes in a source file that hold a node for
+    which matches is true."""
     found = []
 
     def visit(node, where):
@@ -65,9 +66,7 @@ def _fractions_imports(path):
             name = where
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = f"{where}.{child.name}"
-            if (isinstance(child, ast.Import)
-                    and any(alias.name.split(".")[0] == "fractions" for alias in child.names)
-                    or isinstance(child, ast.ImportFrom) and child.module == "fractions"):
+            if matches(child):
                 found.append(name)
             visit(child, name)
 
@@ -75,13 +74,45 @@ def _fractions_imports(path):
     return found
 
 
+def _fractions_imports(path):
+    """Dotted names of the scopes in a source file that import fractions."""
+    return _scopes(path, lambda node: (
+        isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "fractions" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions"))
+
+
+def _tests_for_int(node):
+    """An isinstance call whose second argument is int or a tuple holding it."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1]
+    return any(isinstance(kind, ast.Name) and kind.id == "int"
+               for kind in (kinds.elts if isinstance(kinds, ast.Tuple) else (kinds,)))
+
+
 def test_fractions_is_imported_only_where_lattice_literals_enter():
     # a Fraction is read only at the input doors (realalg's fields and
-    # elements, qlinalg.as_int, pseudolattice._rational) and returned by no
-    # library function; only the lattice parser builds one, from its literals
+    # elements, pseudolattice._rational) and returned by no library
+    # function; only the lattice parser builds one, from its literals
     sites = [site for path in sorted((ROOT / "src" / "weilzeta").glob("*.py"))
              for site in _fractions_imports(path)]
     assert sites == ["pseudolattice._rational"]
+
+
+def test_only_errors_checks_that_an_argument_is_an_int():
+    # every integer argument goes through errors.check_int or check_ints;
+    # realalg._is_rational also takes Fractions, and HeckeLikeMatrix words
+    # its entry check together with the sign
+    paths = sorted((ROOT / "src" / "weilzeta").glob("*.py"))
+    sites = [site for path in paths for site in _scopes(path, _tests_for_int)]
+    assert sites == ["dimgroup.HeckeLikeMatrix.__init__", "errors.check_int",
+                     "errors.check_ints", "realalg._is_rational"]
+    defined = {node.name for path in paths
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & {"as_int", "_ints", "_int_args"}
 
 
 def test_integer_kernels_read_no_numerator_or_denominator():

@@ -1,5 +1,7 @@
 """Tests for the primality test and the primes in a range."""
 
+import re
+
 import pytest
 
 from weilzeta.errors import InvalidInput
@@ -29,5 +31,6 @@ def test_primes_in_range_inclusive():
 def test_is_prime_refuses_a_number_that_is_not_an_int():
     # a float that equals a prime is refused, not answered
     for n in (3.0, 7.0, 4.0, "5", None):
-        with pytest.raises(InvalidInput, match="^n must be an integer$"):
+        with pytest.raises(InvalidInput,
+                           match=f"^n must be an integer, got {re.escape(repr(n))}$"):
             is_prime(n)

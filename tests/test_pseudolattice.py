@@ -346,8 +346,13 @@ def test_non_numeric_inputs_are_invalid_input(call, message):
     L = _sqrt_lattice(2)
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         call(L)
-    # an integral value of another type is read as its int
-    assert point_count_from_frobenius(L, [[1.0, 0], [0, F(3)]], 5) == 2
+    # an integral value of another type is refused too
+    with pytest.raises(InvalidInput,
+                       match=r"^Frobenius matrix entries must be integers, got 1\.0$"):
+        point_count_from_frobenius(L, [[1.0, 0], [0, 3]], 5)
+    with pytest.raises(InvalidInput, match=r"got Fraction\(3, 1\)$"):
+        point_count_from_frobenius(L, [[1, 0], [0, F(3)]], 5)
+    assert point_count_from_frobenius(L, [[1, 0], [0, 3]], 5) == 2
 
 
 def test_density_witness_golden_convergent():

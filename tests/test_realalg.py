@@ -44,17 +44,46 @@ def _enclosure(x):
 def test_constructor_validates_minpoly_and_interval():
     with pytest.raises(NotIrreducible):
         RealNumberField((-4, 0, 1), (F(1), F(3)))
-    # a coefficient that int() would change is not truncated to Q(sqrt(2)),
-    # and one that int() refuses raises the same error, not a builtin one
-    for minpoly in ((-2.5, 0, 1), (-2, F(1, 3), 1), (-2, 0, 1.5), ("a", 0, 1),
-                    (-2, 0, float("nan")), (None, 0, 1), (float("inf"), 0, 1)):
+    # a coefficient that is not an int is not truncated to Q(sqrt(2)), nor
+    # read as its int when integral; it is InvalidInput, not a builtin error
+    for minpoly, bad in (((-2.5, 0, 1), "-2.5"), ((-2, F(1, 3), 1), "Fraction(1, 3)"),
+                         ((-2, 0, 1.5), "1.5"), (("a", 0, 1), "'a'"),
+                         ((-2, 0, float("nan")), "nan"), ((None, 0, 1), "None"),
+                         ((float("inf"), 0, 1), "inf"), ((-2.0, F(0), 1), "-2.0")):
+        with pytest.raises(InvalidInput,
+                           match=f"^minpoly coefficients must be integers, got {re.escape(bad)}$"):
+            RealNumberField(minpoly, (1, 2))
+    for minpoly in ((-2, 0, 2), (0, 0), ()):
         with pytest.raises(NotIrreducible, match="^minimal polynomial must be monic with integer"):
             RealNumberField(minpoly, (1, 2))
-    assert RealNumberField((-2.0, F(0), 1), (1, 2)).minpoly == (-2, 0, 1)
+    assert RealNumberField((-2, 0, 1, 0), (1, 2)).minpoly == (-2, 0, 1)
     with pytest.raises(InvalidInterval):
         RealNumberField((-2, 0, 1), (F(2), F(3)))
     with pytest.raises(InvalidInterval):
         RealNumberField((-2, 0, 1), (F(-2), F(2)))
+
+
+def test_den_must_be_a_positive_int():
+    # a den of 0 used to fail on a division, and a negative one built a
+    # field with a reversed bracket
+    K = RealNumberField.quadratic(2)
+    for call, den in ((lambda den: RealNumberField((-2, 0, 1), (-2, -1), den=den), -1),
+                      (lambda den: RealNumberField((-2, 0, 1), (1, 2), den=den), 0),
+                      (lambda den: K.from_rational(1, den=den), 0),
+                      (lambda den: K.from_rational(1, den=den), -2)):
+        with pytest.raises(InvalidInput, match=f"^den must be positive, got {den}$"):
+            call(den)
+    assert K.from_rational(3, den=2) == K.from_rational(F(3, 2))
+    assert RealNumberField((-2, 0, 1), (2, 4), den=2) == K
+
+
+def test_decimal_str_needs_a_digit():
+    # 0 and negative digit counts used to print sqrt(2) as 0E+1 and 0E+4
+    x = RealNumberField.quadratic(2).gen()
+    for digits in (0, -3):
+        with pytest.raises(InvalidInput, match=f"^digits must be at least 1, got {digits}$"):
+            x.decimal_str(digits)
+    assert x.decimal_str(1) == "1" and x.decimal_str(3) == "1.41"
 
 
 def test_quadratic_rejects_perfect_squares():
@@ -80,9 +109,11 @@ def test_non_rational_inputs_are_invalid_input(call, message):
     K = RealNumberField.quadratic(2)
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         call(K)
-    # ints and Fractions are accepted, and an integral d of another type
+    # ints and Fractions are accepted; an integral d of another type is not
     assert K.element((F(1, 2), 1)) == K.from_rational(F(1, 2)) + K.gen()
-    assert RealNumberField.quadratic(2.0) == RealNumberField((-2, 0, 1), (F(1), 2)) == K
+    assert RealNumberField.quadratic(2) == RealNumberField((-2, 0, 1), (F(1), 2)) == K
+    with pytest.raises(InvalidInput, match=r"^d must be an integer, got 2\.0$"):
+        RealNumberField.quadratic(2.0)
 
 
 def test_sqrt2_squares_to_two():

@@ -403,10 +403,10 @@ def test_counters_refuse_a_characteristic_or_degree_that_is_not_an_int():
                           (lambda: count_points(v, 1.0, 10), "extension degree"),
                           (lambda: count_series(v, 2.0), "m_max"),
                           (lambda: count_series(v, 1.0), "m_max")):
-        with pytest.raises(InvalidInput, match=f"^{message} must be an integer$"):
+        with pytest.raises(InvalidInput, match=f"^{message} must be an integer, got [12]\\.0$"):
             call()
     # a float characteristic is refused where the variety is built
-    with pytest.raises(InvalidInput, match="^field characteristic must be an integer$"):
+    with pytest.raises(InvalidInput, match=r"^field characteristic must be an integer, got 3\.0$"):
         VarietySpec(3.0, v.ambient, v.ambient_dim, v.vardim, v.polys)
     assert count_series(v, 2).counts == (count_points(v, 1), count_points(v, 2))
 
