@@ -1,6 +1,7 @@
 """Exact zeta functions of varieties over finite fields.
 
-Point counting from first principles, rational reconstruction of Z_V(t),
+Point counting from first principles over F_{p^m}, which variety builds
+on a primitive modulus (make_field), rational reconstruction of Z_V(t),
 verification of rationality, functional equation, root moduli and Betti
 degrees, plus complex-multiplication traces, pseudo-lattice endomorphism
 rings and dimension groups with exact Perron-Frobenius data.
@@ -18,9 +19,8 @@ __version__ = "0.1.0"
 _SOURCE = {name: module for module, names in (
     ("errors", ("errors", "DEFAULT_BUDGET")),
     ("primes", ("is_prime", "primes_in_range")),
-    ("ffield", ("make_field",)),
     ("variety", ("MultiPoly", "VarietySpec", "PointCountSeries",
-                 "parse_variety", "load_variety", "count_points",
+                 "parse_variety", "load_variety", "make_field", "count_points",
                  "count_series", "weierstrass_variety")),
     ("zeta", ("PowerSeriesQ", "RationalFunctionQ", "WeilFactorization",
               "RHReport", "zeta_series", "pade_reconstruct",

@@ -1,23 +1,16 @@
-"""Polynomials over F_p and the moduli of F_{p^m}.
+"""Polynomials over F_p.
 
 Polynomials over F_p are int tuples, low degree first, trimmed of zero
 leading coefficients. _berlekamp is the one entry point of Berlekamp's
-algorithm, and its matrix never leaves it: the factor count decides
-irreducibility, and qpoly asks for the factors themselves. make_field
-picks the modulus of F_{p^m}: the lexicographically smallest monic
-irreducible polynomial of degree m, so identical inputs always give
-identical fields. Arithmetic in F_{p^m} itself lives in the Zech-logarithm
-tables of variety._IndexedField.
+algorithm, and its matrix never leaves it: qpoly asks it for the factor
+count and the factors of a square-free polynomial mod p. The modulus of
+F_{p^m} and its Zech-logarithm tables live in variety, which asks this
+module only for _ppowmod, the powers of x modulo a candidate modulus.
 
 Only F_p[x] work loads this module: counts over F_{p^m} with m >= 2 and
 qpoly's modular factors. Primality lives in primes, so a count over a
 prime field or a cm sweep never compiles it.
 """
-
-from itertools import product
-
-from .errors import InternalError, InvalidDegree, InvalidPrime, check_int
-from .primes import is_prime
 
 
 # --- polynomial helpers over F_p, coefficients as int tuples ---
@@ -140,13 +133,6 @@ def _berlekamp(f, p):
     return k, factors
 
 
-def _is_irreducible(f, p):
-    """Deterministic test for monic f over F_p: f is irreducible exactly
-    when it is square-free and its Berlekamp space is the constants alone."""
-    found = _berlekamp(f, p)
-    return found is not None and found[0] == 1
-
-
 def _pdivmod(a, b, p):
     """Division with remainder by monic b over F_p."""
     a = list(a)
@@ -163,26 +149,3 @@ def _pdivmod(a, b, p):
                 a[k + j] = (a[k + j] - c * b[j]) % p
         a.pop()
     return _ptrim(tuple(q)), _ptrim(tuple(a))
-
-
-def make_field(p, m):
-    """Modulus of F_{p^m}: the lexicographically smallest monic irreducible
-    polynomial of degree m over F_p, as its coefficient tuple low first.
-
-    Coefficient tuples (c_0, ..., c_{m-1}) of candidate moduli are compared
-    low degree first; for m = 1 the modulus is x, (0, 1), by convention.
-    """
-    check_int("p", p)
-    check_int("m", m)
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
-    if m < 1:
-        raise InvalidDegree(f"extension degree must be >= 1, got {m}")
-    if m == 1:
-        return (0, 1)
-    # a zero constant term makes x a factor, so c_0 starts at 1
-    for tail in product(range(1, p), *[range(p)] * (m - 1)):
-        f = tail + (1,)
-        if _is_irreducible(f, p):
-            return f
-    raise InternalError(f"no irreducible polynomial of degree {m} over F_{p}")

@@ -17,14 +17,15 @@ degree <= 2 in some variable X_v is counted one coordinate fewer: the
 roots in X_v of a*X_v^2 + b*X_v + c come from the quadratic character.
 
 The inner loop sees F_{p^m} as Zech-logarithm codes, its one
-representation of the field: 0 is zero and k+1 is g^k for a fixed
-multiplicative generator g. A monomial is a sum of logarithms, and a sum
-of two powers of g is one Zech lookup. The log and Zech tables are built
-once per field by walking the powers of g as vectors of base-p digits,
-O(m deg g) integer operations per power. Only m >= 2 loads ffield, for
-the modulus and the generator test in F_p[x]; over F_p itself g is the
-smallest primitive root mod p, tested with int pow, so a prime-field
-count compiles no F_p[x] code.
+representation of the field: 0 is zero and k+1 is x^k, where the modulus
+f = make_field(p, m) is primitive, so that x generates the multiplicative
+group for every m, F_p itself included. A monomial is a sum of
+logarithms, and a sum of two powers of x is one Zech lookup. The log and
+Zech tables are built once per field by walking the powers of x as
+vectors of base-p digits, one shift and fold by f per power. The search
+for f screens each constant term with int pow; only m >= 2 loads ffield,
+for the powers of x modulo a candidate, so a prime-field count compiles
+no F_p[x] code.
 """
 
 from functools import lru_cache
@@ -33,7 +34,7 @@ from operator import mul
 
 from .errors import (DEFAULT_BUDGET, EnumerationBudgetExceeded, InternalError,
                      InvalidDegree, InvalidInput, InvalidPrime, NotHomogeneous,
-                     ParseError, check_int, data_lines, read_text)
+                     ParseError, check_int, check_ints, data_lines, read_text)
 from .primes import is_prime
 
 
@@ -96,7 +97,7 @@ class VarietySpec:
         self.ambient = ambient  # "projective" or "affine"
         self.ambient_dim = ambient_dim
         self.vardim = vardim
-        self.polys = polys
+        self.polys = polys = tuple(polys)
         if not is_prime(check_int("field characteristic", p)):
             raise InvalidPrime(f"field characteristic {p} is not prime")
         if ambient not in ("projective", "affine"):
@@ -107,12 +108,26 @@ class VarietySpec:
         # weighs 2 * vardim + 1 weights on every split
         if vardim > ambient_dim:
             raise ParseError(f"vardim {vardim} exceeds dim {ambient_dim}")
-        if ambient == "projective":
-            for poly in polys:
-                if not poly.is_homogeneous():
-                    raise NotHomogeneous(
-                        f"projective ambient requires homogeneous polynomials, "
-                        f"got degrees {poly.total_degrees()} in {poly}")
+        # the counting loop reads terms as they are: a variable past nvars
+        # would be dropped, and a coefficient outside 1..p-1 misread
+        nvars = self.nvars
+        for poly in polys:
+            if poly.__class__ is not MultiPoly:
+                raise InvalidInput(f"polynomials must be MultiPoly, got {poly!r}")
+            if poly.nvars != nvars:
+                raise InvalidInput(f"{poly} has {poly.nvars!r} variables, expected {nvars}")
+            for mono, c in poly.terms:
+                if not 0 < check_int("coefficients", c) < p:
+                    raise InvalidInput(f"coefficient {c} in {poly} is not in 1..{p - 1}")
+                for u, e in mono:
+                    if not (0 <= check_int("variables", u) < nvars
+                            and check_int("exponents", e) > 0):
+                        raise InvalidInput(f"X{u}^{e} in {poly} is not a positive power "
+                                           f"of X0..X{nvars - 1}")
+            if ambient == "projective" and not poly.is_homogeneous():
+                raise NotHomogeneous(
+                    f"projective ambient requires homogeneous polynomials, "
+                    f"got degrees {poly.total_degrees()} in {poly}")
 
     @property
     def nvars(self):
@@ -125,8 +140,11 @@ class PointCountSeries:
     __slots__ = ("q", "counts")
 
     def __init__(self, q, counts):
+        if check_int("q", q) < 2:
+            raise InvalidInput(f"q must be >= 2, got {q}")
         self.q = q
-        self.counts = counts
+        # no counts is allowed: zeta_series reports it as EmptySeries
+        self.counts = counts = check_ints("point counts", counts)
         if any(c < 0 for c in counts):
             raise InvalidInput("point counts must be non-negative")
 
@@ -372,85 +390,88 @@ def load_variety(path):
 # --- Zech-logarithm field arithmetic for the counting loop ---
 
 def make_field(p, m):
-    # ffield loads only where a modulus is searched, m >= 2;
-    # perfbench/tracer.py times the search by patching this name
-    from .ffield import make_field
-    return make_field(p, m)
+    """Modulus of F_{p^m}: the lexicographically smallest monic f of degree m
+    over F_p, coefficient tuples low first and compared low degree first,
+    on which x has order exactly p^m - 1. Such an f is primitive, hence
+    irreducible: modulo a reducible f there are fewer units (Lidl and
+    Niederreiter, Finite Fields, 3.1).
+
+    The norm of x, x^((p^m - 1)/(p - 1)) = (-1)^m f_0, then generates F_p^*,
+    so each f_0 is screened with int pow before any f with that constant
+    term is tried; for m = 1 the screen is the whole test, f = x + f_0.
+    Only m >= 2 loads ffield, for the powers of x modulo f.
+    """
+    check_int("p", p)
+    check_int("m", m)
+    if not is_prime(p):
+        raise InvalidPrime(f"{p} is not prime")
+    if m < 1:
+        raise InvalidDegree(f"extension degree must be >= 1, got {m}")
+    order = p ** m - 1
+    # prime factors of the group order
+    factors = []
+    n = order
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    if m > 1:
+        from .ffield import _ppowmod
+    # a zero constant term makes x a zero divisor, so f_0 starts at 1
+    for c0 in range(1, p):
+        norm = c0 if m % 2 == 0 else p - c0
+        if any(pow(norm, (p - 1) // r, p) == 1 for r in factors if (p - 1) % r == 0):
+            continue
+        if m == 1:
+            return (c0, 1)
+        for mid in product(*[range(p)] * (m - 1)):
+            f = (c0, *mid, 1)
+            # x^order = 1 and no x^(order/r) = 1: x has order exactly order
+            if _ppowmod((0, 1), order, f, p) == (1,) and all(
+                    _ppowmod((0, 1), order // r, f, p) != (1,) for r in factors):
+                return f
+    raise InternalError(f"no primitive polynomial of degree {m} over F_{p}")
 
 
 class _IndexedField:
     """Zech-logarithm arithmetic on F_{p^m}.
 
-    Elements are codes: 0 is zero and k+1 is g^k, where g is the
-    smallest-index generator of the multiplicative group. The enumeration
-    index of an element is the base-p value of its coefficients over the
-    modulus f = make_field(p, m), low degree first; F_p itself needs no
-    search, its modulus is x. log[i] is the discrete logarithm of the
-    element with index i != 0, and zech[k] is the code of 1 + g^k, so
-    g^a + g^b = g^a * (1 + g^(b-a)).
+    Elements are codes: 0 is zero and k+1 is x^k, x taken modulo the
+    primitive modulus f = make_field(p, m), which generates the
+    multiplicative group. The enumeration index of an element is the
+    base-p value of its coefficients over f, low degree first. log[i] is
+    the discrete logarithm of the element with index i != 0, and zech[k] is
+    the code of 1 + x^k, so x^a + x^b = x^a * (1 + x^(b-a)).
     """
 
     def __init__(self, p, m):
-        f = make_field(p, m) if m > 1 else (0, 1)
+        low = make_field(p, m)[:m]
         self.p = p
         self.q = q = p ** m
-        gen = self._find_generator(p, m, f)
-        lead, rest = gen[-1], gen[-2::-1]
-        low = f[:m]
         weights = [p ** i for i in range(m)]
         log = [0] * q
-        # g^k as m base-p digits, low first. Times g is a Horner pass over
-        # g's coefficients, high first: each step shifts by x and folds x^m
-        # back as -(f_0 + f_1 x + ... + f_{m-1} x^(m-1)); the digits are
-        # reduced mod p once per power
+        # x^k as m base-p digits, low first. Times x shifts the digits up
+        # one place and folds x^m back as -(f_0 + f_1 x + ... + f_{m-1} x^(m-1))
         cur = [1] + [0] * (m - 1)
         for k in range(q - 1):
             log[sum(map(mul, cur, weights))] = k
-            acc = [lead * d for d in cur]
-            for c in rest:
-                top = acc[-1]
-                acc = [a + c * d - top * fi for a, d, fi in zip([0, *acc], cur, low)]
-            cur = [a % p for a in acc]
+            top = cur[-1]
+            # zip stops before the top digit, which the fold replaces
+            cur = [(a - top * c) % p for a, c in zip((0, *cur), low)]
+        # plus[i] is the index of 1 + the element with index i: adding 1
+        # changes only the constant digit, the lowest base-p digit
+        plus = list(range(1, q + 1))
+        plus[p - 1::p] = range(0, q, p)
         zech = [0] * (q - 1)
-        for idx in range(1, q):
-            # adding 1 changes only the constant digit, the lowest base-p digit
-            one_plus = idx - idx % p + (idx + 1) % p
-            zech[log[idx]] = log[one_plus] + 1 if one_plus else 0
+        for k, j in zip(log[1:], plus[1:]):
+            zech[k] = log[j] + 1 if j else 0
         self.log = log
         self.zech = zech
-
-    @staticmethod
-    def _find_generator(p, m, f):
-        """Smallest-index generator of the multiplicative group of
-        F_p[x]/(f), as its coefficient tuple low first without leading zeros."""
-        order = p ** m - 1
-        # prime factors of the group order
-        factors = []
-        n = order
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                factors.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            factors.append(n)
-        if m > 1:
-            from .ffield import _ppowmod
-        # for m >= 2 the constants, indices 1..p-1, have order dividing
-        # p - 1 < order, so the search starts at x, index p; for m = 1 a
-        # candidate is (g,), and its powers are ints mod p
-        for idx in range(p if m > 1 else 1, order + 1):
-            digits = []
-            while idx:
-                digits.append(idx % p)
-                idx //= p
-            cand = tuple(digits)
-            if all(_ppowmod(cand, order // r, f, p) != (1,) if m > 1
-                   else pow(cand[0], order // r, p) != 1 for r in factors):
-                return cand
-        raise InternalError("multiplicative group has a generator")
 
 
 @lru_cache(maxsize=32)
@@ -655,6 +676,10 @@ def count_series(v, m_max, budget=DEFAULT_BUDGET):
 
 def weierstrass_variety(A, B, p):
     """Projective model Y^2 Z = X^3 + A X Z^2 + B Z^3 as a VarietySpec."""
+    check_int("A", A)
+    check_int("B", B)
+    if not is_prime(check_int("p", p)):
+        raise InvalidPrime(f"{p} is not prime")
     text = (f"field p={p}\n"
             f"ambient projective dim=2 vardim=1\n"
             f"poly X1^2*X2 - X0^3 - {A % p}*X0*X2^2 - {B % p}*X2^3\n")

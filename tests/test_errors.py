@@ -61,7 +61,8 @@ def _lattice():
 
 
 # Each entry point below once read a float or a Fraction as an int, let it
-# through into its arithmetic, or failed with a builtin error
+# through into its arithmetic, failed with a builtin error, or blamed
+# another argument or text the caller never wrote
 @pytest.mark.parametrize("call, message", [
     (lambda: wz.ec_count(1.5, 0, 5), "A must be an integer, got 1.5"),
     (lambda: wz.ec_count(1, 1, 5.0), "p must be an integer, got 5.0"),
@@ -95,11 +96,19 @@ def _lattice():
      "expected Betti numbers must be integers, got 1.0"),
     (lambda: wz.curve_trace_cohomology(1.0, (_sqrt2().gen(),)),
      "genus must be an integer, got 1.0"),
+    (lambda: wz.PointCountSeries(3, ("a",)), "point counts must be integers, got 'a'"),
+    (lambda: wz.curve_numerator(wz.PointCountSeries(3.0, (4, 16)), 1),
+     "q must be an integer, got 3.0"),
+    (lambda: wz.PointCountSeries(1, (2, 2)), "q must be >= 2, got 1"),
+    (lambda: wz.weierstrass_variety(1.5, 1, 5), "A must be an integer, got 1.5"),
+    (lambda: wz.weierstrass_variety(1, "1", 5), "B must be an integer, got '1'"),
+    (lambda: wz.weierstrass_variety(1, 1, 5.0), "p must be an integer, got 5.0"),
 ], ids=["ec_count A", "ec_count p", "cornacchia", "psi", "FrobeniusData", "eigenvalues",
         "power_sum", "count_via_character", "variety dim", "variety vardim", "primes lo",
         "primes hi", "count_series budget", "count_points budget", "field den", "field minpoly",
         "quadratic", "from_rational den", "decimal_str", "pow", "matrix b", "matrix ell",
-        "frobenius q", "betti", "cohomology"])
+        "frobenius q", "betti", "cohomology", "series counts", "series q", "series q < 2",
+        "weierstrass A", "weierstrass B", "weierstrass p"])
 def test_integer_arguments_refuse_other_types_by_name(call, message):
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         call()

@@ -1,4 +1,4 @@
-"""Tests for F_p[x] helpers and the moduli of F_{p^m}."""
+"""Tests for F_p[x] helpers and the primitive moduli of F_{p^m}."""
 
 import random
 from itertools import product
@@ -7,37 +7,75 @@ import pytest
 
 from weilzeta import ffield
 from weilzeta.errors import InvalidDegree, InvalidInput, InvalidPrime
-from weilzeta.ffield import _berlekamp, _is_irreducible, make_field
+from weilzeta.ffield import _berlekamp, _pmod, _pmul
+from weilzeta.primes import is_prime
+from weilzeta.variety import make_field
 
 
-def test_make_field_prime_field_identity_modulus():
-    assert make_field(5, 1) == (0, 1)
+def _is_irreducible(f, p):
+    """f is irreducible exactly when it is square-free and its Berlekamp
+    space is the constants alone."""
+    found = _berlekamp(f, p)
+    return found is not None and found[0] == 1
 
 
-def test_make_field_smallest_irreducible_modulus():
-    # the only monic irreducible quadratic over F_2
+def _order_of_x(f, p):
+    """Multiplicative order of x modulo f, f(0) != 0, by walking its powers."""
+    power, k = _pmod((0, 1), f, p), 1
+    while power != (1,):
+        power, k = _pmod(_pmul(power, (0, 1), p), f, p), k + 1
+    return k
+
+
+def test_make_field_prime_field_modulus():
+    # x = -2 = 3 generates F_5^*, and x = -1 does not
+    assert make_field(5, 1) == (2, 1)
+    assert make_field(2, 1) == (1, 1)
+    assert make_field(7, 1) == (2, 1)
+
+
+def test_make_field_smallest_primitive_modulus():
+    # the only irreducible quadratic over F_2, and it is primitive
     assert make_field(2, 2) == (1, 1, 1)
-    # lexicographically first by low-to-high coefficient tuple
-    assert make_field(3, 2) == (1, 0, 1)
+    # x^2 + 1 is irreducible over F_3, but x^2 = -1 has order 4 < 8
+    assert make_field(3, 2) == (2, 1, 1)
+    # 7 is prime, so every irreducible cubic over F_2 is primitive
     assert make_field(2, 3) == (1, 0, 1, 1)
 
 
-@pytest.mark.parametrize("p, m", [(2, 10), (3, 6)])
+@pytest.mark.parametrize("p, m", [(2, 10), (3, 6), (5, 3)])
 def test_make_field_tries_no_multiple_of_x(monkeypatch, p, m):
-    # a zero constant term makes x a factor, so make_field never tests such
-    # a candidate, and still returns the first irreducible of the full order
+    # a zero constant term makes x a zero divisor, and a constant term
+    # whose norm (-1)^m f_0 does not generate F_p^* cannot give x the full
+    # order, so make_field powers x modulo neither
     tried = []
+    ppowmod = ffield._ppowmod
 
-    def recording(f, q):
+    def recording(base, e, f, q):
         tried.append(f)
-        return _is_irreducible(f, q)
+        return ppowmod(base, e, f, q)
 
-    monkeypatch.setattr(ffield, "_is_irreducible", recording)
+    monkeypatch.setattr(ffield, "_ppowmod", recording)
     modulus = make_field(p, m)
     assert tried[-1] == modulus
-    assert all(f[0] != 0 for f in tried)
-    assert modulus == next(tail + (1,) for tail in product(range(p), repeat=m)
-                           if _is_irreducible(tail + (1,), p))
+    for f in tried:
+        norm = (-1) ** m * f[0] % p
+        assert norm and len({pow(norm, k, p) for k in range(p - 1)}) == p - 1, f
+
+
+def test_make_field_is_the_first_candidate_on_which_x_has_full_order():
+    for p, m in ((p, m) for p in range(2, 1025) if is_prime(p)
+                 for m in range(1, 11) if p ** m <= 1024):
+        q = p ** m
+        modulus = make_field(p, m)
+        assert _order_of_x(modulus, p) == q - 1, modulus
+        for tail in product(range(1, p), *[range(p)] * (m - 1)):
+            f = tail + (1,)
+            if f == modulus:
+                break
+            assert _order_of_x(f, p) != q - 1, f
+        else:
+            raise AssertionError(f"{modulus} is not a candidate modulus of F_{q}")
 
 
 def _mul_mod(a, b, p):

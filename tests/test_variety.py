@@ -21,7 +21,7 @@ from weilzeta.errors import (
     UnsupportedCharacteristic,
 )
 from weilzeta.cmcurve import ec_count
-from weilzeta.ffield import _pmod, _pmul, _ppowmod, _psub, make_field
+from weilzeta.ffield import _pmod, _pmul, _ppowmod, _psub
 from weilzeta.primes import primes_in_range
 from weilzeta.variety import (
     MultiPoly,
@@ -31,6 +31,7 @@ from weilzeta.variety import (
     count_points,
     count_series,
     load_variety,
+    make_field,
     parse_variety,
     weierstrass_variety,
 )
@@ -388,11 +389,39 @@ def test_variety_spec_and_count_series_constructors_check_their_fields():
     assert VarietySpec(5, "affine", 2, 1, (mixed,)).nvars == 2
     with pytest.raises(InvalidInput, match="^point counts must be non-negative$"):
         PointCountSeries(5, (6, -1))
+    # p = 0 used to divide A by zero before the text was parsed
+    with pytest.raises(InvalidPrime, match="^0 is not prime$"):
+        weierstrass_variety(1, 1, 0)
     v = parse_variety(P1_F2)
     with pytest.raises(InvalidDegree, match="^extension degree must be >= 1$"):
         count_points(v, 0)
     with pytest.raises(InvalidDegree, match="^m_max must be >= 1$"):
         count_series(v, 0)
+
+
+def test_variety_spec_refuses_polynomials_the_counter_would_misread():
+    # built directly, not by the parser: over F_5, a term in X2 in one
+    # variable was dropped and counted 0 points, 0*X0 counted 1 instead of
+    # 5, and a coefficient of 7 raised a builtin IndexError
+    for terms, message in (
+            (((((2, 1),), 1),), "X2^1 in X2 is not a positive power of X0..X0"),
+            (((((0, 1), (2, 1)), 1),), "X2^1 in X0*X2 is not a positive power of X0..X0"),
+            (((((0, 0),), 1),), "X0^0 in X0^0 is not a positive power of X0..X0"),
+            (((((0, 2.0),), 1),), "exponents must be an integer, got 2.0"),
+            (((((0.0, 1),), 1),), "variables must be an integer, got 0.0"),
+            (((((0, 1),), 0),), "coefficient 0 in 0*X0 is not in 1..4"),
+            (((((0, 1),), 7),), "coefficient 7 in 7*X0 is not in 1..4"),
+            (((((0, 1),), 2.0),), "coefficients must be an integer, got 2.0")):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            VarietySpec(5, "affine", 1, 0, (MultiPoly(1, terms),))
+    for poly, message in (
+            ("X0", "polynomials must be MultiPoly, got 'X0'"),
+            (MultiPoly(2, ((((0, 1),), 1),)), "X0 has 2 variables, expected 1")):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            VarietySpec(5, "affine", 1, 0, (poly,))
+    # the polynomials are read once, into the tuple that the counter reads
+    x0 = MultiPoly(1, ((((0, 1),), 1),))
+    assert count_points(VarietySpec(5, "affine", 1, 0, (f for f in [x0])), 1) == 1
 
 
 def test_counters_refuse_a_characteristic_or_degree_that_is_not_an_int():
@@ -448,12 +477,11 @@ def test_zech_tables_match_exact_arithmetic():
     for p, m in _prime_powers(1024):
         field = _IndexedField(p, m)
         f = make_field(p, m)
-        gen = _IndexedField._find_generator(p, m, f)
         powers = [(1,)]
         for _ in range(field.q - 2):
-            powers.append(_pmod(_pmul(powers[-1], gen, p), f, p))
+            powers.append(_pmod(_pmul(powers[-1], (0, 1), p), f, p))
         index = [_index(x, p) for x in powers]
-        # distinct powers g^0..g^(q-2) make g a generator
+        # distinct powers x^0..x^(q-2) make x a generator, for every m
         assert len(set(index)) == field.q - 1
         assert [field.log[i] for i in index] == list(range(field.q - 1))
         for x, code in zip(powers, field.zech):
